@@ -147,7 +147,12 @@ def _parse_matrix(literal: str, where: str) -> np.ndarray:
         raise ReparseError(f"{where}: matrix is {len(parsed)}x{width}, expected square")
     if width & (width - 1) or width == 0:
         raise ReparseError(f"{where}: dimension {width} is not a power of two")
-    return np.array(parsed, dtype=np.complex128)
+    m = np.array(parsed, dtype=np.complex128)
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        row, col = bad[0] + 1
+        raise ReparseError(f"{where}: non-finite entry at row {row}, column {col}")
+    return m
 
 
 def reparse_model(text: str) -> Qmc:

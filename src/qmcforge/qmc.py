@@ -189,6 +189,6 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
         for _, so in succ:
             total = total + so.gram()
         dev = float(np.max(np.abs(total - eye)))
-        if dev > tol:
+        if not dev <= tol:
             out.append(RowViolation(state, dev))
     return out

@@ -3,6 +3,7 @@
 import numpy as np
 
 from qmcforge import parse_circuit
+from qmcforge.qmc import qmc_from_matrices
 
 SINGLE = ("I", "X", "Y", "Z", "H", "S", "T")
 DOUBLE = ("CNOT", "CZ", "SWAP")
@@ -49,3 +50,11 @@ def basis_state(k, index):
     v = np.zeros(2 ** k, dtype=np.complex128)
     v[index] = 1.0
     return v
+
+
+def nan_step_chain(q):
+    """The one-wire, one-step, h=1 chain ``q`` with its step replaced by
+    [nan, 0; 0, 1]: a model no verifier may pass."""
+    u = np.array([[np.nan, 0], [0, 1]], dtype=np.complex128)
+    branches = [q.transitions[("s2", t)].kraus[0] for t in ("t0", "t1")]
+    return qmc_from_matrices(1, 1, [u], branches)

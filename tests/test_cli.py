@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import nan_step_chain
+from qmcforge import cli
 from qmcforge.cli import gen_test_circuit, main
 from qmcforge.errors import SizeOutOfRange
 from qmcforge.normalize import translate
@@ -118,6 +120,37 @@ def test_verify_fails_against_wrong_model(circuit_file, tmp_path, capsys):
     assert main(["compile", str(wrong_src), "--output", str(model)]) == 0
     assert main(["verify", circuit_file, "--against", str(model)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+SINGLE_H = "qubits 1\ngate H 1\nmeasure 1\n"
+H_ROW = "0.7071067811865475, 0.7071067811865475; 0.7071067811865475, -0.7071067811865475"
+
+
+def test_verify_rejects_nan_model_file(tmp_path, capsys):
+    # once reparsed and verified PASS with every deviation 0.000e+00
+    src = tmp_path / "h.qc"
+    src.write_text(SINGLE_H)
+    model = tmp_path / "h.qpmc"
+    assert main(["compile", str(src), "--output", str(model)]) == 0
+    model.write_text(model.read_text().replace(f"[{H_ROW}]", "[nan, 0; 0, 1]", 1))
+    assert main(["verify", str(src), "--against", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite entry" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_verify_nan_chain_fails_with_exit_1(tmp_path, capsys, monkeypatch):
+    # a NaN that gets past the reparser still fails the check, and shows
+    src = tmp_path / "h.qc"
+    src.write_text(SINGLE_H)
+    model = tmp_path / "h.qpmc"
+    assert main(["compile", str(src), "--output", str(model)]) == 0
+    capsys.readouterr()
+    reparse = cli.reparse_model
+    monkeypatch.setattr(cli, "reparse_model", lambda text: nan_step_chain(reparse(text)))
+    assert main(["verify", str(src), "--against", str(model)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "state deviation       nan" in out
 
 
 def test_verify_json_format(circuit_file, capsys):

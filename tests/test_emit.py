@@ -120,6 +120,19 @@ def test_reparse_rejects_malformed_models():
         reparse_model(good.replace("endmodule", "", 1))
 
 
+def test_reparse_rejects_non_finite_entries():
+    # a NaN entry once reached the Superoperator trace check and escaped as a
+    # raw numpy LinAlgError; 1e999 overflows to inf
+    c = parse_circuit((pathlib.Path(__file__).parents[1] / "circuits" / "deutsch.qc").read_text())
+    s, _ = translate(c)
+    good = emit_qpmc(build_qmc(s))
+    assert "const matrix U2 = [1, 0," in good
+    for entry in ("nan", "inf", "-inf", "1e999", "0+nani", "1-infi"):
+        bad = good.replace("const matrix U2 = [1, 0,", f"const matrix U2 = [{entry}, 0,", 1)
+        with pytest.raises(ReparseError, match="non-finite entry at row 1, column 1"):
+            reparse_model(bad)
+
+
 def test_reparse_rejects_non_stochastic_model():
     h = gate_matrix("H")
     q = build_qmc(SnfCircuit(k=1, unitaries=(h,), h=1, wire_map=(1,)))

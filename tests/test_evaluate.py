@@ -1,12 +1,19 @@
 """Dual semantics: DAG walks, Born probabilities, chain runs, equivalence."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import basis_state, random_circuit
+from helpers import (DOUBLE, PARAM, SINGLE, basis_state, nan_step_chain,
+                     random_circuit)
+from qmcforge.circuit import UNITARY, topo_order, wire_positions
 from qmcforge.errors import (BadInitialState, BitLengthMismatch,
-                             DimensionMismatch)
-from qmcforge.evaluate import (check_equivalence, global_phase_distance,
+                             DimensionMismatch, ValidationFailed)
+from qmcforge.evaluate import (_walk, _worse, check_equivalence,
+                               global_phase_distance, measured_wires,
                                outcome_probability, random_kets, run_qmc,
                                simulate_circuit)
 from qmcforge.gates import gate_matrix
@@ -183,3 +190,107 @@ def test_check_equivalence_flags_wrong_wire_map():
     rep = check_equivalence(c, lied, q)
     assert not rep.passed
     assert any("state clause" in f for f in rep.failures)
+
+
+def test_check_equivalence_fails_closed_on_nan():
+    # max(0.0, nan) is 0.0 and nan > tol is False: both once let this PASS
+    c = parse_circuit("qubits 1\ngate H 1\nmeasure 1\n")
+    s, _ = translate(c)
+    rep = check_equivalence(c, s, nan_step_chain(build_qmc(s)))
+    assert not rep.passed
+    assert all(math.isnan(v) for v in (rep.state, rep.chain, rep.prob, rep.support))
+    assert "state clause: input 0 deviates by nan" in rep.failures
+
+
+def test_worst_deviation_keeps_nan():
+    assert _worse(0.0, 1e-3) == 1e-3
+    assert _worse(1e-3, 0.0) == 1e-3
+    assert math.isnan(_worse(0.0, float("nan")))
+    assert math.isnan(_worse(_worse(0.0, float("nan")), 1.0))
+
+
+def test_check_equivalence_rejects_bad_circuits_and_kets():
+    c = parse_circuit(BELL)
+    s, _ = translate(c)
+    q = build_qmc(s)
+    with pytest.raises(DimensionMismatch):
+        check_equivalence(c, s, q, [np.ones(3) / np.sqrt(3)])
+    broken = parse_circuit(BELL)
+    broken.edges = broken.edges[:-1]
+    with pytest.raises(ValidationFailed):
+        check_equivalence(broken, s, q)
+    with pytest.raises(ValidationFailed):
+        simulate_circuit(broken, basis_state(2, 0))
+
+
+# --- the batched oracle against a per-ket definition ----------------------
+
+@st.composite
+def _circuit_text(draw):
+    """Up to 4 wires and 6 gates; any subset of wires measured, in any order."""
+    k = draw(st.integers(1, 4))
+    lines = [f"qubits {k}"]
+    for _ in range(draw(st.integers(1, 6))):
+        wires = draw(st.permutations(range(1, k + 1)))
+        kinds = ["single", "param"] + (["double"] if k >= 2 else []) + \
+            (["ccnot"] if k >= 3 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "single":
+            lines.append(f"gate {draw(st.sampled_from(SINGLE))} {wires[0]}")
+        elif kind == "param":
+            angle = draw(st.floats(-math.pi, math.pi))
+            lines.append(f"gate {draw(st.sampled_from(PARAM))}({angle:.6f}) {wires[0]}")
+        elif kind == "double":
+            lines.append(f"gate {draw(st.sampled_from(DOUBLE))} {wires[0]} {wires[1]}")
+        else:
+            lines.append(f"gate CCNOT {wires[0]} {wires[1]} {wires[2]}")
+    measured = draw(st.lists(st.integers(1, k), unique=True, max_size=k))
+    lines.extend(f"measure {w}" for w in measured)
+    return "\n".join(lines) + "\n"
+
+
+def _full_matrix(u: np.ndarray, wires: tuple[int, ...], k: int) -> np.ndarray:
+    """The 2^k matrix of gate ``u`` on 1-based ``wires`` (wire 1 the MSB),
+    entry by entry."""
+    dim = 2 ** k
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    rest = [w for w in range(1, k + 1) if w not in wires]
+
+    def bit(i, w):
+        return (i >> (k - w)) & 1
+
+    def sub(i):
+        return int("".join(str(bit(i, w)) for w in wires), 2)
+
+    for row in range(dim):
+        for col in range(dim):
+            if all(bit(row, w) == bit(col, w) for w in rest):
+                out[row, col] = u[sub(row), sub(col)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_circuit_text(), count=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_oracle_matches_per_ket_definition(text, count, seed):
+    c = parse_circuit(text)
+    k, wires = c.k, measured_wires(c)
+    h = len(wires)
+    kets = random_kets(k, count, np.random.default_rng(seed))
+    positions = wire_positions(c)
+    gates = [_full_matrix(c.nodes[n].matrix, positions[n], k)
+             for n in topo_order(c) if c.nodes[n].kind == UNITARY]
+
+    finals, born = _walk(c, np.array(kets).T)
+    assert finals.shape == (2 ** k, count) and born.shape == (2 ** h, count)
+    for j, ket in enumerate(kets):
+        expected = ket
+        for g in gates:
+            expected = g @ expected
+        assert np.allclose(finals[:, j], expected, atol=1e-12)
+        assert np.allclose(simulate_circuit(c, ket), expected, atol=1e-12)
+        for outcome in range(2 ** h):
+            bits = format(outcome, f"0{h}b") if h else ""
+            p = sum(abs(expected[i]) ** 2 for i in range(2 ** k)
+                    if "".join(str((i >> (k - w)) & 1) for w in wires) == bits)
+            assert born[outcome, j] == pytest.approx(p, abs=1e-12)
+            assert outcome_probability(c, ket, bits) == pytest.approx(p, abs=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_circuit
+from helpers import nan_step_chain, random_circuit
 from qmcforge.errors import DimensionMismatch, OutcomeOutOfRange
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
@@ -107,6 +107,13 @@ def test_row_stochasticity_flags_leaky_chain():
     bad = verify_row_stochasticity(leaky)
     assert [v.state for v in bad] == ["s2"]
     assert bad[0].deviation > 0.4
+
+
+def test_row_stochasticity_flags_nan():
+    # a NaN deviation is a violation, not a pass
+    bad = verify_row_stochasticity(nan_step_chain(_single_h_chain()))
+    assert [v.state for v in bad] == ["s1"]
+    assert np.isnan(bad[0].deviation)
 
 
 def test_row_stochasticity_random_circuits():

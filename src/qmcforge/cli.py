@@ -176,12 +176,15 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         inputs += random_kets(s.k, args.random, rng)
     rep = check_equivalence(c, s, q, inputs, tol=cfg.tol)
     if cfg.fmt == "json":
+        # strict JSON has no NaN or infinity: a non-finite deviation is
+        # written as a string ("nan", "inf")
+        deviations = {"state": rep.state, "chain": rep.chain,
+                      "probability": rep.prob, "support": rep.support}
         payload = {"passed": rep.passed, "inputs": len(inputs),
-                   "deviations": {"state": rep.state, "chain": rep.chain,
-                                  "probability": rep.prob,
-                                  "support": rep.support},
+                   "deviations": {name: v if math.isfinite(v) else str(v)
+                                  for name, v in deviations.items()},
                    "failures": list(rep.failures)}
-        _write_or_print(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _write_or_print(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.output)
     else:
         lines = [f"checked {len(inputs)} input states",
                  f"  state deviation       {rep.state:.3e}",

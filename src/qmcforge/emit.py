@@ -43,11 +43,18 @@ def format_number(x: complex) -> str:
 
 
 def format_matrix(m: np.ndarray) -> str:
-    """MATLAB-style literal: rows split by ``;``, entries by ``, ``."""
-    rows = []
-    for row in np.atleast_2d(m):
-        rows.append(", ".join(format_number(v) for v in row))
-    return "[" + "; ".join(rows) + "]"
+    """MATLAB-style literal: rows split by ``;``, entries by ``, ``.
+
+    Each distinct value is formatted once and the rows are joined from those
+    words by index. ``-0.0`` and ``0.0`` share a word, which is safe because
+    :func:`format_number` prints both as ``0``; NaNs are never merged
+    (``equal_nan=False``), so each is formatted on its own.
+    """
+    m = np.atleast_2d(m)
+    values, inverse = np.unique(m.reshape(-1), return_inverse=True, equal_nan=False)
+    words = np.array([format_number(v) for v in values], dtype=object)
+    rows = words[inverse].reshape(m.shape).tolist()
+    return "[" + "; ".join(", ".join(row) for row in rows) + "]"
 
 
 def _constant_pool(q: Qmc) -> tuple[dict[bytes, str], list[tuple[str, np.ndarray]]]:
@@ -138,16 +145,23 @@ def _parse_entry(token: str, where: str) -> complex:
 
 
 def _parse_matrix(literal: str, where: str) -> np.ndarray:
-    rows = [r for r in literal.split(";")]
-    parsed = [[_parse_entry(e, where) for e in row.split(",")] for row in rows]
-    width = len(parsed[0])
-    if any(len(r) != width for r in parsed):
+    """Parse each distinct raw token once, in row-major order of first use
+    (so the first bad token is the one reported), then build the array from
+    the cached values."""
+    rows = literal.split(";")
+    tokens = literal.replace(";", ",").split(",")
+    values = dict.fromkeys(tokens)
+    for token in values:
+        values[token] = _parse_entry(token, where)
+    width = rows[0].count(",") + 1
+    if any(row.count(",") + 1 != width for row in rows):
         raise ReparseError(f"{where}: ragged matrix rows")
-    if len(parsed) != width:
-        raise ReparseError(f"{where}: matrix is {len(parsed)}x{width}, expected square")
-    if width & (width - 1) or width == 0:
+    if len(rows) != width:
+        raise ReparseError(f"{where}: matrix is {len(rows)}x{width}, expected square")
+    if width & (width - 1):
         raise ReparseError(f"{where}: dimension {width} is not a power of two")
-    m = np.array(parsed, dtype=np.complex128)
+    m = np.fromiter(map(values.__getitem__, tokens), dtype=np.complex128,
+                    count=len(tokens)).reshape(width, width)
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         row, col = bad[0] + 1

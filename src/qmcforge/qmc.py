@@ -26,7 +26,7 @@ __all__ = ["Superoperator", "Qmc", "RowViolation", "measurement_matrix",
 class Superoperator:
     """A completely positive map given by its Kraus operators.
 
-    Construction rejects empty, non-square, mixed-dimension, or
+    Construction rejects empty, non-square, mixed-dimension, non-finite or
     trace-increasing operator lists.
     """
 
@@ -40,9 +40,21 @@ class Superoperator:
             if m.ndim != 2 or m.shape != (dim, dim):
                 raise DimensionMismatch(
                     f"Kraus operators must share one square shape, got {m.shape}")
-        gram = sum(m.conj().T @ m for m in self.kraus)
-        top = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).max()
-        if top > 1.0 + DEFAULT_TOL.psd_slack:
+            if not np.isfinite(m).all():
+                raise DimensionMismatch("Kraus operators must have finite entries")
+        gram = self.gram()
+        herm = (gram + gram.conj().T) / 2.0
+        limit = 1.0 + DEFAULT_TOL.psd_slack
+        # Gershgorin: the largest eigenvalue is at most the largest absolute
+        # row sum, which already settles every permutation, unitary and
+        # projector step without an eigendecomposition.
+        bound = np.abs(herm).sum(axis=1).max()
+        if bound <= limit:
+            return
+        if not np.isfinite(bound):
+            raise DimensionMismatch("superoperator gram overflows: entries too large")
+        top = np.linalg.eigvalsh(herm).max()
+        if not top <= limit:
             raise DimensionMismatch(
                 f"superoperator increases trace (largest eigenvalue {top:.3e})")
 

@@ -54,7 +54,13 @@ def basis_state(k, index):
 
 def nan_step_chain(q):
     """The one-wire, one-step, h=1 chain ``q`` with its step replaced by
-    [nan, 0; 0, 1]: a model no verifier may pass."""
-    u = np.array([[np.nan, 0], [0, 1]], dtype=np.complex128)
+    [nan, 0; 0, 1]: a model no verifier may pass.
+
+    Construction rejects non-finite Kraus operators, so the chain is built
+    around a finite identity step and the NaN is written into that step's
+    array afterwards.
+    """
     branches = [q.transitions[("s2", t)].kraus[0] for t in ("t0", "t1")]
-    return qmc_from_matrices(1, 1, [u], branches)
+    chain = qmc_from_matrices(1, 1, [np.eye(2, dtype=np.complex128)], branches)
+    chain.transitions[("s1", "s2")].kraus[0][0, 0] = np.nan
+    return chain

@@ -153,6 +153,26 @@ def test_verify_nan_chain_fails_with_exit_1(tmp_path, capsys, monkeypatch):
     assert "FAIL" in out and "state deviation       nan" in out
 
 
+def test_verify_json_is_strict_on_nan_chain(tmp_path, capsys, monkeypatch):
+    # a NaN deviation once printed as a bare NaN token, which strict parsers reject
+    src = tmp_path / "h.qc"
+    src.write_text(SINGLE_H)
+    model = tmp_path / "h.qpmc"
+    assert main(["compile", str(src), "--output", str(model)]) == 0
+    capsys.readouterr()
+    reparse = cli.reparse_model
+    monkeypatch.setattr(cli, "reparse_model", lambda text: nan_step_chain(reparse(text)))
+    assert main(["verify", str(src), "--against", str(model), "--format", "json"]) == 1
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["passed"] is False
+    assert payload["deviations"]["state"] == "nan"
+    assert "state clause: input 0 deviates by nan" in payload["failures"]
+
+
 def test_verify_json_format(circuit_file, capsys):
     assert main(["verify", circuit_file, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

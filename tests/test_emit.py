@@ -4,14 +4,18 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import random_circuit
+from qmcforge import emit
 from qmcforge.emit import emit_qpmc, format_matrix, format_number, reparse_model
 from qmcforge.errors import ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import build_qmc
+from qmcforge.qmc import build_qmc, measurement_matrix, qmc_from_matrices
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -47,6 +51,44 @@ def test_format_number_round_trips_floats():
 def test_format_matrix_layout():
     m = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
     assert format_matrix(m) == "[1, 0; 0, 0+1i]"
+
+
+def _format_matrix_per_entry(m):
+    """The definition format_matrix must match: every entry formatted on its own."""
+    return "[" + "; ".join(", ".join(emit.format_number(v) for v in row)
+                           for row in np.atleast_2d(m)) + "]"
+
+
+# values whose spellings differ in sign, integer form, exponent or length
+_POOL = [0.0, -0.0, 0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0), 1.0, -1.0,
+         2 ** -0.5, -(2 ** -0.5), complex(2 ** -0.5, -(2 ** -0.5)), 0.5j, -0.5j,
+         complex(1.0, -1e-17), 1e15 - 1, 1e15, -1e15, 1e16, 2.0 ** 60,
+         5e-324, -5e-324, 2.2250738585072014e-308, complex(5e-324, -5e-324),
+         complex(3.0, 1e15), 0.1, 1 / 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                elements=st.sampled_from(_POOL)))
+def test_format_matrix_matches_per_entry_definition(m):
+    assert format_matrix(m) == _format_matrix_per_entry(m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5),
+                elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_format_matrix_matches_per_entry_definition_on_real_floats(m):
+    assert format_matrix(m) == _format_matrix_per_entry(m)
+
+
+def test_format_matrix_formats_each_nan_on_its_own(monkeypatch):
+    # np.unique's default equal_nan would fold nan+0j and 1+nanj into one
+    # word; with a formatter that tells them apart, every NaN must keep its own
+    monkeypatch.setattr(emit, "format_number", lambda v: repr(complex(v)))
+    m = np.array([[complex(np.nan, 0), 1, complex(1, np.nan)],
+                  [complex(np.nan, 0), complex(0, np.nan), 1]])
+    assert format_matrix(m) == _format_matrix_per_entry(m)
+    assert format_matrix(m).count("(1+nanj)") == 1
 
 
 def test_golden_single_gate_model():
@@ -140,3 +182,71 @@ def test_reparse_rejects_non_stochastic_model():
     bad = emit_qpmc(q).replace("[0, 0; 0, 1]", "[0, 0; 0, 2]", 1)
     with pytest.raises(ReparseError):
         reparse_model(bad)
+
+
+# --- emit -> reparse -> emit on random chains --------------------------------
+
+_STEP_POOL = {
+    1: [gate_matrix("H"), gate_matrix("X"), gate_matrix("S"), gate_matrix("T"),
+        gate_matrix("RY", (0.3,))],
+    2: [gate_matrix("CNOT"), gate_matrix("SWAP"), np.kron(gate_matrix("H"), gate_matrix("T"))],
+}
+
+
+@st.composite
+def _chain(draw):
+    """A chain over k <= 3 wires: steps drawn from gates and seeded random
+    unitaries (many distinct entries), repeats allowed, any h <= k."""
+    k = draw(st.integers(1, 3))
+    dim = 2 ** k
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            steps.append(np.linalg.qr(z)[0])
+        else:
+            small = draw(st.sampled_from(sorted(_STEP_POOL)).filter(lambda w: w <= k))
+            u = draw(st.sampled_from(_STEP_POOL[small]))
+            steps.append(np.kron(u, np.eye(dim // 2 ** small, dtype=np.complex128)))
+        if steps and draw(st.booleans()):
+            steps.append(steps[-1])
+    h = draw(st.integers(0, k))
+    return qmc_from_matrices(k, h, steps, [measurement_matrix(h, k, i) for i in range(2 ** h)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=_chain())
+def test_emit_reparse_emit_is_byte_stable(q):
+    text = emit_qpmc(q)
+    q2 = reparse_model(text)
+    assert q2.states == q.states
+    for key, so in q.transitions.items():
+        assert np.array_equal(so.kraus[0], q2.transitions[key].kraus[0])
+    assert emit_qpmc(q2) == text
+
+
+# tokens float() rejects, each also rejected once an ``i`` suffix is split off
+_BAD_TOKENS = ["x", "1x", "0..5", "1+", "1e", "1j", "0.5ii", "--1", "1-+2i", "+-i", "0x10", "1e+i"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bad_token_in_valid_literal_names_line_and_token(data):
+    h = gate_matrix("H")
+    q = build_qmc(SnfCircuit(k=2, unitaries=(np.kron(h, h),), h=1, wire_map=(1, 2)))
+    lines = emit_qpmc(q).splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith("const matrix U1 = ["))
+    head, literal = lines[index].split("[", 1)
+    cells = [row.split(", ") for row in literal.rstrip("];").split("; ")]
+    spots = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=1, max_size=3, unique=True))
+    tokens = [data.draw(st.sampled_from(_BAD_TOKENS)) for _ in spots]
+    for (row, col), token in zip(spots, tokens):
+        cells[row][col] = token
+    lines[index] = head + "[" + "; ".join(", ".join(r) for r in cells) + "];"
+    first = tokens[spots.index(min(spots))]  # row-major order decides
+    message = f"line {index + 1}: bad numeric entry {first!r}"
+    with pytest.raises(ReparseError) as err:
+        reparse_model("\n".join(lines) + "\n")
+    assert str(err.value) == message

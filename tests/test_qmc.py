@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import nan_step_chain, random_circuit
-from qmcforge.errors import DimensionMismatch, OutcomeOutOfRange
+from qmcforge.config import DEFAULT_TOL
+from qmcforge.errors import DimensionMismatch, OutcomeOutOfRange, QmcForgeError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.qmc import (Qmc, Superoperator, build_qmc, measurement_matrix,
-                          verify_row_stochasticity)
+                          qmc_from_matrices, verify_row_stochasticity)
 
 H = gate_matrix("H")
 
@@ -27,6 +30,85 @@ def test_superoperator_validates_kraus_family():
         Superoperator((H, np.eye(4, dtype=np.complex128)))
     with pytest.raises(DimensionMismatch):
         Superoperator(())
+
+
+def test_superoperator_rejects_non_finite_kraus():
+    # a 2x2 NaN step was once accepted (eigvalsh gave NaN, NaN > 1 is False);
+    # a 4x4 one escaped as a raw numpy LinAlgError
+    two = np.array([[np.nan, 0], [0, 1]], dtype=np.complex128)
+    four = np.eye(4, dtype=np.complex128)
+    four[2, 1] = np.nan
+    for bad in (two, four, np.diag([1, np.inf]).astype(np.complex128),
+                np.diag([1, complex(0, -np.inf)])):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            Superoperator((bad,))
+        k = bad.shape[0].bit_length() - 1
+        with pytest.raises(QmcForgeError):
+            qmc_from_matrices(k, 0, [bad], [np.eye(2 ** k, dtype=np.complex128)])
+        with pytest.raises(QmcForgeError):
+            qmc_from_matrices(k, 0, [], [bad])
+    # finite entries whose gram overflows to inf/NaN are rejected as well
+    with np.errstate(all="ignore"), pytest.raises(DimensionMismatch, match="overflows"):
+        Superoperator((np.diag([1e200, 1]).astype(np.complex128),))
+
+
+def test_superoperator_screen_keeps_slight_trace_increase():
+    # the Gershgorin screen must not settle a map just above trace-preserving
+    with pytest.raises(DimensionMismatch, match="increases trace"):
+        Superoperator((1.0000001 * np.eye(2, dtype=np.complex128),))
+    with pytest.raises(DimensionMismatch, match="increases trace"):
+        Superoperator((1.0000001 * H,))
+    # a rank-1 projector off the axes has row sums above 1 but trace-preserves
+    # its range: the screen cannot settle it and eigvalsh accepts it
+    v = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)], dtype=np.complex128)
+    projector = np.outer(v, v.conj())
+    assert np.abs(projector).sum(axis=1).max() > 1.2
+    Superoperator((projector,))
+
+
+def _eigvalsh_verdict(kraus):
+    """Acceptance by the eigenvalue test alone, without the row-sum screen."""
+    gram = sum(m.conj().T @ m for m in kraus)
+    top = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).max()
+    return bool(top <= 1.0 + DEFAULT_TOL.psd_slack)
+
+
+@st.composite
+def _kraus_list(draw):
+    """1-3 Kraus operators of dimension 1, 2 or 4, scaled so that the largest
+    eigenvalue of their gram lands below, at or above 1."""
+    dim = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dense", "unitary", "permutation", "projector"]))
+    count = draw(st.integers(1, 3))
+    if kind == "dense":
+        ops = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+               for _ in range(count)]
+    elif kind == "unitary":
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        ops = [np.linalg.qr(z)[0]]
+    elif kind == "permutation":
+        ops = [np.eye(dim, dtype=np.complex128)[rng.permutation(dim)]]
+    else:
+        ops = [np.diag(rng.integers(0, 2, dim)).astype(np.complex128)]
+    gram = sum(m.conj().T @ m for m in ops)
+    top = np.linalg.eigvalsh(gram).max()
+    target = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5]))
+    scale = np.sqrt(target / top) if top > 0 else 1.0
+    if kind != "dense" and draw(st.booleans()):
+        scale = 1.0  # keep the exact 0/1 entries of a structured step
+    return [m * scale for m in ops]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kraus=_kraus_list())
+def test_screened_verdict_equals_eigvalsh_verdict(kraus):
+    try:
+        Superoperator(tuple(kraus))
+        accepted = True
+    except DimensionMismatch:
+        accepted = False
+    assert accepted == _eigvalsh_verdict(kraus)
 
 
 def test_superoperator_apply():

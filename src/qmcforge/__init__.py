@@ -18,7 +18,7 @@ from .evaluate import (EquivalenceReport, EvalReport, OutcomeRecord,
                        simulate_circuit)
 from .gates import gate_arity, gate_matrix, known_gates
 from .linalg import (apply_superop, basis_ket, binary_swap, dagger,
-                     generalized_swap, is_density, is_unitary, lesssim_at,
+                     generalized_swap, is_unitary, lesssim_at,
                      swap_decomposition, tensor)
 from .normalize import (SnfCircuit, SwapAccount, snf_to_circuit, to_normal_form,
                         to_snf, translate)
@@ -40,7 +40,7 @@ __all__ = [
     "simulate_circuit",
     "gate_arity", "gate_matrix", "known_gates",
     "apply_superop", "basis_ket", "binary_swap", "dagger", "generalized_swap",
-    "is_density", "is_unitary", "lesssim_at", "swap_decomposition", "tensor",
+    "is_unitary", "lesssim_at", "swap_decomposition", "tensor",
     "SnfCircuit", "SwapAccount", "snf_to_circuit", "to_normal_form", "to_snf",
     "translate",
     "emit_circuit_text", "parse_circuit",

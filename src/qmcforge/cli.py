@@ -32,6 +32,7 @@ __all__ = ["main", "RunConfig", "gen_test_circuit"]
 log = logging.getLogger("qmcforge")
 
 STRATEGIES = ("composed", "direct", "naive-adjacent")
+TEST_SIZES = range(3, 13)
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def gen_test_circuit(size: int) -> Circuit:
     gates always share a wire and every gate needs a nontrivial rearrangement.
     No measurements.
     """
-    if not 3 <= size <= 12:
+    if size not in TEST_SIZES:
         raise SizeOutOfRange(f"test circuit size must be in 3..12, got {size}")
     stride = max(s for s in range(1, size // 2 + 1) if math.gcd(s, size) == 1)
     walk = [(i * stride) % size + 1 for i in range(size + 1)]
@@ -82,12 +83,16 @@ def _load_ket(args, k: int) -> np.ndarray:
     if args.state_file:
         with open(args.state_file, "r", encoding="utf-8") as fh:
             pairs = json.load(fh)
-        v = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        try:
+            v = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise QmcForgeError(
+                f"state file must hold a list of [re, im] number pairs ({exc})") from exc
         if v.shape != (dim,):
             raise QmcForgeError(
                 f"state file holds {v.shape[0]} amplitudes, need {dim}")
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise QmcForgeError(f"state file norm is {n:.6f}, expected 1")
         return v
     bits = args.input or "0" * k
@@ -165,6 +170,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    if args.random < 0:
+        raise QmcForgeError(f"--random wants a count >= 0, got {args.random}")
     c, s, _, q = _compile(args.circuit, cfg)
     if args.against:
         with open(args.against, "r", encoding="utf-8") as fh:
@@ -198,13 +205,26 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            sizes = range(int(lo), int(hi) + 1)
+        else:
+            sizes = [int(p) for p in text.split(",") if p]
+    except ValueError as exc:
+        raise QmcForgeError(f"--sizes wants 'A..B' or a comma list, got {text!r}") from exc
+    if not sizes:
+        raise QmcForgeError(f"--sizes {text!r} names no size")
+    # checked before any size runs; all() stops at the first size out of
+    # range, so a huge range is never expanded
+    if not all(size in TEST_SIZES for size in sizes):
+        raise SizeOutOfRange(f"--sizes {text!r} leaves 3..12")
+    return list(sizes)
 
 
 def cmd_bench(args, cfg: RunConfig) -> int:
+    if args.runs < 1:
+        raise QmcForgeError(f"--runs wants a count >= 1, got {args.runs}")
     sizes = _parse_sizes(args.sizes)
     rows = []
     for size in sizes:
@@ -319,6 +339,9 @@ def main(argv=None) -> int:
                     tol=args.tol, seed=args.seed, fmt=args.fmt,
                     output=args.output)
     try:
+        # a NaN tolerance fails every check and an infinite one passes every check
+        if not 0 <= cfg.tol < math.inf:
+            raise QmcForgeError(f"--tol wants a finite number >= 0, got {cfg.tol}")
         return args.func(args, cfg)
     except (QmcForgeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ import re
 import numpy as np
 
 from .errors import QmcForgeError, ReparseError
+from .linalg import check_finite
 from .qmc import Qmc, qmc_from_matrices
 
 __all__ = ["format_number", "format_matrix", "emit_qpmc", "reparse_model"]
@@ -26,7 +27,8 @@ __all__ = ["format_number", "format_matrix", "emit_qpmc", "reparse_model"]
 
 def format_number(x: complex) -> str:
     """One matrix entry: shortest decimal that round-trips, ``i`` suffix on
-    the imaginary part, no decimal point on integer values."""
+    the imaginary part, no decimal point on integer values. A NaN or
+    infinite entry has no spelling and raises DimensionMismatch."""
 
     def real_part(v: float) -> str:
         if v == 0.0:
@@ -35,6 +37,7 @@ def format_number(x: complex) -> str:
             return str(int(v))
         return repr(float(v))
 
+    check_finite(x, "matrix entry")
     re_, im = float(np.real(x)), float(np.imag(x))
     if im == 0.0:
         return real_part(re_)

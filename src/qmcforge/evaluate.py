@@ -23,7 +23,7 @@ from .circuit import MEASURE, UNITARY, Circuit, topo_order, validate, wire_posit
 from .config import DEFAULT_TOL
 from .errors import (BadInitialState, BitLengthMismatch, DimensionMismatch,
                      ValidationFailed)
-from .linalg import generalized_swap
+from .linalg import _permute_indices
 from .normalize import SnfCircuit
 from .qmc import Qmc
 
@@ -151,7 +151,8 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
     rho = np.asarray(rho0, dtype=np.complex128)
     if rho.shape != (dim, dim):
         raise DimensionMismatch(f"density {rho.shape}, register needs {dim}x{dim}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol or abs(np.trace(rho) - 1.0) > tol:
+    # written as "not <= tol" so that a NaN entry fails the check
+    if not (np.max(np.abs(rho - rho.conj().T)) <= tol and abs(np.trace(rho) - 1.0) <= tol):
         raise BadInitialState("initial state is not a unit-trace Hermitian matrix")
 
     internal = q.internal_states()
@@ -245,8 +246,8 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
     if born.shape[0] != 2 ** q.h:
         raise BitLengthMismatch(f"chain has {2 ** q.h} outcomes, circuit has {born.shape[0]}")
 
-    reorder, _ = generalized_swap(s.wire_map, "direct")
-    reordered = reorder @ finals
+    # into the chain's wire order: row j of the DAG's finals moves to row idx[j]
+    reordered = finals[np.argsort(_permute_indices(k, s.wire_map))]
     worst = {"state": 0.0, "chain": 0.0, "prob": 0.0, "support": 0.0}
     failures: list[str] = []
 

@@ -24,11 +24,9 @@ __all__ = [
     "tensor",
     "dagger",
     "trace",
-    "matmul",
     "apply_superop",
     "is_unitary",
     "is_hermitian",
-    "is_density",
     "binary_swap",
     "generalized_swap",
     "swap_decomposition",
@@ -95,14 +93,6 @@ def trace(a: np.ndarray) -> complex:
     return complex(np.trace(m))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product (or matrix-vector product) with shape checking."""
-    ma, mb = _as_complex(a), _as_complex(b)
-    if ma.shape[-1] != mb.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {ma.shape} and {mb.shape}")
-    return ma @ mb
-
-
 def apply_superop(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Apply the superoperator of a single operator: u rho u^dagger."""
     mu = require_square(u, "superoperator matrix")
@@ -124,18 +114,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL.algebraic) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def is_density(a: np.ndarray, tol: float = DEFAULT_TOL.algebraic,
-               psd_slack: float = DEFAULT_TOL.psd_slack) -> bool:
-    """Hermitian, unit trace, positive semidefinite (within slack)."""
-    m = require_square(a, "is_density operand")
-    if not is_hermitian(m, tol):
-        return False
-    if abs(trace(m) - 1.0) > max(tol, 1e-12):
-        return False
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return bool(evals.min() >= -psd_slack)
-
-
 def _check_wire(k: int, w: int) -> None:
     if not 1 <= w <= k:
         raise WireOutOfRange(f"wire {w} outside 1..{k}")
@@ -152,6 +130,14 @@ def _permute_indices(k: int, perm: Sequence[int]) -> np.ndarray:
     return out
 
 
+def _permutation_matrix(k: int, perm: Sequence[int]) -> np.ndarray:
+    """0/1 matrix sending basis ket |j> to |_permute_indices(k, perm)[j]>."""
+    dim = 2 ** k
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[_permute_indices(k, perm), np.arange(dim)] = 1.0
+    return mat
+
+
 def binary_swap(k: int, i: int, j: int) -> np.ndarray:
     """2^k x 2^k permutation matrix exchanging wires i and j.
 
@@ -161,17 +147,7 @@ def binary_swap(k: int, i: int, j: int) -> np.ndarray:
     _check_wire(k, j)
     perm = list(range(1, k + 1))
     perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    new_index = _permute_indices(k, perm)
-    mat = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
-    mat[new_index, np.arange(2 ** k)] = 1.0
-    return mat
-
-
-def _validate_perm(perm: Sequence[int]) -> int:
-    k = len(perm)
-    if sorted(perm) != list(range(1, k + 1)):
-        raise NotAPermutation(f"{tuple(perm)} is not a permutation of 1..{k}")
-    return k
+    return _permutation_matrix(k, perm)
 
 
 def swap_decomposition(perm: Sequence[int], strategy: str = "composed") -> list[tuple[int, int]]:
@@ -182,7 +158,9 @@ def swap_decomposition(perm: Sequence[int], strategy: str = "composed") -> list[
     k(k-1)/2 swaps, one per inversion). ``direct`` decomposes nothing and
     returns the empty list.
     """
-    k = _validate_perm(perm)
+    k = len(perm)
+    if sorted(perm) != list(range(1, k + 1)):
+        raise NotAPermutation(f"{tuple(perm)} is not a permutation of 1..{k}")
     if strategy == "direct":
         return []
     if strategy not in ("composed", "naive-adjacent"):
@@ -223,29 +201,19 @@ def generalized_swap(perm: Sequence[int], strategy: str = "composed") -> tuple[n
     ``perm[i-1]`` is the destination of wire i: the result P satisfies
     P |b1...bk> = |c1...ck> with c_{perm(i)} = b_i.
 
-    Strategies:
-      * ``composed``       selection-sort decomposition into at most k-1
-                           binary swaps, multiplied together;
-      * ``direct``         one-pass index permutation, cost reported as 0;
-      * ``naive-adjacent`` bubble decomposition into adjacent swaps, up to
-                           k(k-1)/2 of them (the worst case the composed
-                           route is designed to avoid).
+    The matrix is built in one pass over the basis indices and is the same
+    0/1 matrix under every strategy; the strategy sets only the cost, the
+    length of :func:`swap_decomposition`:
+      * ``composed``       selection sort, at most k-1 binary swaps;
+      * ``direct``         no decomposition, cost 0;
+      * ``naive-adjacent`` bubble sort into adjacent swaps, up to k(k-1)/2
+                           of them (the worst case the composed route is
+                           designed to avoid).
 
-    Returns (matrix, number_of_binary_swaps). All strategies produce the
-    same 0/1 matrix exactly.
+    Returns (matrix, number_of_binary_swaps).
     """
-    k = _validate_perm(perm)
-    dim = 2 ** k
-    if strategy == "direct":
-        new_index = _permute_indices(k, perm)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[new_index, np.arange(dim)] = 1.0
-        return mat, 0
-    swaps = swap_decomposition(perm, strategy)
-    mat = np.eye(dim, dtype=np.complex128)
-    for (p, q) in swaps:
-        mat = binary_swap(k, p, q) @ mat
-    return mat, len(swaps)
+    count = len(swap_decomposition(perm, strategy))
+    return _permutation_matrix(len(perm), perm), count
 
 
 def _apply_kraus(ops: Iterable[np.ndarray], rho: np.ndarray) -> np.ndarray:

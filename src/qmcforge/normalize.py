@@ -2,17 +2,19 @@
 
 ``to_normal_form`` widens every gate to act on the full register: a gate U on
 wires (w1..wd) becomes P^-1 (U tensor I) P, where P is the permutation that
-routes those wires to the leading positions. The resulting circuit is a
+routes those wires to the leading positions, gathered by permuted basis
+indices rather than multiplied out. The resulting circuit is a
 straight-wired chain of full-width unitaries; each padded node remembers its
 original footprint and matrix.
 
 ``to_snf`` flattens such a chain into the tuple <k, [U1..Un], h>: maximal
 runs of gates on pairwise-disjoint wires collapse into single steps (their
-simultaneous application), wire-routing permutations are synthesized with a
-selectable strategy and fused into the step matrices (or, behind a flag,
-emitted as standalone swap gates), and one final permutation moves the
-measured wires into the leading positions. A SwapAccount reports how many
-binary swaps each step's synthesis used.
+simultaneous application), wire-routing permutations are fused into the
+step matrices (or, behind a flag, emitted as standalone swap gates), and one
+final permutation moves the measured wires into the leading positions. A
+SwapAccount reports how many binary swaps each routing decomposes into under
+the chosen strategy; the strategy sets only that count, not the matrices.
+``translate`` builds the same result straight from the source gates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 from .circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit, Edge, Node,
                       chain_circuit, topo_order, validate, wire_positions)
 from .errors import NotNormalForm, ValidationFailed
-from .linalg import binary_swap, generalized_swap, swap_decomposition, tensor
+from .linalg import (_permute_indices, binary_swap, generalized_swap,
+                     swap_decomposition, tensor)
 
 __all__ = ["SnfCircuit", "SwapAccount", "to_normal_form", "to_snf",
            "translate", "snf_to_circuit"]
@@ -78,14 +81,19 @@ def _route_perm(wires: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _embed(base: np.ndarray, wires: tuple[int, ...], k: int,
-           strategy: str = "direct") -> tuple[np.ndarray, int]:
-    """Full-register operator acting as ``base`` on ``wires``: P^-1 (U x I) P."""
-    perm = _route_perm(wires, k)
-    p, count = generalized_swap(perm, strategy)
-    pad = np.eye(2 ** (k - len(wires)), dtype=np.complex128)
-    wide = tensor(base, pad)
-    return p.conj().T @ wide @ p, count
+def _pad(base: np.ndarray, k: int) -> np.ndarray:
+    """U x I: ``base`` on the leading wires of a k-wire register."""
+    return tensor(base, np.eye(2 ** k // base.shape[0], dtype=np.complex128))
+
+
+def _embed(base: np.ndarray, wires: tuple[int, ...], k: int) -> np.ndarray:
+    """Full-register operator acting as ``base`` on ``wires``: P^-1 (U x I) P.
+
+    P sends basis index j to idx[j], so entry (a, b) of the product is entry
+    (idx[a], idx[b]) of U x I: one gather, no matrix product.
+    """
+    idx = _permute_indices(k, _route_perm(wires, k))
+    return _pad(base, k)[np.ix_(idx, idx)]
 
 
 def _gate_payload(c: Circuit, nid: int,
@@ -97,15 +105,19 @@ def _gate_payload(c: Circuit, nid: int,
     return node.matrix, positions[nid], node.label
 
 
+def _require_valid(c: Circuit) -> None:
+    problems = validate(c)
+    if problems:
+        raise ValidationFailed(problems)
+
+
 def to_normal_form(c: Circuit) -> Circuit:
     """Pad every gate to full register width; straighten the wiring.
 
     Gate count, order, and semantics are preserved. Idempotent: running it
     on its own output changes nothing.
     """
-    problems = validate(c)
-    if problems:
-        raise ValidationFailed(problems)
+    _require_valid(c)
     positions = wire_positions(c)
     measured = tuple(sorted(positions[m][0] for m in c.nodes_of_kind(MEASURE)))
 
@@ -121,7 +133,7 @@ def to_normal_form(c: Circuit) -> Circuit:
         if c.nodes[nid].kind != UNITARY:
             continue
         base, wires, label = _gate_payload(c, nid, positions)
-        wide, _ = _embed(base, wires, c.k)
+        wide = _embed(base, wires, c.k)
         nodes[next_id] = Node(UNITARY, dim=c.k, matrix=wide, label=label,
                               footprint=wires, base=base)
         for w in range(c.k):
@@ -138,13 +150,13 @@ def to_normal_form(c: Circuit) -> Circuit:
     return Circuit(k=c.k, nodes=nodes, edges=tuple(edges))
 
 
-def _grouped_payloads(c: Circuit) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
+def _grouped_payloads(c: Circuit, positions: dict[int, tuple[int, ...]]
+                      ) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
     """Split the gate sequence into maximal runs on pairwise-disjoint wires.
 
     Gates inside one run act simultaneously (they commute), so each run
     becomes a single chain step. Execution order across runs is preserved.
     """
-    positions = wire_positions(c)
     groups: list[list[tuple[np.ndarray, tuple[int, ...]]]] = []
     used: set[int] = set()
     current: list[tuple[np.ndarray, tuple[int, ...]]] = []
@@ -168,9 +180,11 @@ def to_snf(c: Circuit, strategy: str = "composed",
 
     Args:
         c: circuit whose unitaries all have dim = k (NotNormalForm otherwise).
-        strategy: how routing permutations are synthesized: "composed"
-            (selection-sort binary swaps), "direct" (one pass, zero swap
-            cost), or "naive-adjacent" (adjacent transpositions only).
+        strategy: how routing permutations are billed: "composed"
+            (selection-sort binary swaps), "direct" (zero swap cost), or
+            "naive-adjacent" (adjacent transpositions only). Fused step
+            matrices do not depend on it; with ``emit_swaps_as_gates`` it
+            also picks the standalone swap steps.
         emit_swaps_as_gates: emit each routing permutation as standalone
             swap steps around the padded gate instead of fusing it. The
             chain then grows with the swap count, which is exactly the
@@ -180,13 +194,17 @@ def to_snf(c: Circuit, strategy: str = "composed",
         (SnfCircuit, SwapAccount). The account has one entry per step, plus
         a final entry when the measured wires had to be realigned.
     """
-    problems = validate(c)
-    if problems:
-        raise ValidationFailed(problems)
+    _require_valid(c)
     for nid, node in c.nodes.items():
         if node.kind == UNITARY and node.dim != c.k:
             raise NotNormalForm(f"node {nid} has dim {node.dim}, register has {c.k}")
+    return _snf(c, strategy, emit_swaps_as_gates)
 
+
+def _snf(c: Circuit, strategy: str,
+         emit_swaps_as_gates: bool) -> tuple[SnfCircuit, SwapAccount]:
+    """Strong normal form of a valid circuit. Gates are read through
+    ``_gate_payload``, so a normal form and its source circuit agree."""
     k = c.k
     positions = wire_positions(c)
     measured = tuple(sorted(positions[m][0] for m in c.nodes_of_kind(MEASURE)))
@@ -194,35 +212,29 @@ def to_snf(c: Circuit, strategy: str = "composed",
 
     unitaries: list[np.ndarray] = []
     counts: list[int] = []
-    for group in _grouped_payloads(c):
+    for group in _grouped_payloads(c, positions):
         wires = tuple(w for _, gw in group for w in gw)
-        gmat = group[0][0]
-        for base, _ in group[1:]:
-            gmat = tensor(gmat, base)
+        gmat = tensor(*(base for base, _ in group))
+        perm = _route_perm(wires, k)
         if emit_swaps_as_gates:
-            steps, count = _routing_steps(wires, k, strategy)
-            pad = np.eye(2 ** (k - len(wires)), dtype=np.complex128)
+            steps = _routing_steps(perm, k, strategy)
             unitaries.extend(steps)
-            unitaries.append(tensor(gmat, pad))
+            unitaries.append(_pad(gmat, k))
             unitaries.extend(s.conj().T for s in reversed(steps))
         else:
-            wide, count = _embed(gmat, wires, k, strategy)
-            unitaries.append(wide)
-        counts.append(count)
+            unitaries.append(_embed(gmat, wires, k))
+        counts.append(len(swap_decomposition(perm, strategy)))
 
     wire_map = tuple(range(1, k + 1))
     if measured != tuple(range(1, h + 1)):
         wire_map = _route_perm(measured, k)
         if emit_swaps_as_gates:
-            steps, count = _routing_steps_perm(wire_map, k, strategy)
-            unitaries.extend(steps)
+            unitaries.extend(_routing_steps(wire_map, k, strategy))
         else:
-            r, count = generalized_swap(wire_map, strategy)
-            if unitaries:
-                unitaries[-1] = r @ unitaries[-1]
-            else:
-                unitaries.append(r)
-        counts.append(count)
+            # fuse R into the last step: R @ U moves row j of U to row idx[j]
+            last = unitaries.pop() if unitaries else np.eye(2 ** k, dtype=np.complex128)
+            unitaries.append(last[np.argsort(_permute_indices(k, wire_map))])
+        counts.append(len(swap_decomposition(wire_map, strategy)))
 
     account = SwapAccount(per_gate=tuple(counts), total=sum(counts), strategy=strategy)
     log.debug("snf: %d step(s), h=%d, %d binary swap(s) under %s",
@@ -230,29 +242,22 @@ def to_snf(c: Circuit, strategy: str = "composed",
     return SnfCircuit(k=k, unitaries=tuple(unitaries), h=h, wire_map=wire_map), account
 
 
-def _routing_steps(wires: tuple[int, ...], k: int,
-                   strategy: str) -> tuple[list[np.ndarray], int]:
-    return _routing_steps_perm(_route_perm(wires, k), k, strategy)
-
-
-def _routing_steps_perm(perm: tuple[int, ...], k: int,
-                        strategy: str) -> tuple[list[np.ndarray], int]:
+def _routing_steps(perm: tuple[int, ...], k: int, strategy: str) -> list[np.ndarray]:
     """The routing permutation as standalone unitary steps, in application
-    order. Under "direct" the whole permutation is one step of cost zero."""
+    order. Under "direct" the whole permutation is one step."""
     if list(perm) == list(range(1, k + 1)):
-        return [], 0
+        return []
     if strategy == "direct":
-        p, _ = generalized_swap(perm, "direct")
-        return [p], 0
-    decomposition = swap_decomposition(perm, strategy)
-    return [binary_swap(k, i, j) for (i, j) in decomposition], len(decomposition)
+        return [generalized_swap(perm, "direct")[0]]
+    return [binary_swap(k, i, j) for (i, j) in swap_decomposition(perm, strategy)]
 
 
 def translate(c: Circuit, strategy: str = "composed",
               emit_swaps_as_gates: bool = False) -> tuple[SnfCircuit, SwapAccount]:
-    """Full rewriting pipeline: normal form, then strong normal form."""
-    return to_snf(to_normal_form(c), strategy=strategy,
-                  emit_swaps_as_gates=emit_swaps_as_gates)
+    """Full rewriting pipeline, ``to_snf(to_normal_form(c), ...)``, read
+    straight from the source gates: validates once, pads no gate in advance."""
+    _require_valid(c)
+    return _snf(c, strategy, emit_swaps_as_gates)
 
 
 def snf_to_circuit(s: SnfCircuit) -> Circuit:

@@ -65,10 +65,7 @@ class Superoperator:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"density {rho.shape} vs superoperator dim {self.dim}")
-        out = np.zeros_like(rho)
-        for m in self.kraus:
-            out = out + m @ rho @ m.conj().T
-        return out
+        return sum(m @ rho @ m.conj().T for m in self.kraus)
 
     def gram(self) -> np.ndarray:
         """Sum of K^dagger K over the Kraus operators."""

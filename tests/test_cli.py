@@ -220,6 +220,43 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
     assert [r["size"] for r in payload["results"]] == [3, 5]
 
 
+@pytest.mark.parametrize("argv, state", [
+    (["simulate", "{circuit}", "--state-file", "{state}"], "[[1, 0, 5], [0, 0]]"),
+    (["simulate", "{circuit}", "--state-file", "{state}"], '{"a": 1}'),
+    (["simulate", "{circuit}", "--state-file", "{state}"],
+     '[["a", 0], [0, 0], [0, 0], [0, 0]]'),
+    (["simulate", "{circuit}", "--state-file", "{state}"],
+     "[[NaN, 0], [0, 0], [0, 0], [0, 0]]"),
+    (["simulate", "{circuit}", "--state-file", "{state}"],
+     "[[1" + "0" * 400 + ", 0], [0, 0], [0, 0], [0, 0]]"),
+    (["bench", "--sizes", "x..3"], None),
+    (["bench", "--sizes", "5..3"], None),
+    (["bench", "--sizes", "4..13"], None),
+    (["bench", "--sizes", "3,5,40"], None),
+    (["bench", "--runs", "0"], None),
+    (["verify", "{circuit}", "--random", "-3"], None),
+    (["verify", "{circuit}", "--tol", "nan"], None),
+    (["verify", "{circuit}", "--tol", "inf"], None),
+    (["verify", "{circuit}", "--tol=-1e-9"], None),
+], ids=["state-triple", "state-object", "state-string", "state-nan",
+        "state-overflow", "sizes-not-int", "sizes-empty", "sizes-past-12",
+        "sizes-list-past-12", "runs-zero", "random-negative",
+        "tol-nan", "tol-inf", "tol-negative"])
+def test_bad_arguments_exit_2(argv, state, circuit_file, tmp_path, capsys, monkeypatch):
+    # bench must reject its arguments before it builds any circuit
+    monkeypatch.setattr(cli, "gen_test_circuit",
+                        lambda size: pytest.fail(f"bench ran size {size}"))
+    monkeypatch.chdir(tmp_path)
+    state_file = tmp_path / "state.json"
+    state_file.write_text(state or "")
+    code = main([a.format(circuit=circuit_file, state=state_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_strategies_emit_identical_models(tmp_path, capsys):
     src = tmp_path / "swapy.qc"
     src.write_text("qubits 3\ngate CNOT 3 1\nmeasure 3\n")

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from helpers import random_circuit
+from helpers import nan_step_chain, random_circuit
 from qmcforge import emit
 from qmcforge.emit import emit_qpmc, format_matrix, format_number, reparse_model
-from qmcforge.errors import ReparseError
+from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
@@ -79,6 +79,19 @@ def test_format_matrix_matches_per_entry_definition(m):
                 elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_format_matrix_matches_per_entry_definition_on_real_floats(m):
     assert format_matrix(m) == _format_matrix_per_entry(m)
+
+
+@pytest.mark.parametrize("value", [complex(np.nan, 0), complex(1, np.nan),
+                                   complex(np.inf, 0), complex(0, -np.inf)])
+def test_format_number_rejects_non_finite(value):
+    with pytest.raises(DimensionMismatch):
+        format_number(value)
+
+
+def test_emit_rejects_nan_chain():
+    s, _ = translate(parse_circuit("qubits 1\ngate H 1\nmeasure 1\n"))
+    with pytest.raises(QmcForgeError):
+        emit_qpmc(nan_step_chain(build_qmc(s)))
 
 
 def test_format_matrix_formats_each_nan_on_its_own(monkeypatch):

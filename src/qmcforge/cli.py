@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import Circuit
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, MAX_QUBITS
 from .emit import emit_qpmc, reparse_model
 from .errors import QmcForgeError, SizeOutOfRange
 from .evaluate import check_equivalence, random_kets, run_qmc
@@ -32,7 +32,7 @@ __all__ = ["main", "RunConfig", "gen_test_circuit"]
 log = logging.getLogger("qmcforge")
 
 STRATEGIES = ("composed", "direct", "naive-adjacent")
-TEST_SIZES = range(3, 13)
+TEST_SIZES = range(3, MAX_QUBITS + 1)
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def gen_test_circuit(size: int) -> Circuit:
     No measurements.
     """
     if size not in TEST_SIZES:
-        raise SizeOutOfRange(f"test circuit size must be in 3..12, got {size}")
+        raise SizeOutOfRange(f"test circuit size must be in 3..{MAX_QUBITS}, got {size}")
     stride = max(s for s in range(1, size // 2 + 1) if math.gcd(s, size) == 1)
     walk = [(i * stride) % size + 1 for i in range(size + 1)]
     lines = [f"qubits {size}"]
@@ -176,8 +176,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if args.against:
         with open(args.against, "r", encoding="utf-8") as fh:
             q = reparse_model(fh.read())
-    dim = 2 ** s.k
-    inputs = [np.eye(dim, dtype=np.complex128)[:, i] for i in range(dim)]
+    inputs = list(np.eye(2 ** s.k, dtype=np.complex128))
     if args.random:
         rng = np.random.default_rng(cfg.seed)
         inputs += random_kets(s.k, args.random, rng)
@@ -218,7 +217,7 @@ def _parse_sizes(text: str) -> list[int]:
     # checked before any size runs; all() stops at the first size out of
     # range, so a huge range is never expanded
     if not all(size in TEST_SIZES for size in sizes):
-        raise SizeOutOfRange(f"--sizes {text!r} leaves 3..12")
+        raise SizeOutOfRange(f"--sizes {text!r} leaves 3..{MAX_QUBITS}")
     return list(sizes)
 
 

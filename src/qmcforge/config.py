@@ -4,6 +4,10 @@ Tolerances are configuration, not magic numbers sprinkled through the code:
 algebraic identities (unitarity, completeness, daggers) are held to 1e-12,
 end-to-end pipeline comparisons to 1e-9, and the per-state trace-preservation
 check on compiled chains to 1e-10.
+
+``MAX_QUBITS`` caps the register width. A chain step is a dense 2^k square
+matrix, so the parser rejects a wider ``qubits`` line before anything is
+allocated; it is a constant of the package, not a setting.
 """
 
 from __future__ import annotations
@@ -20,3 +24,5 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+MAX_QUBITS = 12

@@ -65,59 +65,48 @@ def _constant_pool(q: Qmc) -> tuple[dict[bytes, str], list[tuple[str, np.ndarray
     M0..M{2^h-1} for the measurement branches."""
     names: dict[bytes, str] = {}
     decls: list[tuple[str, np.ndarray]] = []
-    internal = q.internal_states()
-    u_count = 0
-    for i in range(len(internal) - 1):
-        so = q.transitions[(internal[i], internal[i + 1])]
-        mat = so.kraus[0]
+
+    def declare(mat: np.ndarray, cname: str) -> None:
         key = mat.tobytes()
         if key not in names:
-            u_count += 1
-            names[key] = f"U{u_count}"
-            decls.append((names[key], mat))
-    for i, t in enumerate(q.terminal_states()):
-        mat = q.transitions[(internal[-1], t)].kraus[0]
-        key = mat.tobytes()
-        if key not in names:
-            names[key] = f"M{i}"
-            decls.append((names[key], mat))
+            names[key] = cname
+            decls.append((cname, mat))
+
+    for so in q.steps:
+        declare(so.kraus[0], f"U{len(decls) + 1}")
+    for i, so in enumerate(q.branches):
+        declare(so.kraus[0], f"M{i}")
     return names, decls
 
 
 def emit_qpmc(q: Qmc, name: str = "model") -> str:
     """Render a chain as QPMC model text. Deterministic byte-for-byte."""
-    internal = q.internal_states()
-    terminals = q.terminal_states()
-    n = len(internal) - 1
+    n, count = q.n, len(q.branches)
     names, decls = _constant_pool(q)
-    top = n + len(terminals)
+    top = n + count
 
     lines = ["qmc", ""]
     lines.append(f"// {name}: {q.k}-wire register, {n} chain step(s), "
-                 f"{len(terminals)} measurement branch(es) (h={q.h})")
+                 f"{count} measurement branch(es) (h={q.h})")
     for cname, mat in decls:
         lines.append(f"const matrix {cname} = {format_matrix(mat)};")
     lines.append("")
     lines.append(f"module {name}")
     lines.append(f"  s: [0..{top}] init 0;")
     lines.append("")
-    for i in range(n):
-        so = q.transitions[(internal[i], internal[i + 1])]
+    for i, so in enumerate(q.steps):
         cname = names[so.kraus[0].tobytes()]
         lines.append(f"  [] (s = {i}) -> <<{cname}>> : (s' = {i + 1});")
-    branch_terms = []
-    for i, t in enumerate(terminals):
-        so = q.transitions[(internal[-1], t)]
-        cname = names[so.kraus[0].tobytes()]
-        branch_terms.append(f"<<{cname}>> : (s' = {n + 1 + i})")
+    branch_terms = [f"<<{names[so.kraus[0].tobytes()]}>> : (s' = {n + 1 + i})"
+                    for i, so in enumerate(q.branches)]
     lines.append(f"  [] (s = {n}) -> " + " + ".join(branch_terms) + ";")
-    for i in range(len(terminals)):
+    for i in range(count):
         lines.append(f"  [] (s = {n + 1 + i}) -> true;")
     lines.append("endmodule")
     lines.append("")
     lines.append("// Property sketches (reachability of measurement outcomes):")
-    for i, t in enumerate(terminals):
-        props = sorted(q.labeling[t])
+    for i in range(count):
+        props = sorted(q.labeling[f"t{i}"])
         lines.append(f"//   qprob(Q=? [ F (s = {n + 1 + i}) ], rho0)   // {', '.join(props)}")
     return "\n".join(lines) + "\n"
 

@@ -101,4 +101,4 @@ class BadInitialState(QmcForgeError):
 
 
 class SizeOutOfRange(QmcForgeError):
-    """Benchmark circuit size outside the supported range."""
+    """A register width or benchmark circuit size outside the supported range."""

@@ -155,19 +155,15 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
     if not (np.max(np.abs(rho - rho.conj().T)) <= tol and abs(np.trace(rho) - 1.0) <= tol):
         raise BadInitialState("initial state is not a unit-trace Hermitian matrix")
 
-    internal = q.internal_states()
     densities = [rho]
     accumulated = np.eye(dim, dtype=np.complex128)
-    for i in range(len(internal) - 1):
-        so = q.transitions[(internal[i], internal[i + 1])]
+    for so in q.steps:
         rho = so.apply(rho)
         densities.append(rho)
-        if len(so.kraus) == 1:
-            accumulated = so.kraus[0] @ accumulated
+        accumulated = so.kraus[0] @ accumulated
 
     outcomes = []
-    for i, t in enumerate(q.terminal_states()):
-        so = q.transitions[(internal[-1], t)]
+    for i, so in enumerate(q.branches):
         post = so.apply(rho)
         bits = format(i, f"0{q.h}b") if q.h else ""
         outcomes.append(OutcomeRecord(index=i, bits=bits,
@@ -264,10 +260,8 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
 
         # clause: the chain preserves rank-1 states step by step
         vec = tau.copy()
-        for step, rho in enumerate(report.densities[1:], start=1):
-            so = q.transitions[(f"s{step}", f"s{step + 1}")]
-            if len(so.kraus) == 1:
-                vec = so.kraus[0] @ vec
+        for step, (so, rho) in enumerate(zip(q.steps, report.densities[1:]), start=1):
+            vec = so.kraus[0] @ vec
             cdev = float(np.max(np.abs(rho - np.outer(vec, vec.conj()))))
             worst["chain"] = _worse(worst["chain"], cdev)
             if not cdev <= tol:

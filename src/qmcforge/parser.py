@@ -21,8 +21,9 @@ from io import StringIO
 
 from .circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit, Edge, Node,
                       topo_order, validate, wire_positions)
+from .config import MAX_QUBITS
 from .errors import (ArityMismatch, CircuitSyntaxError, InvalidCircuit,
-                     ValidationFailed, WireOutOfRange)
+                     SizeOutOfRange, ValidationFailed, WireOutOfRange)
 from .gates import gate_matrix
 
 __all__ = ["parse_circuit", "emit_circuit_text"]
@@ -100,8 +101,9 @@ class _Builder:
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text into a validated Circuit.
 
-    Raises CircuitSyntaxError (with the offending line), UnknownGate,
-    ArityMismatch, WireOutOfRange, or ValidationFailed.
+    Raises CircuitSyntaxError (with the offending line), SizeOutOfRange (a
+    register wider than ``MAX_QUBITS``), UnknownGate, ArityMismatch,
+    WireOutOfRange, or ValidationFailed.
     """
     builder: _Builder | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,8 +115,11 @@ def parse_circuit(text: str) -> Circuit:
         if head == "qubits":
             if builder is not None:
                 raise CircuitSyntaxError(lineno, "duplicate qubits declaration")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise CircuitSyntaxError(lineno, "expected: qubits <positive k>")
+            if int(tokens[1]) > MAX_QUBITS:
+                raise SizeOutOfRange(
+                    f"line {lineno}: qubits {tokens[1]} exceeds the register cap of {MAX_QUBITS}")
             builder = _Builder(int(tokens[1]))
             continue
         if builder is None:

@@ -6,11 +6,19 @@ branching fan-out from s(n+1) into 2^h terminal states weighted by the
 measurement superoperators, and an identity self-loop on every terminal.
 The defining soundness condition is that the superoperators leaving any
 state sum to a trace-preserving map.
+
+The chain is stored as that shape: a ``steps`` tuple and a ``branches``
+tuple of single-Kraus superoperators. The state names, the transition table
+keyed by ``(source, target)`` and the labeling are read-only views derived
+from the two tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,35 +80,71 @@ class Superoperator:
         return sum(m.conj().T @ m for m in self.kraus)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Qmc:
-    """States, transition superoperators, and the atomic-proposition labeling.
+    """A linear chain: ``steps`` joins s1..s{n+1}, ``branches[i]`` leads
+    from s{n+1} to terminal t{i} (outcome index in binary gives the measured
+    bits, wire 1 first).
 
-    Internal states are named ``s1..s{n+1}``, terminals ``t0..t{2^h-1}``
-    (outcome index in binary gives the measured bits, wire 1 first).
+    Construction checks the branch count and that every map is one Kraus
+    operator of the register's dimension. ``states``, ``transitions`` and
+    ``labeling`` are read-only views of the tuples; all terminal self-loops
+    share one identity superoperator.
     """
 
     k: int
     h: int
-    states: tuple[str, ...]
-    transitions: dict[tuple[str, str], Superoperator] = field(default_factory=dict)
-    ap: frozenset[str] = frozenset()
-    labeling: dict[str, frozenset[str]] = field(default_factory=dict)
+    steps: tuple[Superoperator, ...]
+    branches: tuple[Superoperator, ...]
+
+    def __post_init__(self):
+        dim = 2 ** self.k
+        if len(self.branches) != 2 ** self.h:
+            raise DimensionMismatch(
+                f"need 2^{self.h} branch matrices, got {len(self.branches)}")
+        for kind, maps, first in (("step", self.steps, 1), ("branch", self.branches, 0)):
+            for i, so in enumerate(maps, start=first):
+                if len(so.kraus) != 1:
+                    raise DimensionMismatch(
+                        f"{kind} {i} has {len(so.kraus)} Kraus operators, "
+                        f"the model text writes one")
+                if so.dim != dim:
+                    raise DimensionMismatch(
+                        f"{kind} {i} has shape {so.kraus[0].shape}, register needs {dim}")
 
     @property
     def n(self) -> int:
         """Number of unitary steps in the underlying chain."""
-        return sum(1 for s in self.states if s.startswith("s")) - 1
+        return len(self.steps)
 
     def internal_states(self) -> list[str]:
-        return [s for s in self.states if s.startswith("s")]
+        return [f"s{i}" for i in range(1, self.n + 2)]
 
     def terminal_states(self) -> list[str]:
-        return [s for s in self.states if s.startswith("t")]
+        return [f"t{i}" for i in range(len(self.branches))]
 
-    def successors(self, state: str) -> list[tuple[str, Superoperator]]:
-        return [(dst, so) for (src, dst), so in sorted(self.transitions.items())
-                if src == state]
+    @property
+    def states(self) -> tuple[str, ...]:
+        return (*self.internal_states(), *self.terminal_states())
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[str, str], Superoperator]:
+        internal = self.internal_states()
+        table = dict(zip(zip(internal, internal[1:]), self.steps))
+        loop = Superoperator((np.eye(2 ** self.k, dtype=np.complex128),))
+        for t, so in zip(self.terminal_states(), self.branches):
+            table[(internal[-1], t)] = so
+            table[(t, t)] = loop
+        return MappingProxyType(table)
+
+    @cached_property
+    def labeling(self) -> Mapping[str, frozenset[str]]:
+        table = {s: frozenset({f"step={i}"})
+                 for i, s in enumerate(self.internal_states(), start=1)}
+        for i, t in enumerate(self.terminal_states()):
+            outcome = {f"outcome={i:0{self.h}b}"} if self.h else set()
+            table[t] = frozenset({"terminal", *outcome})
+        return MappingProxyType(table)
 
 
 def measurement_matrix(h: int, k: int, i: int) -> np.ndarray:
@@ -119,43 +163,11 @@ def measurement_matrix(h: int, k: int, i: int) -> np.ndarray:
     return np.kron(block, np.eye(2 ** (k - h), dtype=np.complex128))
 
 
-def _outcome_bits(i: int, h: int) -> str:
-    return format(i, f"0{h}b") if h else ""
-
-
 def qmc_from_matrices(k: int, h: int, steps: list[np.ndarray],
                       branches: list[np.ndarray]) -> Qmc:
     """Assemble the chain from raw step and measurement-branch matrices."""
-    dim = 2 ** k
-    if len(branches) != 2 ** h:
-        raise DimensionMismatch(f"need 2^{h} branch matrices, got {len(branches)}")
-    internal = [f"s{i}" for i in range(1, len(steps) + 2)]
-    terminal = [f"t{i}" for i in range(2 ** h)]
-    transitions: dict[tuple[str, str], Superoperator] = {}
-    for i, u in enumerate(steps):
-        if u.shape != (dim, dim):
-            raise DimensionMismatch(f"step {i + 1} has shape {u.shape}, register needs {dim}")
-        transitions[(internal[i], internal[i + 1])] = Superoperator((u,))
-    eye = np.eye(dim, dtype=np.complex128)
-    for i, m in enumerate(branches):
-        if m.shape != (dim, dim):
-            raise DimensionMismatch(f"branch {i} has shape {m.shape}, register needs {dim}")
-        transitions[(internal[-1], terminal[i])] = Superoperator((m,))
-        transitions[(terminal[i], terminal[i])] = Superoperator((eye,))
-
-    labeling: dict[str, frozenset[str]] = {}
-    ap: set[str] = set()
-    for i, name in enumerate(internal, start=1):
-        labeling[name] = frozenset({f"step={i}"})
-        ap.add(f"step={i}")
-    for i, name in enumerate(terminal):
-        props = {"terminal"}
-        if h:
-            props.add(f"outcome={_outcome_bits(i, h)}")
-        labeling[name] = frozenset(props)
-        ap |= props
-    return Qmc(k=k, h=h, states=tuple(internal + terminal),
-               transitions=transitions, ap=frozenset(ap), labeling=labeling)
+    return Qmc(k, h, tuple(Superoperator((u,)) for u in steps),
+               tuple(Superoperator((m,)) for m in branches))
 
 
 def build_qmc(s: SnfCircuit) -> Qmc:
@@ -183,21 +195,20 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
     """Check that each state's outgoing superoperators sum to a
     trace-preserving map (sum of all K^dagger K equals the identity).
 
+    The rows are s1..sn, one step each, and s{n+1}, the sum over the
+    measurement branches; the terminals' identity self-loops need no check.
     Returns one violation per offending state; an empty list certifies the
-    chain. States with no outgoing transition are reported with infinite
-    deviation.
+    chain.
     """
     out: list[RowViolation] = []
     eye = np.eye(2 ** q.k, dtype=np.complex128)
-    for state in q.states:
-        succ = q.successors(state)
-        if not succ:
-            out.append(RowViolation(state, float("inf")))
-            continue
-        total = np.zeros_like(eye)
-        for _, so in succ:
-            total = total + so.gram()
+
+    def check(state: str, total: np.ndarray) -> None:
         dev = float(np.max(np.abs(total - eye)))
         if not dev <= tol:
             out.append(RowViolation(state, dev))
+
+    for i, so in enumerate(q.steps, start=1):
+        check(f"s{i}", so.gram())
+    check(f"s{q.n + 1}", sum(so.gram() for so in q.branches))
     return out

@@ -60,7 +60,7 @@ def nan_step_chain(q):
     around a finite identity step and the NaN is written into that step's
     array afterwards.
     """
-    branches = [q.transitions[("s2", t)].kraus[0] for t in ("t0", "t1")]
+    branches = [so.kraus[0] for so in q.branches]
     chain = qmc_from_matrices(1, 1, [np.eye(2, dtype=np.complex128)], branches)
-    chain.transitions[("s1", "s2")].kraus[0][0, 0] = np.nan
+    chain.steps[0].kraus[0][0, 0] = np.nan
     return chain

@@ -10,6 +10,7 @@ from qmcforge import cli
 from qmcforge.cli import gen_test_circuit, main
 from qmcforge.errors import SizeOutOfRange
 from qmcforge.normalize import translate
+from qmcforge.parser import emit_circuit_text
 
 DEUTSCH = """\
 qubits 2
@@ -193,8 +194,39 @@ def test_gen_test_circuit_structure():
         gen_test_circuit(13)
 
 
+def test_compile_rejects_register_past_the_cap(tmp_path, capsys):
+    src = tmp_path / "wide.qc"
+    src.write_text("qubits 40\n")
+    assert main(["compile", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: line 1: qubits 40 exceeds the register cap of 12"]
+
+
+def test_verify_battery_shares_one_identity(tmp_path, capsys, monkeypatch):
+    # each basis ket must be a row of one identity, not a column view that
+    # keeps its own 2^k square identity alive (dim^3 memory in all)
+    src = tmp_path / "cycle7.qc"
+    src.write_text(emit_circuit_text(gen_test_circuit(7)))
+    seen = []
+
+    def capture(c, s, q, inputs, tol):
+        seen.extend(inputs)
+        return check_equivalence(c, s, q, inputs, tol=tol)
+
+    check_equivalence = cli.check_equivalence
+    monkeypatch.setattr(cli, "check_equivalence", capture)
+    assert main(["verify", str(src)]) == 0
+    assert np.array_equal(np.array(seen), np.eye(128))
+    owners = {}
+    for v in seen:
+        owner = v if v.base is None else v.base
+        owners[id(owner)] = owner.nbytes
+    assert sum(owners.values()) <= 128 * 128 * 16
+
+
 def test_gen_test_circuit_deterministic():
-    from qmcforge.parser import emit_circuit_text
     assert emit_circuit_text(gen_test_circuit(5)) == \
         emit_circuit_text(gen_test_circuit(5))
 

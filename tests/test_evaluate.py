@@ -1,5 +1,6 @@
 """Dual semantics: DAG walks, Born probabilities, chain runs, equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -179,11 +180,10 @@ def test_check_equivalence_flags_wrong_chain():
     c = parse_circuit(BELL)
     s, _ = translate(c)
     q = build_qmc(s)
-    # sabotage one internal step with an extra Hadamard on wire 1
-    key = ("s1", "s2")
+    # sabotage the first internal step with an extra Hadamard on wire 1
     from qmcforge.qmc import Superoperator
-    wrong = tensor(gate_matrix("H"), np.eye(2)) @ q.transitions[key].kraus[0]
-    q.transitions[key] = Superoperator((wrong,))
+    wrong = tensor(gate_matrix("H"), np.eye(2)) @ q.steps[0].kraus[0]
+    q = dataclasses.replace(q, steps=(Superoperator((wrong,)), *q.steps[1:]))
     rep = check_equivalence(c, s, q)
     assert not rep.passed
     assert any("state clause" in f or "probability clause" in f

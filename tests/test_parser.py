@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qmcforge.circuit import MEASURE, UNITARY, validate, wire_positions
-from qmcforge.errors import (ArityMismatch, CircuitSyntaxError, UnknownGate,
-                             WireOutOfRange)
+from qmcforge.config import MAX_QUBITS
+from qmcforge.errors import (ArityMismatch, CircuitSyntaxError, QmcForgeError,
+                             SizeOutOfRange, UnknownGate, WireOutOfRange)
 from qmcforge.gates import gate_matrix
 from qmcforge.parser import emit_circuit_text, parse_circuit
 
@@ -64,7 +65,19 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("gate H 1\n")  # missing qubits header
     with pytest.raises(CircuitSyntaxError):
+        parse_circuit("qubits \u00b2\n")  # a digit that int() cannot read
+    with pytest.raises(CircuitSyntaxError):
         parse_circuit("qubits 2\ngate CNOT 1 1\nmeasure 1\nmeasure 2\n")
+
+
+def test_parse_caps_register_width():
+    # a 2^40 square step would need 8 TiB; the parser stops at the header line
+    with pytest.raises(SizeOutOfRange, match="line 1: qubits 40") as err:
+        parse_circuit("qubits 40\n")
+    assert isinstance(err.value, QmcForgeError)
+    with pytest.raises(SizeOutOfRange, match="line 2: qubits 13"):
+        parse_circuit("# too wide by one\nqubits 13\ngate H 1\n")
+    assert parse_circuit(f"qubits {MAX_QUBITS}\n").k == MAX_QUBITS == 12
 
 
 def test_parse_rejects_mid_circuit_measurement():

@@ -1,5 +1,7 @@
 """Chain construction: superoperators, branching, and row stochasticity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,7 +156,6 @@ def test_chain_labeling_and_ap():
     assert q.labeling["s1"] == frozenset({"step=1"})
     assert q.labeling["t0"] == frozenset({"terminal", "outcome=0"})
     assert q.labeling["t1"] == frozenset({"terminal", "outcome=1"})
-    assert "terminal" in q.ap and "outcome=1" in q.ap
 
 
 def test_chain_without_measurements():
@@ -182,10 +183,9 @@ def test_row_stochasticity_clean_chain():
 
 def test_row_stochasticity_flags_leaky_chain():
     q = _single_h_chain()
-    # drop one branch: state s2 no longer resolves the identity
-    cut = {k: v for k, v in q.transitions.items() if k != ("s2", "t1")}
-    leaky = Qmc(k=q.k, h=q.h, states=q.states, transitions=cut,
-                ap=q.ap, labeling=q.labeling)
+    # zero out one branch: state s2 no longer resolves the identity
+    zero = Superoperator((np.zeros((2, 2), dtype=np.complex128),))
+    leaky = dataclasses.replace(q, branches=(q.branches[0], zero))
     bad = verify_row_stochasticity(leaky)
     assert [v.state for v in bad] == ["s2"]
     assert bad[0].deviation > 0.4
@@ -207,8 +207,94 @@ def test_row_stochasticity_random_circuits():
         assert verify_row_stochasticity(q) == []
 
 
-def test_chain_successors():
+def test_chains_with_multi_kraus_maps_fail_closed():
+    # the model text writes one Kraus operator per map; a chain holding two
+    # would be emitted and verified as if it held only the first
+    half = np.sqrt(0.5) * np.eye(2, dtype=np.complex128)
+    two = Superoperator((half, half @ H))
     q = _single_h_chain()
-    assert [dst for dst, _ in q.successors("s1")] == ["s2"]
-    assert [dst for dst, _ in q.successors("s2")] == ["t0", "t1"]
-    assert [dst for dst, _ in q.successors("t0")] == ["t0"]
+    with pytest.raises(DimensionMismatch, match="step 1 has 2 Kraus"):
+        Qmc(k=1, h=1, steps=(two,), branches=q.branches)
+    with pytest.raises(DimensionMismatch, match="branch 1 has 2 Kraus"):
+        Qmc(k=1, h=1, steps=q.steps, branches=(q.branches[0], two))
+    with pytest.raises(DimensionMismatch, match="Kraus"):
+        dataclasses.replace(q, steps=(two,))
+    with pytest.raises(DimensionMismatch, match="Kraus"):
+        dataclasses.replace(q, branches=(two, q.branches[1]))
+
+
+def test_chain_checks_shape_and_branch_count():
+    q = _single_h_chain()
+    with pytest.raises(DimensionMismatch, match=r"need 2\^1 branch matrices, got 1"):
+        dataclasses.replace(q, branches=q.branches[:1])
+    wide = Superoperator((np.eye(4, dtype=np.complex128),))
+    with pytest.raises(DimensionMismatch, match=r"step 1 has shape \(4, 4\), register needs 2"):
+        dataclasses.replace(q, steps=(wide,))
+    with pytest.raises(DimensionMismatch, match="branch 0 has shape"):
+        dataclasses.replace(q, branches=(wide, q.branches[1]))
+
+
+def test_chain_fields_are_the_two_tuples():
+    assert [f.name for f in dataclasses.fields(Qmc)] == ["k", "h", "steps", "branches"]
+    q = _single_h_chain()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.steps = ()
+    # every terminal self-loops through the same identity superoperator
+    q = build_qmc(SnfCircuit(k=2, unitaries=(np.eye(4),), h=2, wire_map=(1, 2)))
+    loops = {id(q.transitions[(t, t)]) for t in q.terminal_states()}
+    assert len(loops) == 1
+
+
+def _reference_chain(k, h, steps, branches):
+    """States, transitions and labeling built as a string-keyed dict from the
+    raw matrices, the way the chain used to store them."""
+    internal = [f"s{i}" for i in range(1, len(steps) + 2)]
+    terminal = [f"t{i}" for i in range(2 ** h)]
+    transitions = {}
+    for i, u in enumerate(steps):
+        transitions[(internal[i], internal[i + 1])] = u
+    for i, m in enumerate(branches):
+        transitions[(internal[-1], terminal[i])] = m
+        transitions[(terminal[i], terminal[i])] = np.eye(2 ** k)
+    labeling = {name: frozenset({f"step={i}"}) for i, name in enumerate(internal, start=1)}
+    for i, name in enumerate(terminal):
+        props = {"terminal"}
+        if h:
+            props.add(f"outcome={format(i, f'0{h}b')}")
+        labeling[name] = frozenset(props)
+    return tuple(internal + terminal), transitions, labeling
+
+
+@st.composite
+def _random_chain(draw):
+    """Matrices of a random chain: k <= 3, n <= 5 random unitary steps and
+    the measurement projectors of 0 <= h <= k wires."""
+    k = draw(st.integers(1, 3))
+    h = draw(st.integers(0, k))
+    n = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = 2 ** k
+    steps = [np.linalg.qr(rng.standard_normal((dim, dim))
+                          + 1j * rng.standard_normal((dim, dim)))[0] for _ in range(n)]
+    branches = [measurement_matrix(h, k, i) for i in range(2 ** h)]
+    return k, h, steps, branches
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=_random_chain())
+def test_derived_views_match_the_string_keyed_reference(chain):
+    k, h, steps, branches = chain
+    q = qmc_from_matrices(k, h, steps, branches)
+    states, transitions, labeling = _reference_chain(k, h, steps, branches)
+    assert q.n == len(steps)
+    assert q.states == states
+    assert list(q.transitions) == list(transitions)
+    for key, mat in transitions.items():
+        assert len(q.transitions[key].kraus) == 1
+        assert np.array_equal(q.transitions[key].kraus[0], mat)
+    assert dict(q.labeling) == labeling
+    assert q.internal_states() + q.terminal_states() == list(states)
+    with pytest.raises(TypeError):
+        q.transitions[("s1", "s1")] = q.branches[0]
+    with pytest.raises(TypeError):
+        q.labeling["s1"] = frozenset()

@@ -17,9 +17,8 @@ from .evaluate import (EquivalenceReport, EvalReport, OutcomeRecord,
                        outcome_probability, random_kets, run_qmc,
                        simulate_circuit)
 from .gates import gate_arity, gate_matrix, known_gates
-from .linalg import (apply_superop, basis_ket, binary_swap, dagger,
-                     generalized_swap, is_unitary, lesssim_at,
-                     swap_decomposition, tensor)
+from .linalg import (basis_ket, binary_swap, dagger, generalized_swap,
+                     is_unitary, swap_decomposition, tensor)
 from .normalize import (SnfCircuit, SwapAccount, snf_to_circuit, to_normal_form,
                         to_snf, translate)
 from .parser import emit_circuit_text, parse_circuit
@@ -39,8 +38,8 @@ __all__ = [
     "global_phase_distance", "outcome_probability", "random_kets", "run_qmc",
     "simulate_circuit",
     "gate_arity", "gate_matrix", "known_gates",
-    "apply_superop", "basis_ket", "binary_swap", "dagger", "generalized_swap",
-    "is_unitary", "lesssim_at", "swap_decomposition", "tensor",
+    "basis_ket", "binary_swap", "dagger", "generalized_swap", "is_unitary",
+    "swap_decomposition", "tensor",
     "SnfCircuit", "SwapAccount", "snf_to_circuit", "to_normal_form", "to_snf",
     "translate",
     "emit_circuit_text", "parse_circuit",

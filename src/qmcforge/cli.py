@@ -341,6 +341,8 @@ def main(argv=None) -> int:
         # a NaN tolerance fails every check and an infinite one passes every check
         if not 0 <= cfg.tol < math.inf:
             raise QmcForgeError(f"--tol wants a finite number >= 0, got {cfg.tol}")
+        if cfg.seed < 0:
+            raise QmcForgeError(f"--seed wants an integer >= 0, got {cfg.seed}")
         return args.func(args, cfg)
     except (QmcForgeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,14 +73,22 @@ def _constant_pool(q: Qmc) -> tuple[dict[bytes, str], list[tuple[str, np.ndarray
             decls.append((cname, mat))
 
     for so in q.steps:
-        declare(so.kraus[0], f"U{len(decls) + 1}")
+        declare(so.matrix, f"U{len(decls) + 1}")
     for i, so in enumerate(q.branches):
-        declare(so.kraus[0], f"M{i}")
+        declare(so.matrix, f"M{i}")
     return names, decls
 
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def emit_qpmc(q: Qmc, name: str = "model") -> str:
-    """Render a chain as QPMC model text. Deterministic byte-for-byte."""
+    """Render a chain as QPMC model text. Deterministic byte-for-byte.
+
+    ``name`` becomes the module name and must be an identifier.
+    """
+    if not _NAME_RE.fullmatch(name):
+        raise QmcForgeError(f"module name must be an identifier, got {name!r}")
     n, count = q.n, len(q.branches)
     names, decls = _constant_pool(q)
     top = n + count
@@ -95,9 +103,9 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
     lines.append(f"  s: [0..{top}] init 0;")
     lines.append("")
     for i, so in enumerate(q.steps):
-        cname = names[so.kraus[0].tobytes()]
+        cname = names[so.matrix.tobytes()]
         lines.append(f"  [] (s = {i}) -> <<{cname}>> : (s' = {i + 1});")
-    branch_terms = [f"<<{names[so.kraus[0].tobytes()]}>> : (s' = {n + 1 + i})"
+    branch_terms = [f"<<{names[so.matrix.tobytes()]}>> : (s' = {n + 1 + i})"
                     for i, so in enumerate(q.branches)]
     lines.append(f"  [] (s = {n}) -> " + " + ".join(branch_terms) + ";")
     for i in range(count):

@@ -160,7 +160,7 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
     for so in q.steps:
         rho = so.apply(rho)
         densities.append(rho)
-        accumulated = so.kraus[0] @ accumulated
+        accumulated = so.matrix @ accumulated
 
     outcomes = []
     for i, so in enumerate(q.branches):
@@ -261,7 +261,7 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
         # clause: the chain preserves rank-1 states step by step
         vec = tau.copy()
         for step, (so, rho) in enumerate(zip(q.steps, report.densities[1:]), start=1):
-            vec = so.kraus[0] @ vec
+            vec = so.matrix @ vec
             cdev = float(np.max(np.abs(rho - np.outer(vec, vec.conj()))))
             worst["chain"] = _worse(worst["chain"], cdev)
             if not cdev <= tol:

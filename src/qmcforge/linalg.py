@@ -13,7 +13,7 @@ the destination position of wire i.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,14 +23,10 @@ from .errors import DimensionMismatch, NonSquare, NotAPermutation, WireOutOfRang
 __all__ = [
     "tensor",
     "dagger",
-    "trace",
-    "apply_superop",
     "is_unitary",
-    "is_hermitian",
     "binary_swap",
     "generalized_swap",
     "swap_decomposition",
-    "lesssim_at",
     "basis_ket",
     "require_square",
     "check_finite",
@@ -87,31 +83,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return _as_complex(a).conj().T
 
 
-def trace(a: np.ndarray) -> complex:
-    """Matrix trace as a complex scalar."""
-    m = require_square(a, "trace operand")
-    return complex(np.trace(m))
-
-
-def apply_superop(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply the superoperator of a single operator: u rho u^dagger."""
-    mu = require_square(u, "superoperator matrix")
-    mr = require_square(rho, "density operand")
-    if mu.shape != mr.shape:
-        raise DimensionMismatch(f"operator {mu.shape} vs density {mr.shape}")
-    return mu @ mr @ mu.conj().T
-
-
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL.algebraic) -> bool:
     """True when a^dagger a = I within ``tol`` (max-norm)."""
     m = require_square(a, "is_unitary operand")
     eye = np.eye(m.shape[0])
     return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL.algebraic) -> bool:
-    m = require_square(a, "is_hermitian operand")
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def _check_wire(k: int, w: int) -> None:
@@ -215,26 +191,3 @@ def generalized_swap(perm: Sequence[int], strategy: str = "composed") -> tuple[n
     count = len(swap_decomposition(perm, strategy))
     return _permutation_matrix(len(perm), perm), count
 
-
-def _apply_kraus(ops: Iterable[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for kmat in ops:
-        km = require_square(kmat, "Kraus operator")
-        if km.shape != rho.shape:
-            raise DimensionMismatch(f"Kraus {km.shape} vs density {rho.shape}")
-        out = out + km @ rho @ km.conj().T
-    return out
-
-
-def lesssim_at(e: Sequence[np.ndarray], f: Sequence[np.ndarray], rho: np.ndarray,
-               tol: float = DEFAULT_TOL.algebraic) -> bool:
-    """Pointwise trace comparison of two Kraus maps at one density matrix.
-
-    True when tr(E(rho)) <= tr(F(rho)) + tol. This is the only fragment of
-    the superoperator preorder the package exposes; no global ordering is
-    decided here.
-    """
-    r = require_square(rho, "density operand")
-    te = trace(_apply_kraus(e, r)).real
-    tf = trace(_apply_kraus(f, r)).real
-    return te <= tf + tol

@@ -8,7 +8,7 @@ The defining soundness condition is that the superoperators leaving any
 state sum to a trace-preserving map.
 
 The chain is stored as that shape: a ``steps`` tuple and a ``branches``
-tuple of single-Kraus superoperators. The state names, the transition table
+tuple of one-matrix superoperators. The state names, the transition table
 keyed by ``(source, target)`` and the labeling are read-only views derived
 from the two tuples.
 """
@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, OutcomeOutOfRange
+from .linalg import check_finite
 from .normalize import SnfCircuit
 
 __all__ = ["Superoperator", "Qmc", "RowViolation", "measurement_matrix",
@@ -32,24 +33,26 @@ __all__ = ["Superoperator", "Qmc", "RowViolation", "measurement_matrix",
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A completely positive map given by its Kraus operators.
+    """The completely positive map rho -> M rho M^dagger of one matrix M,
+    the only kind of map the model text writes.
 
-    Construction rejects empty, non-square, mixed-dimension, non-finite or
-    trace-increasing operator lists.
+    ``matrix`` is stored as complex128. Construction rejects input that is
+    not a non-empty square 2-D matrix, and non-finite or trace-increasing
+    matrices.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if not self.kraus:
-            raise DimensionMismatch("superoperator needs at least one Kraus operator")
-        dim = self.kraus[0].shape[0]
-        for m in self.kraus:
-            if m.ndim != 2 or m.shape != (dim, dim):
-                raise DimensionMismatch(
-                    f"Kraus operators must share one square shape, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise DimensionMismatch("Kraus operators must have finite entries")
+        try:
+            m = np.asarray(self.matrix, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch("superoperator needs one numeric matrix") from exc
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise DimensionMismatch(
+                f"superoperator needs a non-empty square matrix, got shape {m.shape}")
+        check_finite(m, "superoperator matrix")
+        object.__setattr__(self, "matrix", m)
         gram = self.gram()
         herm = (gram + gram.conj().T) / 2.0
         limit = 1.0 + DEFAULT_TOL.psd_slack
@@ -67,17 +70,22 @@ class Superoperator:
                 f"superoperator increases trace (largest eigenvalue {top:.3e})")
 
     @property
+    def kraus(self) -> tuple[np.ndarray]:
+        """Read-only one-operator Kraus view, ``(matrix,)``."""
+        return (self.matrix,)
+
+    @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.matrix.shape[0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"density {rho.shape} vs superoperator dim {self.dim}")
-        return sum(m @ rho @ m.conj().T for m in self.kraus)
+        return self.matrix @ rho @ self.matrix.conj().T
 
     def gram(self) -> np.ndarray:
-        """Sum of K^dagger K over the Kraus operators."""
-        return sum(m.conj().T @ m for m in self.kraus)
+        """M^dagger M."""
+        return self.matrix.conj().T @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -86,8 +94,8 @@ class Qmc:
     from s{n+1} to terminal t{i} (outcome index in binary gives the measured
     bits, wire 1 first).
 
-    Construction checks the branch count and that every map is one Kraus
-    operator of the register's dimension. ``states``, ``transitions`` and
+    Construction checks 0 <= h <= k, the branch count and that every map
+    has the register's dimension. ``states``, ``transitions`` and
     ``labeling`` are read-only views of the tuples; all terminal self-loops
     share one identity superoperator.
     """
@@ -98,19 +106,17 @@ class Qmc:
     branches: tuple[Superoperator, ...]
 
     def __post_init__(self):
+        if self.h < 0 or self.k < self.h:
+            raise DimensionMismatch(f"need 0 <= h <= k, got h={self.h} k={self.k}")
         dim = 2 ** self.k
         if len(self.branches) != 2 ** self.h:
             raise DimensionMismatch(
                 f"need 2^{self.h} branch matrices, got {len(self.branches)}")
         for kind, maps, first in (("step", self.steps, 1), ("branch", self.branches, 0)):
             for i, so in enumerate(maps, start=first):
-                if len(so.kraus) != 1:
-                    raise DimensionMismatch(
-                        f"{kind} {i} has {len(so.kraus)} Kraus operators, "
-                        f"the model text writes one")
                 if so.dim != dim:
                     raise DimensionMismatch(
-                        f"{kind} {i} has shape {so.kraus[0].shape}, register needs {dim}")
+                        f"{kind} {i} has shape {so.matrix.shape}, register needs {dim}")
 
     @property
     def n(self) -> int:
@@ -131,7 +137,7 @@ class Qmc:
     def transitions(self) -> Mapping[tuple[str, str], Superoperator]:
         internal = self.internal_states()
         table = dict(zip(zip(internal, internal[1:]), self.steps))
-        loop = Superoperator((np.eye(2 ** self.k, dtype=np.complex128),))
+        loop = Superoperator(np.eye(2 ** self.k, dtype=np.complex128))
         for t, so in zip(self.terminal_states(), self.branches):
             table[(internal[-1], t)] = so
             table[(t, t)] = loop
@@ -166,15 +172,15 @@ def measurement_matrix(h: int, k: int, i: int) -> np.ndarray:
 def qmc_from_matrices(k: int, h: int, steps: list[np.ndarray],
                       branches: list[np.ndarray]) -> Qmc:
     """Assemble the chain from raw step and measurement-branch matrices."""
-    return Qmc(k, h, tuple(Superoperator((u,)) for u in steps),
-               tuple(Superoperator((m,)) for m in branches))
+    return Qmc(k, h, tuple(map(Superoperator, steps)),
+               tuple(map(Superoperator, branches)))
 
 
 def build_qmc(s: SnfCircuit) -> Qmc:
     """Compile a strong-normal-form tuple into its Markov chain.
 
     One internal state per chain position, 2^h terminals. Internal
-    transitions carry the single-Kraus unitary superoperators; the final
+    transitions carry the unitary superoperators; the final
     internal state fans out through the measurement projectors; terminals
     self-loop with the identity.
     """

@@ -56,11 +56,11 @@ def nan_step_chain(q):
     """The one-wire, one-step, h=1 chain ``q`` with its step replaced by
     [nan, 0; 0, 1]: a model no verifier may pass.
 
-    Construction rejects non-finite Kraus operators, so the chain is built
-    around a finite identity step and the NaN is written into that step's
-    array afterwards.
+    Construction rejects non-finite matrices, so the chain is built around a
+    finite identity step and the NaN is written into that step's array
+    afterwards.
     """
-    branches = [so.kraus[0] for so in q.branches]
+    branches = [so.matrix for so in q.branches]
     chain = qmc_from_matrices(1, 1, [np.eye(2, dtype=np.complex128)], branches)
-    chain.steps[0].kraus[0][0, 0] = np.nan
+    chain.steps[0].matrix[0, 0] = np.nan
     return chain

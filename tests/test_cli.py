@@ -270,10 +270,14 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
     (["verify", "{circuit}", "--tol", "nan"], None),
     (["verify", "{circuit}", "--tol", "inf"], None),
     (["verify", "{circuit}", "--tol=-1e-9"], None),
+    (["verify", "{circuit}", "--random", "1", "--seed", "-1"], None),
+    (["compile", "{circuit}", "--name", "m\nendmodule"], None),
+    (["compile", "{circuit}", "--name", ""], None),
 ], ids=["state-triple", "state-object", "state-string", "state-nan",
         "state-overflow", "sizes-not-int", "sizes-empty", "sizes-past-12",
         "sizes-list-past-12", "runs-zero", "random-negative",
-        "tol-nan", "tol-inf", "tol-negative"])
+        "tol-nan", "tol-inf", "tol-negative", "seed-negative",
+        "name-newline", "name-empty"])
 def test_bad_arguments_exit_2(argv, state, circuit_file, tmp_path, capsys, monkeypatch):
     # bench must reject its arguments before it builds any circuit
     monkeypatch.setattr(cli, "gen_test_circuit",

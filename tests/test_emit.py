@@ -138,6 +138,25 @@ def test_matrix_constants_are_deduplicated():
     assert "<<U1>>" in emitted
 
 
+def test_float64_step_re_emits_byte_stably():
+    # a float64 step and its complex128 twin were once declared as U1 and U2
+    # with the same literal, which reparse collapsed into one constant
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    q = qmc_from_matrices(1, 1, [x, x.astype(np.complex128), x],
+                          [measurement_matrix(1, 1, i) for i in range(2)])
+    text = emit_qpmc(q)
+    assert text.count("const matrix U") == 1
+    assert emit_qpmc(reparse_model(text)) == text
+
+
+@pytest.mark.parametrize("name", ["", "m\nendmodule", "1m", "a b", "m-x", "mod\u00e9"])
+def test_emit_rejects_non_identifier_names(name):
+    q = build_qmc(SnfCircuit(k=1, unitaries=(gate_matrix("H"),), h=1, wire_map=(1,)))
+    with pytest.raises(QmcForgeError, match="identifier"):
+        emit_qpmc(q, name=name)
+    assert "module _m1\n" in emit_qpmc(q, name="_m1")
+
+
 def test_reparse_round_trip_random_circuits():
     rng = np.random.default_rng(6)
     for _ in range(25):
@@ -150,10 +169,7 @@ def test_reparse_round_trip_random_circuits():
         assert q2.states == q.states
         assert set(q2.transitions) == set(q.transitions)
         for key, so in q.transitions.items():
-            so2 = q2.transitions[key]
-            assert len(so.kraus) == len(so2.kraus)
-            for a, b in zip(so.kraus, so2.kraus):
-                assert np.array_equal(a, b)
+            assert np.array_equal(so.matrix, q2.transitions[key].matrix)
         # second emission is byte-identical
         assert emit_qpmc(q2) == text
 
@@ -235,7 +251,7 @@ def test_emit_reparse_emit_is_byte_stable(q):
     q2 = reparse_model(text)
     assert q2.states == q.states
     for key, so in q.transitions.items():
-        assert np.array_equal(so.kraus[0], q2.transitions[key].kraus[0])
+        assert np.array_equal(so.matrix, q2.transitions[key].matrix)
     assert emit_qpmc(q2) == text
 
 

@@ -182,8 +182,8 @@ def test_check_equivalence_flags_wrong_chain():
     q = build_qmc(s)
     # sabotage the first internal step with an extra Hadamard on wire 1
     from qmcforge.qmc import Superoperator
-    wrong = tensor(gate_matrix("H"), np.eye(2)) @ q.steps[0].kraus[0]
-    q = dataclasses.replace(q, steps=(Superoperator((wrong,)), *q.steps[1:]))
+    wrong = tensor(gate_matrix("H"), np.eye(2)) @ q.steps[0].matrix
+    q = dataclasses.replace(q, steps=(Superoperator(wrong), *q.steps[1:]))
     rep = check_equivalence(c, s, q)
     assert not rep.passed
     assert any("state clause" in f or "probability clause" in f

@@ -23,15 +23,41 @@ def _single_h_chain():
 
 
 def test_superoperator_validates_kraus_family():
-    Superoperator((H,))  # unitary: fine
+    Superoperator(H)  # unitary: fine
     half = np.diag([1.0, 0.5]).astype(np.complex128)
-    Superoperator((half,))  # trace-nonincreasing: fine
+    Superoperator(half)  # trace-nonincreasing: fine
     with pytest.raises(DimensionMismatch):
-        Superoperator((np.diag([1.0, 1.5]).astype(np.complex128),))
+        Superoperator(np.diag([1.0, 1.5]).astype(np.complex128))
+    # a ragged list of operators and an empty one are no matrix at all
     with pytest.raises(DimensionMismatch):
         Superoperator((H, np.eye(4, dtype=np.complex128)))
     with pytest.raises(DimensionMismatch):
         Superoperator(())
+
+
+@pytest.mark.parametrize("value", [
+    np.zeros((0, 0), dtype=np.complex128),
+    np.ones(2, dtype=np.complex128),
+    np.ones((2, 4), dtype=np.complex128),
+    np.stack([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * H]),
+    (H,),
+    1.0,
+], ids=["empty", "1-d", "non-square", "kraus-stack", "old-style-tuple", "scalar"])
+def test_superoperator_rejects_non_matrix_input(value):
+    with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
+        Superoperator(value)
+
+
+def test_superoperator_stores_one_complex_matrix():
+    so = Superoperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert so.matrix.dtype == np.complex128
+    assert so.kraus == (so.matrix,) and so.kraus[0] is so.matrix
+    assert so.dim == 2
+    # complex128 input is kept as is, not copied
+    m = np.diag([1.0, 0.5]).astype(np.complex128)
+    so = Superoperator(m)
+    assert so.matrix is m
+    assert np.array_equal(so.gram(), np.diag([1.0, 0.25]))
 
 
 def test_superoperator_rejects_non_finite_kraus():
@@ -43,7 +69,7 @@ def test_superoperator_rejects_non_finite_kraus():
     for bad in (two, four, np.diag([1, np.inf]).astype(np.complex128),
                 np.diag([1, complex(0, -np.inf)])):
         with pytest.raises(DimensionMismatch, match="finite"):
-            Superoperator((bad,))
+            Superoperator(bad)
         k = bad.shape[0].bit_length() - 1
         with pytest.raises(QmcForgeError):
             qmc_from_matrices(k, 0, [bad], [np.eye(2 ** k, dtype=np.complex128)])
@@ -51,71 +77,68 @@ def test_superoperator_rejects_non_finite_kraus():
             qmc_from_matrices(k, 0, [], [bad])
     # finite entries whose gram overflows to inf/NaN are rejected as well
     with np.errstate(all="ignore"), pytest.raises(DimensionMismatch, match="overflows"):
-        Superoperator((np.diag([1e200, 1]).astype(np.complex128),))
+        Superoperator(np.diag([1e200, 1]).astype(np.complex128))
 
 
 def test_superoperator_screen_keeps_slight_trace_increase():
     # the Gershgorin screen must not settle a map just above trace-preserving
     with pytest.raises(DimensionMismatch, match="increases trace"):
-        Superoperator((1.0000001 * np.eye(2, dtype=np.complex128),))
+        Superoperator(1.0000001 * np.eye(2, dtype=np.complex128))
     with pytest.raises(DimensionMismatch, match="increases trace"):
-        Superoperator((1.0000001 * H,))
+        Superoperator(1.0000001 * H)
     # a rank-1 projector off the axes has row sums above 1 but trace-preserves
     # its range: the screen cannot settle it and eigvalsh accepts it
     v = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)], dtype=np.complex128)
     projector = np.outer(v, v.conj())
     assert np.abs(projector).sum(axis=1).max() > 1.2
-    Superoperator((projector,))
+    Superoperator(projector)
 
 
-def _eigvalsh_verdict(kraus):
+def _eigvalsh_verdict(m):
     """Acceptance by the eigenvalue test alone, without the row-sum screen."""
-    gram = sum(m.conj().T @ m for m in kraus)
+    gram = m.conj().T @ m
     top = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).max()
     return bool(top <= 1.0 + DEFAULT_TOL.psd_slack)
 
 
 @st.composite
-def _kraus_list(draw):
-    """1-3 Kraus operators of dimension 1, 2 or 4, scaled so that the largest
-    eigenvalue of their gram lands below, at or above 1."""
+def _map_matrix(draw):
+    """One matrix of dimension 1, 2 or 4, scaled so that the largest
+    eigenvalue of its gram lands below, at or above 1."""
     dim = draw(st.sampled_from([1, 2, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["dense", "unitary", "permutation", "projector"]))
-    count = draw(st.integers(1, 3))
     if kind == "dense":
-        ops = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-               for _ in range(count)]
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     elif kind == "unitary":
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        ops = [np.linalg.qr(z)[0]]
+        m = np.linalg.qr(z)[0]
     elif kind == "permutation":
-        ops = [np.eye(dim, dtype=np.complex128)[rng.permutation(dim)]]
+        m = np.eye(dim, dtype=np.complex128)[rng.permutation(dim)]
     else:
-        ops = [np.diag(rng.integers(0, 2, dim)).astype(np.complex128)]
-    gram = sum(m.conj().T @ m for m in ops)
-    top = np.linalg.eigvalsh(gram).max()
+        m = np.diag(rng.integers(0, 2, dim)).astype(np.complex128)
+    top = np.linalg.eigvalsh(m.conj().T @ m).max()
     target = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5]))
     scale = np.sqrt(target / top) if top > 0 else 1.0
     if kind != "dense" and draw(st.booleans()):
         scale = 1.0  # keep the exact 0/1 entries of a structured step
-    return [m * scale for m in ops]
+    return m * scale
 
 
 @settings(max_examples=150, deadline=None)
-@given(kraus=_kraus_list())
-def test_screened_verdict_equals_eigvalsh_verdict(kraus):
+@given(m=_map_matrix())
+def test_screened_verdict_equals_eigvalsh_verdict(m):
     try:
-        Superoperator(tuple(kraus))
+        Superoperator(m)
         accepted = True
     except DimensionMismatch:
         accepted = False
-    assert accepted == _eigvalsh_verdict(kraus)
+    assert accepted == _eigvalsh_verdict(m)
 
 
 def test_superoperator_apply():
     rho = np.diag([1.0, 0.0]).astype(np.complex128)
-    so = Superoperator((H,))
+    so = Superoperator(H)
     out = so.apply(rho)
     assert np.allclose(out, np.full((2, 2), 0.5), atol=1e-12)
 
@@ -165,15 +188,14 @@ def test_chain_without_measurements():
     assert q.terminal_states() == ["t0"]
     assert q.labeling["t0"] == frozenset({"terminal"})
     so = q.transitions[("s2", "t0")]
-    assert np.array_equal(so.kraus[0], np.eye(4))
+    assert np.array_equal(so.matrix, np.eye(4))
 
 
 def test_terminal_states_self_loop():
     q = _single_h_chain()
     for t in q.terminal_states():
         so = q.transitions[(t, t)]
-        assert len(so.kraus) == 1
-        assert np.array_equal(so.kraus[0], np.eye(2))
+        assert np.array_equal(so.matrix, np.eye(2))
 
 
 def test_row_stochasticity_clean_chain():
@@ -184,7 +206,7 @@ def test_row_stochasticity_clean_chain():
 def test_row_stochasticity_flags_leaky_chain():
     q = _single_h_chain()
     # zero out one branch: state s2 no longer resolves the identity
-    zero = Superoperator((np.zeros((2, 2), dtype=np.complex128),))
+    zero = Superoperator(np.zeros((2, 2), dtype=np.complex128))
     leaky = dataclasses.replace(q, branches=(q.branches[0], zero))
     bad = verify_row_stochasticity(leaky)
     assert [v.state for v in bad] == ["s2"]
@@ -208,30 +230,39 @@ def test_row_stochasticity_random_circuits():
 
 
 def test_chains_with_multi_kraus_maps_fail_closed():
-    # the model text writes one Kraus operator per map; a chain holding two
-    # would be emitted and verified as if it held only the first
+    # the model text writes one matrix per map; a stack of two Kraus
+    # operators is rejected by Superoperator, so no chain can hold one
     half = np.sqrt(0.5) * np.eye(2, dtype=np.complex128)
-    two = Superoperator((half, half @ H))
-    q = _single_h_chain()
-    with pytest.raises(DimensionMismatch, match="step 1 has 2 Kraus"):
-        Qmc(k=1, h=1, steps=(two,), branches=q.branches)
-    with pytest.raises(DimensionMismatch, match="branch 1 has 2 Kraus"):
-        Qmc(k=1, h=1, steps=q.steps, branches=(q.branches[0], two))
-    with pytest.raises(DimensionMismatch, match="Kraus"):
-        dataclasses.replace(q, steps=(two,))
-    with pytest.raises(DimensionMismatch, match="Kraus"):
-        dataclasses.replace(q, branches=(two, q.branches[1]))
+    stack = np.stack([half, half @ H])
+    with pytest.raises(DimensionMismatch, match=r"got shape \(2, 2, 2\)"):
+        Superoperator(stack)
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        qmc_from_matrices(1, 0, [stack], [np.eye(2)])
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        qmc_from_matrices(1, 1, [H], [stack[0], stack])
 
 
 def test_chain_checks_shape_and_branch_count():
     q = _single_h_chain()
     with pytest.raises(DimensionMismatch, match=r"need 2\^1 branch matrices, got 1"):
         dataclasses.replace(q, branches=q.branches[:1])
-    wide = Superoperator((np.eye(4, dtype=np.complex128),))
+    wide = Superoperator(np.eye(4, dtype=np.complex128))
     with pytest.raises(DimensionMismatch, match=r"step 1 has shape \(4, 4\), register needs 2"):
         dataclasses.replace(q, steps=(wide,))
     with pytest.raises(DimensionMismatch, match="branch 0 has shape"):
         dataclasses.replace(q, branches=(wide, q.branches[1]))
+
+
+def test_chain_checks_measured_wire_count():
+    # h > k once built a chain with 4 outcomes on a 1-wire register, which
+    # the emitter printed and the reparser then rejected
+    zero = np.zeros((2, 2), dtype=np.complex128)
+    with pytest.raises(DimensionMismatch, match=r"need 0 <= h <= k, got h=2 k=1"):
+        qmc_from_matrices(1, 2, [], [zero] * 4)
+    with pytest.raises(DimensionMismatch, match=r"need 0 <= h <= k, got h=-1 k=1"):
+        qmc_from_matrices(1, -1, [], [])
+    with pytest.raises(DimensionMismatch, match="need 0 <= h <= k"):
+        dataclasses.replace(_single_h_chain(), h=2)
 
 
 def test_chain_fields_are_the_two_tuples():
@@ -290,8 +321,7 @@ def test_derived_views_match_the_string_keyed_reference(chain):
     assert q.states == states
     assert list(q.transitions) == list(transitions)
     for key, mat in transitions.items():
-        assert len(q.transitions[key].kraus) == 1
-        assert np.array_equal(q.transitions[key].kraus[0], mat)
+        assert np.array_equal(q.transitions[key].matrix, mat)
     assert dict(q.labeling) == labeling
     assert q.internal_states() + q.terminal_states() == list(states)
     with pytest.raises(TypeError):

@@ -184,11 +184,15 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         # strict JSON has no NaN or infinity: a non-finite deviation is
         # written as a string ("nan", "inf")
-        deviations = {"state": rep.state, "chain": rep.chain,
-                      "probability": rep.prob, "support": rep.support}
+        clauses = {"state": "state", "chain": "chain", "probability": "prob",
+                   "support": "support"}
+        deviations = {label: getattr(rep, name) for label, name in clauses.items()}
+        worst = {label: rep.worst_at.get(name) for label, name in clauses.items()}
         payload = {"passed": rep.passed, "inputs": len(inputs),
                    "deviations": {name: v if math.isfinite(v) else str(v)
                                   for name, v in deviations.items()},
+                   "worst": {name: None if at is None else {"input": at[0], "outcome": at[1]}
+                             for name, at in worst.items()},
                    "failures": list(rep.failures)}
         _write_or_print(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.output)
     else:

@@ -121,6 +121,7 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
 
 # --- reparse ---------------------------------------------------------------
 
+_MODULE_RE = re.compile(rf"^module ({_NAME_RE.pattern})$")
 _CONST_RE = re.compile(r"^const matrix (\w+) = \[(.*)\];$")
 _VAR_RE = re.compile(r"^s: \[0\.\.(\d+)\] init 0;$")
 _STEP_RE = re.compile(r"^\[\] \(s = (\d+)\) -> (.*);$")
@@ -179,7 +180,7 @@ def reparse_model(text: str) -> Qmc:
     consts: dict[str, np.ndarray] = {}
     commands: dict[int, list[tuple[str, int]] | None] = {}
     top = None
-    in_module = False
+    in_module = seen_module = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].strip()
         if not line:
@@ -194,10 +195,15 @@ def reparse_model(text: str) -> Qmc:
                 raise ReparseError(f"{where}: duplicate constant {name}")
             consts[name] = _parse_matrix(literal, where)
             continue
-        if line.startswith("module"):
-            in_module = True
+        m = _MODULE_RE.match(line)
+        if m:
+            if seen_module:
+                raise ReparseError(f"{where}: second module {m.group(1)}")
+            in_module = seen_module = True
             continue
         if line == "endmodule":
+            if not in_module:
+                raise ReparseError(f"{where}: endmodule without an open module")
             in_module = False
             continue
         m = _VAR_RE.match(line)

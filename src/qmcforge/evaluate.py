@@ -6,16 +6,18 @@ serves as an independent oracle for the compiled chain. One walk validates
 and places the circuit once and carries a whole block of input kets, one
 per column, so all final states and all Born probabilities of a battery
 come from a single pass over the DAG; ``simulate_circuit`` and
-``outcome_probability`` are that walk on a block of one. The chain side
-propagates a density matrix through the superoperators, one input at a
-time. ``check_equivalence`` compares the two along every clause that the
-translation promises to preserve; a NaN deviation counts as a failure.
+``outcome_probability`` are that walk on a block of one. On the chain side,
+``run_qmc`` propagates one density matrix through the superoperators.
+``check_equivalence`` carries the same block of input kets through the
+chain's step matrices, and every input's density through the same steps as
+a stack, in bounded chunks of inputs, and compares the two semantics along
+every clause that the translation promises to preserve; a NaN deviation
+counts as a failure.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,11 +112,6 @@ def outcome_probability(c: Circuit, psi, bits) -> float:
     return float(born[int("".join(map(str, values)) or "0", 2), 0])
 
 
-def _worse(worst: float, dev: float) -> float:
-    """The larger deviation; a NaN, once seen, stays the worst."""
-    return dev if dev > worst or math.isnan(dev) else worst
-
-
 @dataclass(frozen=True)
 class OutcomeRecord:
     """One measurement branch: its outcome bits, the unnormalized
@@ -173,6 +170,15 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
                       densities=tuple(densities))
 
 
+def _phase_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column by column, min over theta of the 2-norm distance between a
+    column of a and e^{i theta} times the same column of b."""
+    overlap = np.einsum("ij,ij->j", b.conj(), a)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 1e-300)
+    return np.linalg.norm(a - phase * b, axis=0)
+
+
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over theta of the 2-norm distance between a and e^{i theta} b.
 
@@ -180,12 +186,11 @@ def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     directly stays accurate when the two states agree to machine precision,
     where the closed-form norm expression loses half its digits.
     """
-    va, vb = np.asarray(a).reshape(-1), np.asarray(b).reshape(-1)
+    va = np.asarray(a, dtype=np.complex128).reshape(-1)
+    vb = np.asarray(b, dtype=np.complex128).reshape(-1)
     if va.shape != vb.shape:
         raise DimensionMismatch(f"cannot compare shapes {va.shape} and {vb.shape}")
-    overlap = np.vdot(vb, va)
-    phase = overlap / abs(overlap) if abs(overlap) > 1e-300 else 1.0
-    return float(np.linalg.norm(va - phase * vb))
+    return float(_phase_distances(va[:, None], vb[:, None])[0])
 
 
 def random_kets(k: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -206,6 +211,11 @@ class EquivalenceReport:
     ``chain``   rank-1 preservation along the internal chain;
     ``prob``    Born-rule vs terminal-trace probabilities;
     ``support`` post-measurement mass outside the outcome's block.
+
+    ``worst_at`` maps each of those clause names to the (input index,
+    outcome bits) of its worst deviation, a NaN first; the bits are None
+    for ``state`` and ``chain``, and the entry is None when no input was
+    checked.
     """
 
     passed: bool
@@ -214,6 +224,67 @@ class EquivalenceReport:
     prob: float
     support: float
     failures: tuple[str, ...]
+    worst_at: dict[str, tuple[int, str | None] | None] = field(default_factory=dict, hash=False)
+
+
+# Densities propagated together for the chain clause: about 1 MiB of
+# complex128 per stack, at least one input. Larger stacks run no faster
+# and raise the peak memory of a check.
+_CHUNK_BYTES = 1 << 20
+
+
+def _outer_stack(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The densities v v† of the columns of ``v`` (d x n), as an n x d x d stack."""
+    return np.multiply(v.T[:, :, None], v.T.conj()[:, None, :], out=out)
+
+
+def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Carry the input block through the chain's steps as kets and as
+    densities.
+
+    Returns the final kets V = M_n ... M_1 taus (d x N) and, for every step
+    t and input j, the largest entry of |rho_t - v_t v_t†| (n x N), where
+    rho_t is the density propagated as M rho M† and v_t the propagated ket.
+    The densities are held for one chunk of inputs at a time.
+    """
+    dim, count = taus.shape
+    kets = np.empty_like(taus)
+    chain = np.zeros((len(q.steps), count))
+    per = max(1, _CHUNK_BYTES // (16 * dim * dim))
+    for lo in range(0, count, per):
+        cols = slice(lo, lo + per)
+        v = taus[:, cols]
+        rho = _outer_stack(v)
+        work = np.empty_like(rho)
+        for t, so in enumerate(q.steps):
+            m = so.matrix
+            v = m @ v
+            np.matmul(m, rho, out=work)
+            np.matmul(work, m.conj().T, out=rho)
+            diff = np.subtract(rho, _outer_stack(v, out=work), out=work)
+            chain[t, cols] = np.abs(diff).max(axis=(1, 2))
+        kets[:, cols] = v
+    return kets, chain
+
+
+def _first_failures(chain: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per input (column), the first step whose deviation fails, or the step
+    count when none does, and the worst deviation over the steps up to and
+    including that one; later steps of a failed input are not counted."""
+    steps, count = chain.shape
+    # a row past the last step marks the inputs whose every step passed
+    first = np.argmax(np.vstack([~(chain <= tol), np.ones(count, dtype=bool)]), axis=0)
+    counted = np.where(np.arange(steps)[:, None] <= first, chain, 0.0)
+    return first, counted.max(axis=0, initial=0.0)
+
+
+def _worst(devs: np.ndarray) -> tuple[float, int | None]:
+    """The worst of a flat array of deviations and its index: the first NaN
+    if there is one, else the first maximum; 0.0 and None when empty."""
+    if not devs.size:
+        return 0.0, None
+    at = int(np.argmax(devs))
+    return float(devs[at]), at
 
 
 def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
@@ -228,65 +299,96 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
         inputs: kets to try; defaults to every computational basis state.
 
     Only rank-1 inputs make the clause-1 comparison meaningful, so inputs
-    are kets, not densities. The oracle walks the DAG once over the whole
-    block of inputs and yields every final state and every Born
-    probability; the chain is run once per input. A deviation fails unless
-    it is at most its tolerance, so a NaN fails and shows as the worst.
+    are kets, not densities, and each must have unit norm within ``tol``.
+    The inputs form one block, a column per ket. The oracle walks the DAG
+    once over the block and yields every final state and every Born
+    probability. The chain side carries the block through the model's step
+    matrices as kets, V_t = M_t V_{t-1}, and, for the chain clause, carries
+    every input's density through the same steps as the map rho -> M rho M†,
+    on a stack of densities one bounded chunk of inputs at a time. Every
+    density is compared with the outer products of its ket at every step,
+    so the chain clause stays exhaustive. The state clause compares the
+    final kets with the reordered DAG finals. Once the chain clause has
+    certified rho_n = v v† for every input, the branch densities are
+    w w† with w = M_b v, so the probability clause reads the squared
+    column norms of W_b = M_b V and the support clause the largest |w_i|
+    outside the outcome's block times the largest |w_j|, one branch at a
+    time. A deviation fails unless it is at most its tolerance, so a NaN
+    fails and shows as the worst.
     """
     k, h = s.k, s.h
     dim = 2 ** k
     if inputs is None:
         inputs = np.eye(dim, dtype=np.complex128)
-    taus = [_as_ket(psi, k) for psi in inputs]
-    finals, born = _walk(c, np.array(taus, dtype=np.complex128).reshape(-1, dim).T)
+    taus = np.array([_as_ket(psi, k) for psi in inputs],
+                    dtype=np.complex128).reshape(-1, dim).T
+    finals, born = _walk(c, taus)
     if born.shape[0] != 2 ** q.h:
         raise BitLengthMismatch(f"chain has {2 ** q.h} outcomes, circuit has {born.shape[0]}")
+    if q.k != k:
+        raise DimensionMismatch(f"chain acts on {q.k} wires, circuit has {k}")
+    # written as "not <= tol" so that a NaN amplitude fails the check
+    mass = np.sum(taus.real ** 2 + taus.imag ** 2, axis=0)
+    bad = np.flatnonzero(~(np.abs(mass - 1.0) <= tol))
+    if bad.size:
+        raise BadInitialState(f"input {bad[0]} is not a unit ket "
+                              f"(squared norm {mass[bad[0]]:.6g})")
 
-    # into the chain's wire order: row j of the DAG's finals moves to row idx[j]
+    kets, chain = _chain_run(q, taus)
+
+    # clause: product form agrees with the DAG walk after reordering;
+    # row j of the DAG's finals moves to row idx[j]
     reordered = finals[np.argsort(_permute_indices(k, s.wire_map))]
-    worst = {"state": 0.0, "chain": 0.0, "prob": 0.0, "support": 0.0}
-    failures: list[str] = []
+    state = _phase_distances(reordered, kets)
 
+    # clause: the chain preserves rank-1 states step by step
+    steps, count = chain.shape
+    first, chain_worst = _first_failures(chain, tol)
+
+    # clause: Born probabilities match terminal traces; mass stays in block
     block = dim // (2 ** h)
-    for idx, tau in enumerate(taus):
-        report = run_qmc(q, np.outer(tau, tau.conj()), tol=tol)
+    prob = np.empty((len(q.branches), count))
+    support = np.zeros((len(q.branches), count))
+    for b, so in enumerate(q.branches):
+        w = np.abs(so.matrix @ kets)
+        prob[b] = np.abs(born[b] - np.sum(w ** 2, axis=0))
+        lo, hi = b * block, (b + 1) * block
+        if block < dim:
+            outside = np.maximum(w[:lo].max(axis=0, initial=0.0),
+                                 w[hi:].max(axis=0, initial=0.0))
+            support[b] = outside * w.max(axis=0)
 
-        # clause: product form agrees with the DAG walk after reordering
-        product_state = report.accumulated @ tau
-        dev = global_phase_distance(reordered[:, idx], product_state)
-        worst["state"] = _worse(worst["state"], dev)
-        if not dev <= tol:
-            failures.append(f"state clause: input {idx} deviates by {dev:.3e}")
+    def bits(b: int) -> str:
+        return format(b, f"0{q.h}b") if q.h else ""
 
-        # clause: the chain preserves rank-1 states step by step
-        vec = tau.copy()
-        for step, (so, rho) in enumerate(zip(q.steps, report.densities[1:]), start=1):
-            vec = so.matrix @ vec
-            cdev = float(np.max(np.abs(rho - np.outer(vec, vec.conj()))))
-            worst["chain"] = _worse(worst["chain"], cdev)
-            if not cdev <= tol:
-                failures.append(
-                    f"chain clause: input {idx} step {step} deviates by {cdev:.3e}")
-                break
+    state_bad = ~(state <= tol)
+    prob_bad = ~(prob <= tol)
+    support_bad = ~(support <= support_tol)
+    failures: list[str] = []
+    for idx in np.flatnonzero(state_bad | (first < steps) | prob_bad.any(axis=0)
+                              | support_bad.any(axis=0)):
+        if state_bad[idx]:
+            failures.append(f"state clause: input {idx} deviates by {state[idx]:.3e}")
+        if first[idx] < steps:
+            failures.append(f"chain clause: input {idx} step {first[idx] + 1} "
+                            f"deviates by {chain[first[idx], idx]:.3e}")
+        for b in np.flatnonzero(prob_bad[:, idx] | support_bad[:, idx]):
+            if prob_bad[b, idx]:
+                failures.append(f"probability clause: input {idx} outcome "
+                                f"{bits(b) or '-'} deviates by {prob[b, idx]:.3e}")
+            if support_bad[b, idx]:
+                failures.append(f"support clause: input {idx} outcome {bits(b) or '-'} "
+                                f"leaks {support[b, idx]:.3e} outside its block")
 
-        # clause: Born probabilities match terminal traces; mass stays in block
-        for rec in report.outcomes:
-            pdev = abs(float(born[rec.index, idx]) - rec.probability)
-            worst["prob"] = _worse(worst["prob"], pdev)
-            if not pdev <= tol:
-                failures.append(
-                    f"probability clause: input {idx} outcome {rec.bits or '-'} "
-                    f"deviates by {pdev:.3e}")
-            leak = np.abs(rec.density)
-            lo, hi = rec.index * block, (rec.index + 1) * block
-            leak[lo:hi, lo:hi] = 0.0
-            sdev = float(np.max(leak))
-            worst["support"] = _worse(worst["support"], sdev)
-            if not sdev <= support_tol:
-                failures.append(
-                    f"support clause: input {idx} outcome {rec.bits or '-'} "
-                    f"leaks {sdev:.3e} outside its block")
-
-    return EquivalenceReport(passed=not failures, state=worst["state"],
-                             chain=worst["chain"], prob=worst["prob"],
-                             support=worst["support"], failures=tuple(failures))
+    worst: dict[str, float] = {}
+    worst_at: dict[str, tuple[int, str | None] | None] = {}
+    for name, devs in (("state", state), ("chain", chain_worst)):
+        worst[name], at = _worst(devs)
+        worst_at[name] = None if at is None else (at, None)
+    for name, devs in (("prob", prob), ("support", support)):
+        # input-major, as the inputs are checked
+        worst[name], at = _worst(devs.T.reshape(-1))
+        worst_at[name] = None if at is None else (at // len(q.branches),
+                                                  bits(at % len(q.branches)))
+    return EquivalenceReport(passed=not failures, failures=tuple(failures),
+                             worst_at=worst_at, **worst)

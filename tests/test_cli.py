@@ -172,6 +172,10 @@ def test_verify_json_is_strict_on_nan_chain(tmp_path, capsys, monkeypatch):
     assert payload["passed"] is False
     assert payload["deviations"]["state"] == "nan"
     assert "state clause: input 0 deviates by nan" in payload["failures"]
+    assert payload["worst"] == {"state": {"input": 0, "outcome": None},
+                                "chain": {"input": 0, "outcome": None},
+                                "probability": {"input": 0, "outcome": "0"},
+                                "support": {"input": 0, "outcome": "0"}}
 
 
 def test_verify_json_format(circuit_file, capsys):
@@ -179,6 +183,9 @@ def test_verify_json_format(circuit_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert payload["deviations"]["probability"] <= 1e-9
+    assert list(payload["worst"]) == list(payload["deviations"])
+    for at in payload["worst"].values():
+        assert 0 <= at["input"] < payload["inputs"]
 
 
 def test_gen_test_circuit_structure():

@@ -191,6 +191,43 @@ def test_reparse_rejects_malformed_models():
         reparse_model(good.replace("endmodule", "", 1))
 
 
+
+def _deutsch_model() -> str:
+    c = parse_circuit((pathlib.Path(__file__).parents[1] / "circuits" / "deutsch.qc").read_text())
+    model = emit_qpmc(build_qmc(translate(c)[0]))
+    assert "\nmodule model\n" in model
+    return model
+
+
+# each of these module lines once reparsed into a chain
+
+
+def test_reparse_rejects_bare_module_line():
+    with pytest.raises(ReparseError, match="unrecognized line 'module'"):
+        reparse_model(_deutsch_model().replace("\nmodule model\n", "\nmodule\n", 1))
+
+
+def test_reparse_rejects_module_keyword_prefix():
+    with pytest.raises(ReparseError, match="unrecognized line 'modulex y z'"):
+        reparse_model(_deutsch_model().replace("\nmodule model\n", "\nmodulex y z\n", 1))
+
+
+def test_reparse_rejects_module_line_with_endmodule():
+    with pytest.raises(ReparseError, match="unrecognized line 'module 9 endmodule'"):
+        reparse_model(_deutsch_model().replace("\nmodule model\n",
+                                               "\nmodule 9 endmodule\n", 1))
+
+
+def test_reparse_rejects_second_module_and_stray_endmodule():
+    model = _deutsch_model()
+    body = model[model.index("module model"):model.index("endmodule") + len("endmodule")]
+    with pytest.raises(ReparseError, match="second module model"):
+        reparse_model(model.replace(body, body + "\n" + body, 1))
+    with pytest.raises(ReparseError, match="endmodule without an open module"):
+        reparse_model(model.replace("endmodule", "endmodule\nendmodule", 1))
+    assert reparse_model(model.replace("module model", "module _m2", 1)).n == \
+        reparse_model(model).n
+
 def test_reparse_rejects_non_finite_entries():
     # a NaN entry once reached the Superoperator trace check and escaped as a
     # raw numpy LinAlgError; 1e999 overflows to inf

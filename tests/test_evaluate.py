@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,18 +11,21 @@ from hypothesis import strategies as st
 
 from helpers import (DOUBLE, PARAM, SINGLE, basis_state, nan_step_chain,
                      random_circuit)
+from qmcforge import evaluate
 from qmcforge.circuit import UNITARY, topo_order, wire_positions
+from qmcforge.cli import gen_test_circuit
+from qmcforge.config import DEFAULT_TOL
 from qmcforge.errors import (BadInitialState, BitLengthMismatch,
                              DimensionMismatch, ValidationFailed)
-from qmcforge.evaluate import (_walk, _worse, check_equivalence,
-                               global_phase_distance, measured_wires,
-                               outcome_probability, random_kets, run_qmc,
-                               simulate_circuit)
+from qmcforge.evaluate import (_first_failures, _walk, _worst,
+                               check_equivalence, global_phase_distance,
+                               measured_wires, outcome_probability,
+                               random_kets, run_qmc, simulate_circuit)
 from qmcforge.gates import gate_matrix
-from qmcforge.linalg import tensor
+from qmcforge.linalg import _permute_indices, tensor
 from qmcforge.normalize import to_normal_form, translate
-from qmcforge.parser import parse_circuit
-from qmcforge.qmc import build_qmc
+from qmcforge.parser import emit_circuit_text, parse_circuit
+from qmcforge.qmc import Superoperator, build_qmc, qmc_from_matrices
 
 BELL = "qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"
 
@@ -214,10 +218,24 @@ def test_check_equivalence_fails_closed_on_nan():
 
 
 def test_worst_deviation_keeps_nan():
-    assert _worse(0.0, 1e-3) == 1e-3
-    assert _worse(1e-3, 0.0) == 1e-3
-    assert math.isnan(_worse(0.0, float("nan")))
-    assert math.isnan(_worse(_worse(0.0, float("nan")), 1.0))
+    nan = float("nan")
+    assert _worst(np.array([0.0, 1e-3])) == (1e-3, 1)
+    assert _worst(np.array([1e-3, 0.0, 1e-3])) == (1e-3, 0)
+    value, at = _worst(np.array([0.0, nan, 1.0, nan]))
+    assert math.isnan(value) and at == 1
+    assert _worst(np.array([])) == (0.0, None)
+
+
+def test_chain_deviation_stops_at_the_first_failing_step():
+    nan = float("nan")
+    chain = np.array([[0.0, 0.2, 0.0],
+                      [0.1, 0.9, nan],
+                      [0.05, nan, 0.0]])  # steps x inputs
+    first, worst = _first_failures(chain, tol=0.15)
+    assert first.tolist() == [3, 0, 1]
+    assert worst[:2].tolist() == [0.1, 0.2] and math.isnan(worst[2])
+    first, worst = _first_failures(np.zeros((0, 2)), tol=0.15)
+    assert first.tolist() == [0, 0] and worst.tolist() == [0.0, 0.0]
 
 
 def test_check_equivalence_rejects_bad_circuits_and_kets():
@@ -305,3 +323,188 @@ def test_batched_oracle_matches_per_ket_definition(text, count, seed):
                     if "".join(str((i >> (k - w)) & 1) for w in wires) == bits)
             assert born[outcome, j] == pytest.approx(p, abs=1e-12)
             assert outcome_probability(c, ket, bits) == pytest.approx(p, abs=1e-12)
+
+
+# --- the ket block against the per-input check ----------------------------
+
+def _worse(worst: float, dev: float) -> float:
+    """The larger deviation; a NaN, once seen, stays the worst."""
+    return dev if dev > worst or math.isnan(dev) else worst
+
+
+def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
+                     support_tol=DEFAULT_TOL.algebraic):
+    """The per-input check_equivalence: one run_qmc per input, the state
+    clause from the accumulated product, the other clauses from the
+    propagated densities.
+
+    Returns the failures, the worst deviation per clause and every
+    deviation counted, keyed by clause and then by (input, outcome bits).
+    """
+    k, h = s.k, s.h
+    dim = 2 ** k
+    taus = [np.asarray(psi, dtype=np.complex128).reshape(-1) for psi in inputs]
+    finals, born = _walk(c, np.array(taus, dtype=np.complex128).reshape(-1, dim).T)
+    reordered = finals[np.argsort(_permute_indices(k, s.wire_map))]
+    seen = {"state": {}, "chain": {}, "prob": {}, "support": {}}
+    failures = []
+
+    block = dim // (2 ** h)
+    for idx, tau in enumerate(taus):
+        report = run_qmc(q, np.outer(tau, tau.conj()), tol=tol)
+
+        product_state = report.accumulated @ tau
+        dev = global_phase_distance(reordered[:, idx], product_state)
+        seen["state"][idx, None] = dev
+        if not dev <= tol:
+            failures.append(f"state clause: input {idx} deviates by {dev:.3e}")
+
+        vec = tau.copy()
+        worst_step = 0.0
+        for step, (so, rho) in enumerate(zip(q.steps, report.densities[1:]), start=1):
+            vec = so.matrix @ vec
+            cdev = float(np.max(np.abs(rho - np.outer(vec, vec.conj()))))
+            worst_step = _worse(worst_step, cdev)
+            if not cdev <= tol:
+                failures.append(
+                    f"chain clause: input {idx} step {step} deviates by {cdev:.3e}")
+                break
+        seen["chain"][idx, None] = worst_step
+
+        for rec in report.outcomes:
+            pdev = abs(float(born[rec.index, idx]) - rec.probability)
+            seen["prob"][idx, rec.bits] = pdev
+            if not pdev <= tol:
+                failures.append(
+                    f"probability clause: input {idx} outcome {rec.bits or '-'} "
+                    f"deviates by {pdev:.3e}")
+            leak = np.abs(rec.density)
+            lo, hi = rec.index * block, (rec.index + 1) * block
+            leak[lo:hi, lo:hi] = 0.0
+            sdev = float(np.max(leak))
+            seen["support"][idx, rec.bits] = sdev
+            if not sdev <= support_tol:
+                failures.append(
+                    f"support clause: input {idx} outcome {rec.bits or '-'} "
+                    f"leaks {sdev:.3e} outside its block")
+
+    worst = {}
+    for clause, devs in seen.items():
+        worst[clause] = 0.0
+        for dev in devs.values():
+            worst[clause] = _worse(worst[clause], dev)
+    return tuple(failures), worst, seen
+
+
+@st.composite
+def _perturbed_case(draw):
+    """A random circuit and its chain, with some steps replaced by
+    contractive non-unitary maps, some branches by non-projector
+    contractions, perhaps a NaN written into a step after construction,
+    and a battery of random and basis kets."""
+    c = parse_circuit(draw(_circuit_text()))
+    s, _ = translate(c)
+    q = build_qmc(s)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = 2 ** s.k
+
+    def contraction():
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return a * (rng.uniform(0.2, 0.99) / np.linalg.norm(a, 2))
+
+    steps = [contraction() if draw(st.booleans()) else so.matrix.copy()
+             for so in q.steps]
+    branches = [contraction() if draw(st.integers(0, 3)) == 0 else so.matrix
+                for so in q.branches]
+    chain = qmc_from_matrices(s.k, s.h, steps, branches)
+    if steps and draw(st.booleans()):
+        t = draw(st.integers(0, len(steps) - 1))
+        row, col = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        chain.steps[t].matrix[row, col] = np.nan
+    basis = draw(st.lists(st.integers(0, dim - 1), max_size=4))
+    kets = random_kets(s.k, draw(st.integers(0, 3)), rng) + \
+        [basis_state(s.k, i) for i in basis]
+    return c, s, chain, kets or [basis_state(s.k, 0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_perturbed_case())
+def test_ket_block_matches_per_input_check(case):
+    c, s, q, kets = case
+    failures, worst, seen = _reference_check(c, s, q, kets)
+    rep = check_equivalence(c, s, q, kets)
+    assert rep.failures == failures
+    assert rep.passed == (not failures)
+    for clause, ref in worst.items():
+        got = getattr(rep, clause)
+        if math.isnan(ref):
+            assert math.isnan(got), clause
+        else:
+            assert abs(got - ref) <= 1e-12, clause
+        # the recorded location holds the worst deviation
+        at = seen[clause][rep.worst_at[clause]]
+        assert math.isnan(at) if math.isnan(ref) else abs(at - ref) <= 1e-12
+
+
+def test_chunking_leaves_the_report_unchanged(monkeypatch):
+    c = parse_circuit("qubits 3\ngate H 1\ngate CNOT 1 3\ngate RY(0.4) 2\n"
+                      "measure 2\nmeasure 3\n")
+    s, _ = translate(c)
+    q = build_qmc(s)
+    # a contractive first step and a branch that spreads over every row
+    # make the state, probability and support clauses fail
+    q = dataclasses.replace(q, steps=(Superoperator(0.9 * q.steps[0].matrix),
+                                      *q.steps[1:]),
+                            branches=(Superoperator(np.full((8, 8), 1 / 8)),
+                                      *q.branches[1:]))
+    kets = list(np.eye(8)) + random_kets(3, 5, np.random.default_rng(4))
+    whole = check_equivalence(c, s, q, kets)
+    assert len(kets) <= evaluate._CHUNK_BYTES // (16 * 8 * 8)
+    assert {f.split(":")[0] for f in whole.failures} == \
+        {"state clause", "probability clause", "support clause"}
+    monkeypatch.setattr(evaluate, "_CHUNK_BYTES", 1)
+    assert check_equivalence(c, s, q, kets) == whole
+
+
+def test_check_equivalence_rejects_non_unit_kets():
+    c = parse_circuit(BELL)
+    s, _ = translate(c)
+    q = build_qmc(s)
+    for bad in (2 * basis_state(2, 1), np.full(4, np.nan)):
+        with pytest.raises(BadInitialState, match="input 1"):
+            check_equivalence(c, s, q, [basis_state(2, 0), bad])
+
+
+def test_worst_location_per_clause():
+    c = parse_circuit(BELL)
+    s, _ = translate(c)
+    q = build_qmc(s)
+    rep = check_equivalence(c, s, q)
+    assert set(rep.worst_at) == {"state", "chain", "prob", "support"}
+    assert rep.worst_at["state"][1] is None and rep.worst_at["chain"][1] is None
+    assert check_equivalence(c, s, q, []).worst_at == dict.fromkeys(rep.worst_at)
+    # every input deviates by NaN: the first NaN is the one named
+    one = parse_circuit("qubits 1\ngate H 1\nmeasure 1\n")
+    s1, _ = translate(one)
+    nan = check_equivalence(one, s1, nan_step_chain(build_qmc(s1)))
+    assert nan.worst_at == {"state": (0, None), "chain": (0, None),
+                            "prob": (0, "0"), "support": (0, "0")}
+
+
+def test_check_equivalence_memory_is_bounded():
+    # fully measured k=6 CNOT cycle, all 64 basis kets. Peak traced
+    # allocation: 3.7 MB for the ket block, 11.1 MB for the per-input
+    # check above, which allocates every step's and every branch's 64x64
+    # density afresh for each input.
+    c = parse_circuit(emit_circuit_text(gen_test_circuit(6)) +
+                      "".join(f"measure {w}\n" for w in range(1, 7)))
+    s, _ = translate(c)
+    q = build_qmc(s)
+    tracemalloc.start()
+    try:
+        rep = check_equivalence(c, s, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 6_000_000

@@ -65,9 +65,17 @@ def gen_test_circuit(size: int) -> Circuit:
     return parse_circuit("\n".join(lines))
 
 
+def _read_text(path: str) -> str:
+    """The contents of a circuit, state or model file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise QmcForgeError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_circuit(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+    return parse_circuit(_read_text(path))
 
 
 def _write_or_print(text: str, output: str | None) -> None:
@@ -81,8 +89,10 @@ def _write_or_print(text: str, output: str | None) -> None:
 def _load_ket(args, k: int) -> np.ndarray:
     dim = 2 ** k
     if args.state_file:
-        with open(args.state_file, "r", encoding="utf-8") as fh:
-            pairs = json.load(fh)
+        try:
+            pairs = json.loads(_read_text(args.state_file))
+        except RecursionError as exc:
+            raise QmcForgeError("state file is nested too deeply") from exc
         try:
             v = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -174,8 +184,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         raise QmcForgeError(f"--random wants a count >= 0, got {args.random}")
     c, s, _, q = _compile(args.circuit, cfg)
     if args.against:
-        with open(args.against, "r", encoding="utf-8") as fh:
-            q = reparse_model(fh.read())
+        q = reparse_model(_read_text(args.against))
     inputs = list(np.eye(2 ** s.k, dtype=np.complex128))
     if args.random:
         rng = np.random.default_rng(cfg.seed)

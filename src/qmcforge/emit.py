@@ -173,21 +173,28 @@ def _parse_matrix(literal: str, where: str) -> np.ndarray:
 def reparse_model(text: str) -> Qmc:
     """Parse emitter-produced model text back into a chain.
 
-    Accepts exactly the structure :func:`emit_qpmc` writes (a linear chain,
-    one measurement fan-out, terminal self-loops) and raises ReparseError,
-    with the offending line, on anything else.
+    Accepts exactly the structure :func:`emit_qpmc` writes (the ``qmc``
+    header once, before anything else; one module holding the state variable
+    once; a linear chain, one measurement fan-out, terminal self-loops) and
+    raises ReparseError, with the offending line, on anything else.
+    Comments, blank lines and indentation are ignored.
     """
     consts: dict[str, np.ndarray] = {}
     commands: dict[int, list[tuple[str, int]] | None] = {}
     top = None
-    in_module = seen_module = False
+    in_module = seen_module = seen_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
         where = f"line {lineno}"
-        if line == "qmc":
+        if not seen_header:
+            if line != "qmc":
+                raise ReparseError(f"{where}: missing qmc header")
+            seen_header = True
             continue
+        if line == "qmc":
+            raise ReparseError(f"{where}: repeated qmc header")
         m = _CONST_RE.match(line)
         if m:
             name, literal = m.groups()
@@ -208,6 +215,10 @@ def reparse_model(text: str) -> Qmc:
             continue
         m = _VAR_RE.match(line)
         if m:
+            if not in_module:
+                raise ReparseError(f"{where}: state variable outside the module")
+            if top is not None:
+                raise ReparseError(f"{where}: second state variable declaration")
             top = int(m.group(1))
             continue
         m = _STEP_RE.match(line)

@@ -9,10 +9,10 @@ come from a single pass over the DAG; ``simulate_circuit`` and
 ``outcome_probability`` are that walk on a block of one. On the chain side,
 ``run_qmc`` propagates one density matrix through the superoperators.
 ``check_equivalence`` carries the same block of input kets through the
-chain's step matrices, and every input's density through the same steps as
-a stack, in bounded chunks of inputs, and compares the two semantics along
-every clause that the translation promises to preserve; a NaN deviation
-counts as a failure.
+chain's step matrices and compares the two semantics along every clause
+that the translation promises to preserve; a NaN deviation counts as a
+failure. Every chain map is one matrix, so the density of a propagated ket
+is its outer product and no density is formed.
 """
 
 from __future__ import annotations
@@ -208,7 +208,10 @@ class EquivalenceReport:
     """Worst-case deviations per clause over all checked inputs.
 
     ``state``   final state-vector vs chain product (global phase ignored);
-    ``chain``   rank-1 preservation along the internal chain;
+    ``chain``   rank-1 preservation along the internal chain: with one
+                matrix per map it holds exactly, so the deviation is NaN
+                once a propagated ket has a non-finite entry and 0.0
+                otherwise;
     ``prob``    Born-rule vs terminal-trace probabilities;
     ``support`` post-measurement mass outside the outcome's block.
 
@@ -227,44 +230,19 @@ class EquivalenceReport:
     worst_at: dict[str, tuple[int, str | None] | None] = field(default_factory=dict, hash=False)
 
 
-# Densities propagated together for the chain clause: about 1 MiB of
-# complex128 per stack, at least one input. Larger stacks run no faster
-# and raise the peak memory of a check.
-_CHUNK_BYTES = 1 << 20
-
-
-def _outer_stack(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The densities v v† of the columns of ``v`` (d x n), as an n x d x d stack."""
-    return np.multiply(v.T[:, :, None], v.T.conj()[:, None, :], out=out)
-
-
 def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Carry the input block through the chain's steps as kets and as
-    densities.
+    """Carry the input block through the chain's steps as kets.
 
     Returns the final kets V = M_n ... M_1 taus (d x N) and, for every step
-    t and input j, the largest entry of |rho_t - v_t v_t†| (n x N), where
-    rho_t is the density propagated as M rho M† and v_t the propagated ket.
-    The densities are held for one chunk of inputs at a time.
+    t and input j, the chain deviation (n x N): NaN where column j of V_t
+    has a non-finite entry, else 0.0 (see check_equivalence).
     """
-    dim, count = taus.shape
-    kets = np.empty_like(taus)
-    chain = np.zeros((len(q.steps), count))
-    per = max(1, _CHUNK_BYTES // (16 * dim * dim))
-    for lo in range(0, count, per):
-        cols = slice(lo, lo + per)
-        v = taus[:, cols]
-        rho = _outer_stack(v)
-        work = np.empty_like(rho)
-        for t, so in enumerate(q.steps):
-            m = so.matrix
-            v = m @ v
-            np.matmul(m, rho, out=work)
-            np.matmul(work, m.conj().T, out=rho)
-            diff = np.subtract(rho, _outer_stack(v, out=work), out=work)
-            chain[t, cols] = np.abs(diff).max(axis=(1, 2))
-        kets[:, cols] = v
-    return kets, chain
+    v = taus
+    chain = np.zeros((len(q.steps), taus.shape[1]))
+    for t, so in enumerate(q.steps):
+        v = so.matrix @ v
+        chain[t, ~np.isfinite(v).all(axis=0)] = np.nan
+    return v, chain
 
 
 def _first_failures(chain: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -303,18 +281,15 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
     The inputs form one block, a column per ket. The oracle walks the DAG
     once over the block and yields every final state and every Born
     probability. The chain side carries the block through the model's step
-    matrices as kets, V_t = M_t V_{t-1}, and, for the chain clause, carries
-    every input's density through the same steps as the map rho -> M rho M†,
-    on a stack of densities one bounded chunk of inputs at a time. Every
-    density is compared with the outer products of its ket at every step,
-    so the chain clause stays exhaustive. The state clause compares the
-    final kets with the reordered DAG finals. Once the chain clause has
-    certified rho_n = v v† for every input, the branch densities are
-    w w† with w = M_b v, so the probability clause reads the squared
-    column norms of W_b = M_b V and the support clause the largest |w_i|
-    outside the outcome's block times the largest |w_j|, one branch at a
-    time. A deviation fails unless it is at most its tolerance, so a NaN
-    fails and shows as the worst.
+    matrices as kets, V_t = M_t V_{t-1}. The state clause compares the
+    final kets with the reordered DAG finals. Every map is one matrix M, so
+    the density M rho M† of rho = v v† is (M v)(M v)† exactly: the chain
+    clause checks at every step that each ket is still finite, and the
+    branch densities are w w† with w = M_b v. So the probability clause
+    reads the squared column norms of W_b = M_b V and the support clause
+    the largest |w_i| outside the outcome's block times the largest |w_j|,
+    one branch at a time. A deviation fails unless it is at most its
+    tolerance, so a NaN fails and shows as the worst.
     """
     k, h = s.k, s.h
     dim = 2 ** k
@@ -341,7 +316,7 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
     reordered = finals[np.argsort(_permute_indices(k, s.wire_map))]
     state = _phase_distances(reordered, kets)
 
-    # clause: the chain preserves rank-1 states step by step
+    # clause: the chain preserves rank-1 states step by step (its kets stay finite)
     steps, count = chain.shape
     first, chain_worst = _first_failures(chain, tol)
 

@@ -268,6 +268,7 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
      "[[NaN, 0], [0, 0], [0, 0], [0, 0]]"),
     (["simulate", "{circuit}", "--state-file", "{state}"],
      "[[1" + "0" * 400 + ", 0], [0, 0], [0, 0], [0, 0]]"),
+    (["simulate", "{circuit}", "--state-file", "{state}"], "[" * 200000),
     (["bench", "--sizes", "x..3"], None),
     (["bench", "--sizes", "5..3"], None),
     (["bench", "--sizes", "4..13"], None),
@@ -281,7 +282,7 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
     (["compile", "{circuit}", "--name", "m\nendmodule"], None),
     (["compile", "{circuit}", "--name", ""], None),
 ], ids=["state-triple", "state-object", "state-string", "state-nan",
-        "state-overflow", "sizes-not-int", "sizes-empty", "sizes-past-12",
+        "state-overflow", "state-too-deep", "sizes-not-int", "sizes-empty", "sizes-past-12",
         "sizes-list-past-12", "runs-zero", "random-negative",
         "tol-nan", "tol-inf", "tol-negative", "seed-negative",
         "name-newline", "name-empty"])
@@ -322,3 +323,19 @@ def test_emit_swaps_as_gates_flag(tmp_path, capsys):
                  "--emit-swaps-as-gates", "--output", str(split)]) == 0
     # standalone swaps stretch the chain: more guarded commands
     assert split.read_text().count("(s' =") > fused.read_text().count("(s' =")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{bad}"],
+    ["simulate", "{circuit}", "--state-file", "{bad}"],
+    ["verify", "{circuit}", "--against", "{bad}"],
+], ids=["circuit", "state-file", "model"])
+def test_undecodable_file_exits_2(argv, circuit_file, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xffqubits 2\n")
+    code = main([a.format(circuit=circuit_file, bad=bad) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {bad}: not UTF-8 text "
+                                         "(invalid start byte at byte 0)"]

@@ -228,6 +228,32 @@ def test_reparse_rejects_second_module_and_stray_endmodule():
     assert reparse_model(model.replace("module model", "module _m2", 1)).n == \
         reparse_model(model).n
 
+VAR_LINE = "  s: [0..5] init 0;\n"
+
+
+def _move_var_line(model: str, old: str, new: str) -> str:
+    return model.replace(VAR_LINE, "").replace(old, new, 1)
+
+
+# each of these edits once reparsed into a chain
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: _move_var_line(m, "\nmodule model\n", "\n" + VAR_LINE + "module model\n"),
+     "line 10: state variable outside the module"),
+    (lambda m: _move_var_line(m, "endmodule\n", "endmodule\n" + VAR_LINE),
+     "line 19: state variable outside the module"),
+    (lambda m: m.replace(VAR_LINE, VAR_LINE + VAR_LINE),
+     "line 12: second state variable declaration"),
+    (lambda m: m.replace("qmc\n", "", 1), "line 3: missing qmc header"),
+    (lambda m: m.replace("qmc\n", "qmc\nqmc\n", 1), "line 2: repeated qmc header"),
+], ids=["var-before-module", "var-after-endmodule", "var-twice", "header-missing",
+        "header-twice"])
+def test_reparse_requires_one_header_and_one_variable_line(edit, message):
+    model = _deutsch_model()
+    assert VAR_LINE in model
+    with pytest.raises(ReparseError, match=message):
+        reparse_model(edit(model))
+
+
 def test_reparse_rejects_non_finite_entries():
     # a NaN entry once reached the Superoperator trace check and escaped as a
     # raw numpy LinAlgError; 1e999 overflows to inf

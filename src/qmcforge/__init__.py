@@ -1,14 +1,14 @@
 """Circuit-to-Markov-chain compiler with a dual-simulation checker.
 
-Pipeline: parse a gate-list circuit, pad every gate to the full register
-(normal form), fuse the straight-line chain (strong normal form), attach
-measurement branching to get a superoperator-weighted Markov chain, and
-print it in a guarded-command dialect. The evaluator runs both semantics
-and confirms they agree.
+Pipeline: parse a gate-list circuit, translate it into a straight-line
+chain of full-register unitaries (strong normal form), attach measurement
+branching to get a superoperator-weighted Markov chain, and print it in a
+guarded-command dialect. The evaluator runs both semantics and confirms
+they agree.
 """
 
-from .circuit import (Circuit, Edge, Node, Violation, chain_circuit,
-                      topo_order, validate, wire_positions)
+from .circuit import (Circuit, Edge, Node, Violation, topo_order, validate,
+                      wire_positions)
 from .config import DEFAULT_TOL, Tolerances
 from .emit import emit_qpmc, reparse_model
 from .errors import QmcForgeError
@@ -19,8 +19,7 @@ from .evaluate import (EquivalenceReport, EvalReport, OutcomeRecord,
 from .gates import gate_arity, gate_matrix, known_gates
 from .linalg import (basis_ket, binary_swap, dagger, generalized_swap,
                      is_unitary, swap_decomposition, tensor)
-from .normalize import (SnfCircuit, SwapAccount, snf_to_circuit, to_normal_form,
-                        to_snf, translate)
+from .normalize import SnfCircuit, SwapAccount, translate
 from .parser import emit_circuit_text, parse_circuit
 from .qmc import (Qmc, RowViolation, Superoperator, build_qmc,
                   measurement_matrix, qmc_from_matrices,
@@ -29,8 +28,8 @@ from .qmc import (Qmc, RowViolation, Superoperator, build_qmc,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "Edge", "Node", "Violation", "chain_circuit", "topo_order",
-    "validate", "wire_positions",
+    "Circuit", "Edge", "Node", "Violation", "topo_order", "validate",
+    "wire_positions",
     "DEFAULT_TOL", "Tolerances",
     "emit_qpmc", "reparse_model",
     "QmcForgeError",
@@ -40,8 +39,7 @@ __all__ = [
     "gate_arity", "gate_matrix", "known_gates",
     "basis_ket", "binary_swap", "dagger", "generalized_swap", "is_unitary",
     "swap_decomposition", "tensor",
-    "SnfCircuit", "SwapAccount", "snf_to_circuit", "to_normal_form", "to_snf",
-    "translate",
+    "SnfCircuit", "SwapAccount", "translate",
     "emit_circuit_text", "parse_circuit",
     "Qmc", "RowViolation", "Superoperator", "build_qmc", "measurement_matrix",
     "qmc_from_matrices", "verify_row_stochasticity",

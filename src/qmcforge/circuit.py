@@ -27,7 +27,7 @@ from .linalg import is_unitary
 __all__ = [
     "QUBIT", "UNITARY", "MEASURE", "TERMINATE",
     "Node", "Edge", "Circuit", "Violation",
-    "validate", "topo_order", "wire_positions", "chain_circuit",
+    "validate", "topo_order", "wire_positions",
 ]
 
 QUBIT = "qubit"
@@ -40,19 +40,14 @@ _KIND_RANK = {QUBIT: 0, UNITARY: 1, MEASURE: 2, TERMINATE: 2}
 
 @dataclass(frozen=True)
 class Node:
-    """One circuit node. ``dim``/``matrix`` are meaningful for unitaries only.
-
-    ``footprint``/``base`` are set by the normalizer on padded gates: the
-    original wires the gate touched and its original (small) matrix. The
-    parser leaves them unset.
+    """One circuit node. ``dim``/``matrix`` are meaningful for unitaries only:
+    a unitary acts on ``dim`` wires through its 2^dim x 2^dim ``matrix``.
     """
 
     kind: str
     dim: int = 0
     matrix: np.ndarray | None = None
     label: str = ""
-    footprint: tuple[int, ...] | None = None
-    base: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -220,37 +215,3 @@ def wire_positions(c: Circuit) -> dict[int, tuple[int, ...]]:
             pos_of_output[(nid, j)] = p
     return result
 
-
-def chain_circuit(k: int, matrices: list[np.ndarray], measured: tuple[int, ...] = (),
-                  labels: list[str] | None = None) -> Circuit:
-    """Build the straight-wired circuit: full-width gates applied in sequence.
-
-    Every matrix must be 2^k x 2^k. ``measured`` lists the wires that end in
-    measure nodes; everything else terminates.
-    """
-    nodes: dict[int, Node] = {}
-    edges: list[Edge] = []
-    next_id = 1
-    frontier: list[tuple[int, int]] = []
-    for w in range(k):
-        nodes[next_id] = Node(QUBIT)
-        frontier.append((next_id, 1))
-        next_id += 1
-    for idx, m in enumerate(matrices):
-        if m.shape != (2 ** k, 2 ** k):
-            raise InvalidCircuit(f"gate {idx} has shape {m.shape}, expected 2^{k} square")
-        label = labels[idx] if labels else ""
-        nodes[next_id] = Node(UNITARY, dim=k, matrix=np.asarray(m, dtype=np.complex128),
-                              label=label)
-        for w in range(k):
-            src, s_label = frontier[w]
-            edges.append(Edge(src, next_id, s_label, w + 1))
-            frontier[w] = (next_id, w + 1)
-        next_id += 1
-    for w in range(1, k + 1):
-        kind = MEASURE if w in measured else TERMINATE
-        nodes[next_id] = Node(kind)
-        src, s_label = frontier[w - 1]
-        edges.append(Edge(src, next_id, s_label, 1))
-        next_id += 1
-    return Circuit(k=k, nodes=nodes, edges=tuple(edges))

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,24 +26,12 @@ from .normalize import translate
 from .parser import parse_circuit
 from .qmc import build_qmc, verify_row_stochasticity
 
-__all__ = ["main", "RunConfig", "gen_test_circuit"]
+__all__ = ["main", "gen_test_circuit"]
 
 log = logging.getLogger("qmcforge")
 
 STRATEGIES = ("composed", "direct", "naive-adjacent")
 TEST_SIZES = range(3, MAX_QUBITS + 1)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    strategy: str = "composed"
-    emit_swaps_as_gates: bool = False
-    tol: float = DEFAULT_TOL.pipeline
-    seed: int = 0
-    fmt: str = "text"
-    output: str | None = None
 
 
 def gen_test_circuit(size: int) -> Circuit:
@@ -113,10 +100,10 @@ def _load_ket(args, k: int) -> np.ndarray:
     return v
 
 
-def _compile(path: str, cfg: RunConfig):
-    c = _read_circuit(path)
-    s, account = translate(c, strategy=cfg.strategy,
-                           emit_swaps_as_gates=cfg.emit_swaps_as_gates)
+def _compile(args):
+    c = _read_circuit(args.circuit)
+    s, account = translate(c, strategy=args.strategy,
+                           emit_swaps_as_gates=args.emit_swaps_as_gates)
     q = build_qmc(s)
     violations = verify_row_stochasticity(q)
     if violations:
@@ -127,23 +114,23 @@ def _compile(path: str, cfg: RunConfig):
     return c, s, account, q
 
 
-def cmd_validate(args, cfg: RunConfig) -> int:
+def cmd_validate(args) -> int:
     c = _read_circuit(args.circuit)
     info = {"valid": True, "qubits": c.k,
             "nodes": len(c.nodes), "edges": len(c.edges)}
-    if cfg.fmt == "json":
-        _write_or_print(json.dumps(info, indent=2) + "\n", cfg.output)
+    if args.fmt == "json":
+        _write_or_print(json.dumps(info, indent=2) + "\n", args.output)
     else:
         _write_or_print(
             f"ok: {c.k} qubits, {len(c.nodes)} nodes, {len(c.edges)} edges\n",
-            cfg.output)
+            args.output)
     return 0
 
 
-def cmd_compile(args, cfg: RunConfig) -> int:
-    _, s, account, q = _compile(args.circuit, cfg)
+def cmd_compile(args) -> int:
+    _, s, account, q = _compile(args)
     text = emit_qpmc(q, name=args.name)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "qubits": s.k, "steps": s.n, "measured": s.h,
             "swap_account": {"per_gate": list(account.per_gate),
@@ -151,46 +138,46 @@ def cmd_compile(args, cfg: RunConfig) -> int:
                              "strategy": account.strategy},
             "model": text,
         }
-        _write_or_print(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _write_or_print(json.dumps(payload, indent=2) + "\n", args.output)
     else:
-        _write_or_print(text, cfg.output)
+        _write_or_print(text, args.output)
     log.info("compiled %s: %d wires, %d steps, %d outcomes, %d swaps (%s)",
              args.circuit, s.k, s.n, 2 ** s.h, account.total, account.strategy)
     return 0
 
 
-def cmd_simulate(args, cfg: RunConfig) -> int:
-    c, s, _, q = _compile(args.circuit, cfg)
+def cmd_simulate(args) -> int:
+    c, s, _, q = _compile(args)
     tau = _load_ket(args, s.k)
-    report = run_qmc(q, np.outer(tau, tau.conj()), tol=cfg.tol)
-    if cfg.fmt == "json":
+    report = run_qmc(q, np.outer(tau, tau.conj()), tol=args.tol)
+    if args.fmt == "json":
         payload = {
             "qubits": s.k, "measured": s.h,
             "outcomes": [{"bits": o.bits, "probability": o.probability}
                          for o in report.outcomes],
         }
-        _write_or_print(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _write_or_print(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     lines = [f"outcome probabilities ({s.h} measured of {s.k} wires):"]
     for o in report.outcomes:
         shown = round(o.probability, 10) + 0.0  # drop the sign of a rounded-away -0
         lines.append(f"  {o.bits or '(none)'}  {shown:.10f}")
-    _write_or_print("\n".join(lines) + "\n", cfg.output)
+    _write_or_print("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.random < 0:
         raise QmcForgeError(f"--random wants a count >= 0, got {args.random}")
-    c, s, _, q = _compile(args.circuit, cfg)
+    c, s, _, q = _compile(args)
     if args.against:
         q = reparse_model(_read_text(args.against))
     inputs = list(np.eye(2 ** s.k, dtype=np.complex128))
     if args.random:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         inputs += random_kets(s.k, args.random, rng)
-    rep = check_equivalence(c, s, q, inputs, tol=cfg.tol)
-    if cfg.fmt == "json":
+    rep = check_equivalence(c, s, q, inputs, tol=args.tol)
+    if args.fmt == "json":
         # strict JSON has no NaN or infinity: a non-finite deviation is
         # written as a string ("nan", "inf")
         clauses = {"state": "state", "chain": "chain", "probability": "prob",
@@ -203,7 +190,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                    "worst": {name: None if at is None else {"input": at[0], "outcome": at[1]}
                              for name, at in worst.items()},
                    "failures": list(rep.failures)}
-        _write_or_print(json.dumps(payload, indent=2, allow_nan=False) + "\n", cfg.output)
+        _write_or_print(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
     else:
         lines = [f"checked {len(inputs)} input states",
                  f"  state deviation       {rep.state:.3e}",
@@ -212,7 +199,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                  f"  support leakage       {rep.support:.3e}",
                  "PASS" if rep.passed else "FAIL"]
         lines.extend(f"  {f}" for f in rep.failures)
-        _write_or_print("\n".join(lines) + "\n", cfg.output)
+        _write_or_print("\n".join(lines) + "\n", args.output)
     return 0 if rep.passed else 1
 
 
@@ -234,7 +221,7 @@ def _parse_sizes(text: str) -> list[int]:
     return list(sizes)
 
 
-def cmd_bench(args, cfg: RunConfig) -> int:
+def cmd_bench(args) -> int:
     if args.runs < 1:
         raise QmcForgeError(f"--runs wants a count >= 1, got {args.runs}")
     sizes = _parse_sizes(args.sizes)
@@ -243,8 +230,8 @@ def cmd_bench(args, cfg: RunConfig) -> int:
         c = gen_test_circuit(size)
 
         def pipeline():
-            s, account = translate(c, strategy=cfg.strategy,
-                                   emit_swaps_as_gates=cfg.emit_swaps_as_gates)
+            s, account = translate(c, strategy=args.strategy,
+                                   emit_swaps_as_gates=args.emit_swaps_as_gates)
             emit_qpmc(build_qmc(s))
             return account
 
@@ -267,9 +254,9 @@ def cmd_bench(args, cfg: RunConfig) -> int:
                      f"{r['stddev_s']:>10.4f}  {r['swaps']:>6}")
     print("\n".join(lines))
 
-    report = {"format": "qmcforge-bench/1", "strategy": cfg.strategy,
-              "emit_swaps_as_gates": cfg.emit_swaps_as_gates, "results": rows}
-    out = cfg.output or "qmcforge-bench.json"
+    report = {"format": "qmcforge-bench/1", "strategy": args.strategy,
+              "emit_swaps_as_gates": args.emit_swaps_as_gates, "results": rows}
+    out = args.output or "qmcforge-bench.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -286,15 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    # each subcommand takes only the options it reads
+    def routing(sp):
         sp.add_argument("--strategy", choices=STRATEGIES, default="composed",
                         help="swap synthesis strategy (default: composed)")
         sp.add_argument("--emit-swaps-as-gates", action="store_true",
                         help="keep rearrangements as standalone chain steps")
+
+    def tolerance(sp):
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL.pipeline,
                         help="numerical tolerance for end-to-end checks")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized inputs")
+
+    def reporting(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text",
                         dest="fmt", help="stdout format")
         sp.add_argument("--output", help="write result to this file instead "
@@ -303,14 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="parse a circuit file and check the "
                                          "structural rules")
     sp.add_argument("circuit")
-    common(sp)
+    reporting(sp)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("compile", help="translate a circuit into a chain "
                                         "model and print it")
     sp.add_argument("circuit")
     sp.add_argument("--name", default="model", help="module name in the output")
-    common(sp)
+    routing(sp)
+    reporting(sp)
     sp.set_defaults(func=cmd_compile)
 
     sp = sub.add_parser("simulate", help="run the compiled chain on an input "
@@ -318,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("circuit")
     sp.add_argument("--input", help="basis-state bits, wire 1 first (default all zeros)")
     sp.add_argument("--state-file", help="JSON list of [re, im] amplitude pairs")
-    common(sp)
+    routing(sp)
+    tolerance(sp)
+    reporting(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify", help="check circuit semantics against the "
@@ -328,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
                                       "freshly compiled chain")
     sp.add_argument("--random", type=int, default=0, metavar="N",
                     help="add N random unit kets to the basis-state battery")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the random kets")
+    routing(sp)
+    tolerance(sp)
+    reporting(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("bench", help="time the pipeline on generated circuits")
@@ -336,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'A..B' range or comma list (default 3..8)")
     sp.add_argument("--runs", type=int, default=5,
                     help="timed runs per size after one warmup (default 5)")
-    common(sp)
+    sp.add_argument("--output", help="write the JSON report to this file "
+                                     "(default qmcforge-bench.json)")
+    routing(sp)
     sp.set_defaults(func=cmd_bench)
     return p
 
@@ -346,17 +345,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(strategy=args.strategy,
-                    emit_swaps_as_gates=args.emit_swaps_as_gates,
-                    tol=args.tol, seed=args.seed, fmt=args.fmt,
-                    output=args.output)
     try:
         # a NaN tolerance fails every check and an infinite one passes every check
-        if not 0 <= cfg.tol < math.inf:
-            raise QmcForgeError(f"--tol wants a finite number >= 0, got {cfg.tol}")
-        if cfg.seed < 0:
-            raise QmcForgeError(f"--seed wants an integer >= 0, got {cfg.seed}")
-        return args.func(args, cfg)
+        if "tol" in args and not 0 <= args.tol < math.inf:
+            raise QmcForgeError(f"--tol wants a finite number >= 0, got {args.tol}")
+        if "seed" in args and args.seed < 0:
+            raise QmcForgeError(f"--seed wants an integer >= 0, got {args.seed}")
+        return args.func(args)
     except (QmcForgeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -174,9 +174,10 @@ def reparse_model(text: str) -> Qmc:
     """Parse emitter-produced model text back into a chain.
 
     Accepts exactly the structure :func:`emit_qpmc` writes (the ``qmc``
-    header once, before anything else; one module holding the state variable
-    once; a linear chain, one measurement fan-out, terminal self-loops) and
-    raises ReparseError, with the offending line, on anything else.
+    header once, before anything else; constants before the module, each one
+    used; one module holding the state variable once; a linear chain, one
+    measurement fan-out, terminal self-loops) and raises ReparseError, with
+    the offending line, on anything else.
     Comments, blank lines and indentation are ignored.
     """
     consts: dict[str, np.ndarray] = {}
@@ -198,6 +199,8 @@ def reparse_model(text: str) -> Qmc:
         m = _CONST_RE.match(line)
         if m:
             name, literal = m.groups()
+            if seen_module:
+                raise ReparseError(f"{where}: constant {name} after the module line")
             if name in consts:
                 raise ReparseError(f"{where}: duplicate constant {name}")
             consts[name] = _parse_matrix(literal, where)
@@ -248,6 +251,10 @@ def reparse_model(text: str) -> Qmc:
         raise ReparseError("missing state variable declaration")
     if sorted(commands) != list(range(top + 1)):
         raise ReparseError(f"guards do not cover 0..{top} exactly once")
+    used = {cname for acts in commands.values() if acts for cname, _ in acts}
+    unused = [name for name in consts if name not in used]
+    if unused:
+        raise ReparseError(f"constant {unused[0]} is never used")
 
     terminals = [g for g, acts in commands.items() if acts is None]
     if not terminals or terminals != list(range(min(terminals), top + 1)):

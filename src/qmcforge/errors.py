@@ -71,13 +71,6 @@ class InvalidCircuit(QmcForgeError):
     """An operation was asked to process a structurally broken circuit."""
 
 
-# --- normalizer -------------------------------------------------------------
-
-
-class NotNormalForm(QmcForgeError):
-    """to_snf requires a circuit whose unitaries all span the register."""
-
-
 # --- qmc / emitter ----------------------------------------------------------
 
 

@@ -1,20 +1,16 @@
-"""Normal-form and strong-normal-form rewriting of circuit graphs.
+"""Strong-normal-form rewriting of circuit graphs.
 
-``to_normal_form`` widens every gate to act on the full register: a gate U on
-wires (w1..wd) becomes P^-1 (U tensor I) P, where P is the permutation that
-routes those wires to the leading positions, gathered by permuted basis
-indices rather than multiplied out. The resulting circuit is a
-straight-wired chain of full-width unitaries; each padded node remembers its
-original footprint and matrix.
-
-``to_snf`` flattens such a chain into the tuple <k, [U1..Un], h>: maximal
-runs of gates on pairwise-disjoint wires collapse into single steps (their
-simultaneous application), wire-routing permutations are fused into the
-step matrices (or, behind a flag, emitted as standalone swap gates), and one
-final permutation moves the measured wires into the leading positions. A
-SwapAccount reports how many binary swaps each routing decomposes into under
-the chosen strategy; the strategy sets only that count, not the matrices.
-``translate`` builds the same result straight from the source gates.
+``translate`` turns a circuit into the tuple <k, [U1..Un], h> in one pass
+over its gates. Maximal runs of gates on pairwise-disjoint wires collapse
+into single steps (their simultaneous application). Each step is the run's
+matrix padded to the full register: a gate U on wires (w1..wd) becomes
+P^-1 (U tensor I) P, where P is the permutation that routes those wires to
+the leading positions, gathered by permuted basis indices rather than
+multiplied out. The routing is thus fused into the step matrix (or, behind a
+flag, emitted as standalone swap steps), and one final permutation moves the
+measured wires into the leading positions. A SwapAccount reports how many
+binary swaps each routing decomposes into under the chosen strategy; the
+strategy sets only that count, not the matrices.
 """
 
 from __future__ import annotations
@@ -24,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit, Edge, Node,
-                      chain_circuit, topo_order, validate, wire_positions)
-from .errors import NotNormalForm, ValidationFailed
+from .circuit import MEASURE, UNITARY, Circuit, topo_order, validate, wire_positions
+from .errors import ValidationFailed
 from .linalg import (_permute_indices, binary_swap, generalized_swap,
                      swap_decomposition, tensor)
 
-__all__ = ["SnfCircuit", "SwapAccount", "to_normal_form", "to_snf",
-           "translate", "snf_to_circuit"]
+__all__ = ["SnfCircuit", "SwapAccount", "translate"]
 
 log = logging.getLogger(__name__)
 
@@ -96,60 +90,6 @@ def _embed(base: np.ndarray, wires: tuple[int, ...], k: int) -> np.ndarray:
     return _pad(base, k)[np.ix_(idx, idx)]
 
 
-def _gate_payload(c: Circuit, nid: int,
-                  positions: dict[int, tuple[int, ...]]) -> tuple[np.ndarray, tuple[int, ...], str]:
-    """(original matrix, occupied positions, label) for a unitary node."""
-    node = c.nodes[nid]
-    if node.footprint is not None and node.base is not None:
-        return node.base, node.footprint, node.label
-    return node.matrix, positions[nid], node.label
-
-
-def _require_valid(c: Circuit) -> None:
-    problems = validate(c)
-    if problems:
-        raise ValidationFailed(problems)
-
-
-def to_normal_form(c: Circuit) -> Circuit:
-    """Pad every gate to full register width; straighten the wiring.
-
-    Gate count, order, and semantics are preserved. Idempotent: running it
-    on its own output changes nothing.
-    """
-    _require_valid(c)
-    positions = wire_positions(c)
-    measured = tuple(sorted(positions[m][0] for m in c.nodes_of_kind(MEASURE)))
-
-    nodes: dict[int, Node] = {}
-    edges: list[Edge] = []
-    next_id = 1
-    frontier: list[tuple[int, int]] = []
-    for _ in range(c.k):
-        nodes[next_id] = Node(QUBIT)
-        frontier.append((next_id, 1))
-        next_id += 1
-    for nid in topo_order(c):
-        if c.nodes[nid].kind != UNITARY:
-            continue
-        base, wires, label = _gate_payload(c, nid, positions)
-        wide = _embed(base, wires, c.k)
-        nodes[next_id] = Node(UNITARY, dim=c.k, matrix=wide, label=label,
-                              footprint=wires, base=base)
-        for w in range(c.k):
-            src, s_label = frontier[w]
-            edges.append(Edge(src, next_id, s_label, w + 1))
-            frontier[w] = (next_id, w + 1)
-        next_id += 1
-    for w in range(1, c.k + 1):
-        kind = MEASURE if w in measured else TERMINATE
-        nodes[next_id] = Node(kind)
-        src, s_label = frontier[w - 1]
-        edges.append(Edge(src, next_id, s_label, 1))
-        next_id += 1
-    return Circuit(k=c.k, nodes=nodes, edges=tuple(edges))
-
-
 def _grouped_payloads(c: Circuit, positions: dict[int, tuple[int, ...]]
                       ) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
     """Split the gate sequence into maximal runs on pairwise-disjoint wires.
@@ -161,25 +101,26 @@ def _grouped_payloads(c: Circuit, positions: dict[int, tuple[int, ...]]
     used: set[int] = set()
     current: list[tuple[np.ndarray, tuple[int, ...]]] = []
     for nid in topo_order(c):
-        if c.nodes[nid].kind != UNITARY:
+        node = c.nodes[nid]
+        if node.kind != UNITARY:
             continue
-        base, wires, _ = _gate_payload(c, nid, positions)
+        wires = positions[nid]
         if current and (used & set(wires)):
             groups.append(current)
             current, used = [], set()
-        current.append((base, wires))
+        current.append((node.matrix, wires))
         used |= set(wires)
     if current:
         groups.append(current)
     return groups
 
 
-def to_snf(c: Circuit, strategy: str = "composed",
-           emit_swaps_as_gates: bool = False) -> tuple[SnfCircuit, SwapAccount]:
-    """Flatten a normal-form circuit into <k, [U1..Un], h> plus its swap bill.
+def translate(c: Circuit, strategy: str = "composed",
+              emit_swaps_as_gates: bool = False) -> tuple[SnfCircuit, SwapAccount]:
+    """Rewrite a circuit into <k, [U1..Un], h> plus its swap bill.
 
     Args:
-        c: circuit whose unitaries all have dim = k (NotNormalForm otherwise).
+        c: the circuit; ValidationFailed if it breaks a structural rule.
         strategy: how routing permutations are billed: "composed"
             (selection-sort binary swaps), "direct" (zero swap cost), or
             "naive-adjacent" (adjacent transpositions only). Fused step
@@ -194,17 +135,9 @@ def to_snf(c: Circuit, strategy: str = "composed",
         (SnfCircuit, SwapAccount). The account has one entry per step, plus
         a final entry when the measured wires had to be realigned.
     """
-    _require_valid(c)
-    for nid, node in c.nodes.items():
-        if node.kind == UNITARY and node.dim != c.k:
-            raise NotNormalForm(f"node {nid} has dim {node.dim}, register has {c.k}")
-    return _snf(c, strategy, emit_swaps_as_gates)
-
-
-def _snf(c: Circuit, strategy: str,
-         emit_swaps_as_gates: bool) -> tuple[SnfCircuit, SwapAccount]:
-    """Strong normal form of a valid circuit. Gates are read through
-    ``_gate_payload``, so a normal form and its source circuit agree."""
+    problems = validate(c)
+    if problems:
+        raise ValidationFailed(problems)
     k = c.k
     positions = wire_positions(c)
     measured = tuple(sorted(positions[m][0] for m in c.nodes_of_kind(MEASURE)))
@@ -251,16 +184,3 @@ def _routing_steps(perm: tuple[int, ...], k: int, strategy: str) -> list[np.ndar
         return [generalized_swap(perm, "direct")[0]]
     return [binary_swap(k, i, j) for (i, j) in swap_decomposition(perm, strategy)]
 
-
-def translate(c: Circuit, strategy: str = "composed",
-              emit_swaps_as_gates: bool = False) -> tuple[SnfCircuit, SwapAccount]:
-    """Full rewriting pipeline, ``to_snf(to_normal_form(c), ...)``, read
-    straight from the source gates: validates once, pads no gate in advance."""
-    _require_valid(c)
-    return _snf(c, strategy, emit_swaps_as_gates)
-
-
-def snf_to_circuit(s: SnfCircuit) -> Circuit:
-    """The chain circuit a strong-normal-form tuple denotes."""
-    return chain_circuit(s.k, list(s.unitaries),
-                         measured=tuple(range(1, s.h + 1)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmcforge.circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit,
-                              Edge, Node, chain_circuit, topo_order, validate,
+                              Edge, Node, topo_order, validate,
                               wire_positions)
 from qmcforge.errors import CycleDetected
 from qmcforge.gates import gate_matrix
@@ -100,14 +100,3 @@ def test_wire_positions_multiwire_gate_order():
     positions = wire_positions(c)
     (gid,) = c.nodes_of_kind(UNITARY)
     assert positions[gid] == (3, 1)  # input order preserved, not sorted
-
-
-def test_chain_circuit_builds_valid_straight_line():
-    h = gate_matrix("H")
-    full = np.kron(h, np.eye(2))
-    c = chain_circuit(2, [full, full], measured=(1,))
-    assert validate(c) == []
-    assert c.k == 2
-    assert len(c.nodes_of_kind(UNITARY)) == 2
-    assert len(c.nodes_of_kind(MEASURE)) == 1
-    assert len(c.nodes_of_kind(TERMINATE)) == 1

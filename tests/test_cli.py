@@ -301,6 +301,28 @@ def test_bad_arguments_exit_2(argv, state, circuit_file, tmp_path, capsys, monke
     assert captured.err.startswith("error: ")
 
 
+# each of these options was accepted and silently ignored
+@pytest.mark.parametrize("argv", [
+    ["validate", "{circuit}", "--strategy", "direct"],
+    ["validate", "{circuit}", "--emit-swaps-as-gates"],
+    ["validate", "{circuit}", "--tol", "1e-6"],
+    ["validate", "{circuit}", "--seed", "5"],
+    ["compile", "{circuit}", "--tol", "3"],
+    ["compile", "{circuit}", "--seed", "5"],
+    ["simulate", "{circuit}", "--seed", "5"],
+    ["bench", "--tol", "1e-6"],
+    ["bench", "--seed", "5"],
+    ["bench", "--format", "json"],
+], ids=lambda argv: argv[0] + next(a for a in argv if a.startswith("--")))
+def test_unread_options_are_rejected(argv, circuit_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gen_test_circuit",
+                        lambda size: pytest.fail(f"bench ran size {size}"))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(circuit=circuit_file) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_strategies_emit_identical_models(tmp_path, capsys):
     src = tmp_path / "swapy.qc"
     src.write_text("qubits 3\ngate CNOT 3 1\nmeasure 3\n")

@@ -254,6 +254,20 @@ def test_reparse_requires_one_header_and_one_variable_line(edit, message):
         reparse_model(edit(model))
 
 
+# each of these stray constants once reparsed into the 3-step chain
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.replace("endmodule\n", "endmodule\nconst matrix Z = [1];\n", 1),
+     "line 20: constant Z after the module line"),
+    (lambda m: m.replace(VAR_LINE, VAR_LINE + "  const matrix Z = [1, 0; 0, 1];\n", 1),
+     "line 12: constant Z after the module line"),
+    (lambda m: m.replace("\nmodule model\n", "\nconst matrix Z = [1];\nmodule model\n", 1),
+     "constant Z is never used"),
+], ids=["after-endmodule", "inside-module", "unused"])
+def test_reparse_rejects_stray_constants(edit, message):
+    with pytest.raises(ReparseError, match=message):
+        reparse_model(edit(_deutsch_model()))
+
+
 def test_reparse_rejects_non_finite_entries():
     # a NaN entry once reached the Superoperator trace check and escaped as a
     # raw numpy LinAlgError; 1e999 overflows to inf

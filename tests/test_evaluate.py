@@ -22,7 +22,7 @@ from qmcforge.evaluate import (_first_failures, _walk, _worst,
                                random_kets, run_qmc, simulate_circuit)
 from qmcforge.gates import gate_matrix
 from qmcforge.linalg import _permute_indices, tensor
-from qmcforge.normalize import to_normal_form, translate
+from qmcforge.normalize import translate
 from qmcforge.parser import emit_circuit_text, parse_circuit
 from qmcforge.qmc import Superoperator, build_qmc, qmc_from_matrices
 
@@ -47,23 +47,6 @@ def test_simulate_gate_on_nonadjacent_wires():
     c = parse_circuit("qubits 3\ngate CNOT 3 1\nmeasure 1\n")
     out = simulate_circuit(c, basis_state(3, 0b001))
     assert np.allclose(out, basis_state(3, 0b101), atol=1e-12)
-
-
-def test_simulate_agrees_with_padded_matrices():
-    # the tensor-contraction walk must equal multiplying the padded gates
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        c = random_circuit(rng)
-        nf = to_normal_form(c)
-        from qmcforge.circuit import UNITARY, topo_order
-        product = np.eye(2 ** c.k, dtype=np.complex128)
-        for nid in topo_order(nf):
-            if nf.nodes[nid].kind == UNITARY:
-                product = nf.nodes[nid].matrix @ product
-        for idx in range(2 ** c.k):
-            tau = basis_state(c.k, idx)
-            assert np.allclose(simulate_circuit(c, tau), product @ tau,
-                               atol=1e-12)
 
 
 def test_simulate_rejects_wrong_length():

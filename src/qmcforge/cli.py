@@ -1,7 +1,7 @@
 """Command-line front end: validate, compile, simulate, verify, bench.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input (unreadable file,
-syntax error, invalid circuit, malformed model).
+Exit codes: 0 success, 1 verification failure, 2 bad input (bad argument,
+unreadable file, syntax error, invalid circuit, malformed model).
 """
 
 from __future__ import annotations
@@ -264,8 +264,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as a QmcForgeError, so ``main`` reports them
+    on its one ``error:`` line with exit code 2, like every other bad input.
+    Subcommand parsers are made with this class too."""
+
+    def error(self, message):
+        raise QmcForgeError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qmcforge",
         description="Compile quantum circuits into superoperator-weighted "
                     "Markov chains and check the two semantics against "
@@ -344,8 +353,8 @@ def main(argv=None) -> int:
     level = os.environ.get("QMCFORGE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # a NaN tolerance fails every check and an infinite one passes every check
         if "tol" in args and not 0 <= args.tol < math.inf:
             raise QmcForgeError(f"--tol wants a finite number >= 0, got {args.tol}")

@@ -10,17 +10,29 @@ Matrix literals use bracketed rows separated by ``;`` with comma-separated
 entries, complex values written ``a+bi`` / ``a-bi``. Floats are printed with
 shortest round-trip precision and integer values without a decimal point, so
 emission is deterministic: the same chain always yields identical bytes.
+
+A matrix whose entries are all 0 or 1 (every permutation step and every
+measurement projector) has a fixed-width literal: inside the brackets, entry
+i is its digit at byte 3i, then ``,`` (``;`` at a row end) and a space, so
+an r x c literal is 3rc - 2 bytes. Both directions handle that literal as
+one byte buffer. Emit takes it for a numeric 2-D array whose imaginary parts
+are all 0 and whose real parts are all 0 or 1 (``-0.0`` and ``-0j`` count as
+0); reparse takes it only for a literal of exactly that layout with a square
+entry count. Everything else (other values, NaN, object arrays, any literal
+spaced or separated differently) goes through the per-value path, whose
+bytes, arrays and error messages the byte path reproduces exactly.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 
 from .errors import QmcForgeError, ReparseError
 from .linalg import check_finite
-from .qmc import Qmc, qmc_from_matrices
+from .qmc import Qmc, Superoperator
 
 __all__ = ["format_number", "format_matrix", "emit_qpmc", "reparse_model"]
 
@@ -46,37 +58,64 @@ def format_number(x: complex) -> str:
 
 
 def format_matrix(m: np.ndarray) -> str:
-    """MATLAB-style literal: rows split by ``;``, entries by ``, ``.
+    """MATLAB-style literal: rows split by ``;``, entries by ``, ``."""
+    m = np.atleast_2d(m)
+    text = _format_bits(m)
+    return _format_words(m) if text is None else text
 
-    Each distinct value is formatted once and the rows are joined from those
-    words by index. ``-0.0`` and ``0.0`` share a word, which is safe because
+
+_ZERO, _ONE, _COMMA, _SEMI, _SPACE = b"01,; "
+
+
+def _format_bits(m: np.ndarray) -> str | None:
+    """The fixed-width literal of a numeric 2-D 0/1 matrix, written into one
+    byte buffer; None for any other input."""
+    if m.dtype.kind not in "biufc" or m.ndim != 2 or not m.size:
+        return None
+    ones = m == 1
+    # every nonzero entry is a 1 (a NaN is nonzero and not 1)
+    if np.count_nonzero(m) != np.count_nonzero(ones):
+        return None
+    cols = m.shape[1]
+    buf = np.empty(3 * m.size, dtype=np.uint8)  # "[" + 3rc - 2 bytes + "]"
+    buf[1::3] = ones.reshape(-1)
+    buf[1::3] += _ZERO
+    buf[2::3] = _COMMA
+    buf[3::3] = _SPACE
+    buf[3 * cols - 1::3 * cols] = _SEMI
+    buf[0], buf[-1] = b"[]"
+    return buf.tobytes().decode("ascii")
+
+
+def _format_words(m: np.ndarray) -> str:
+    """Format each distinct value once and join the rows from those words
+    by index. ``-0.0`` and ``0.0`` share a word, which is safe because
     :func:`format_number` prints both as ``0``; NaNs are never merged
     (``equal_nan=False``), so each is formatted on its own.
     """
-    m = np.atleast_2d(m)
     values, inverse = np.unique(m.reshape(-1), return_inverse=True, equal_nan=False)
     words = np.array([format_number(v) for v in values], dtype=object)
     rows = words[inverse].reshape(m.shape).tolist()
     return "[" + "; ".join(", ".join(row) for row in rows) + "]"
 
 
-def _constant_pool(q: Qmc) -> tuple[dict[bytes, str], list[tuple[str, np.ndarray]]]:
+def _constant_pool(q: Qmc) -> tuple[list[tuple[str, np.ndarray]], list[str], list[str]]:
     """Name every distinct matrix: U1.. for chain steps in first-use order,
-    M0..M{2^h-1} for the measurement branches."""
+    M0..M{2^h-1} for the measurement branches. Returns the declarations and
+    the constant name of each step and of each branch."""
     names: dict[bytes, str] = {}
     decls: list[tuple[str, np.ndarray]] = []
 
-    def declare(mat: np.ndarray, cname: str) -> None:
+    def declare(mat: np.ndarray, cname: str) -> str:
         key = mat.tobytes()
         if key not in names:
             names[key] = cname
             decls.append((cname, mat))
+        return names[key]
 
-    for so in q.steps:
-        declare(so.matrix, f"U{len(decls) + 1}")
-    for i, so in enumerate(q.branches):
-        declare(so.matrix, f"M{i}")
-    return names, decls
+    steps = [declare(so.matrix, f"U{len(decls) + 1}") for so in q.steps]
+    branches = [declare(so.matrix, f"M{i}") for i, so in enumerate(q.branches)]
+    return decls, steps, branches
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -90,7 +129,7 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
     if not _NAME_RE.fullmatch(name):
         raise QmcForgeError(f"module name must be an identifier, got {name!r}")
     n, count = q.n, len(q.branches)
-    names, decls = _constant_pool(q)
+    decls, step_names, branch_names = _constant_pool(q)
     top = n + count
 
     lines = ["qmc", ""]
@@ -102,11 +141,10 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
     lines.append(f"module {name}")
     lines.append(f"  s: [0..{top}] init 0;")
     lines.append("")
-    for i, so in enumerate(q.steps):
-        cname = names[so.matrix.tobytes()]
+    for i, cname in enumerate(step_names):
         lines.append(f"  [] (s = {i}) -> <<{cname}>> : (s' = {i + 1});")
-    branch_terms = [f"<<{names[so.matrix.tobytes()]}>> : (s' = {n + 1 + i})"
-                    for i, so in enumerate(q.branches)]
+    branch_terms = [f"<<{cname}>> : (s' = {n + 1 + i})"
+                    for i, cname in enumerate(branch_names)]
     lines.append(f"  [] (s = {n}) -> " + " + ".join(branch_terms) + ";")
     for i in range(count):
         lines.append(f"  [] (s = {n + 1 + i}) -> true;")
@@ -146,6 +184,35 @@ def _parse_entry(token: str, where: str) -> complex:
 
 
 def _parse_matrix(literal: str, where: str) -> np.ndarray:
+    """The square matrix of a literal: read as bytes when it has the
+    fixed-width 0/1 layout, else token by token."""
+    m = _parse_bits(literal)
+    if m is None:
+        return _parse_tokens(literal, where)
+    width = m.shape[0]
+    if width & (width - 1):
+        raise ReparseError(f"{where}: dimension {width} is not a power of two")
+    return m
+
+
+def _parse_bits(literal: str) -> np.ndarray | None:
+    """The square complex matrix of a fixed-width 0/1 literal, read as one
+    byte buffer; None unless ``literal`` has exactly that layout."""
+    count, rest = divmod(len(literal) + 2, 3)
+    width = math.isqrt(count)
+    if rest or width * width != count or not literal.isascii():
+        return None
+    buf = np.frombuffer(literal.encode("ascii"), dtype=np.uint8)
+    digits, seps = buf[0::3], buf[1::3]
+    # a ";" after every row's last entry and a "," after every other one
+    if not (((digits | 1) == _ONE).all() and (buf[2::3] == _SPACE).all()
+            and (seps[width - 1::width] == _SEMI).all()
+            and np.count_nonzero(seps == _COMMA) == count - width):
+        return None
+    return (digits == _ONE).reshape(width, width).astype(np.complex128)
+
+
+def _parse_tokens(literal: str, where: str) -> np.ndarray:
     """Parse each distinct raw token once, in row-major order of first use
     (so the first bad token is the one reported), then build the array from
     the cached values."""
@@ -261,34 +328,36 @@ def reparse_model(text: str) -> Qmc:
         raise ReparseError("terminal self-loops must occupy the trailing states")
     n = min(terminals) - 1
 
-    steps: list[np.ndarray] = []
+    steps: list[str] = []
     for i in range(n):
         acts = commands[i]
         if acts is None or len(acts) != 1 or acts[0][1] != i + 1:
             raise ReparseError(f"state {i} must step to {i + 1} with one superoperator")
-        steps.append(consts[acts[0][0]])
+        steps.append(acts[0][0])
     fan = commands[n]
     if fan is None:
         raise ReparseError(f"state {n} must carry the measurement fan-out")
     expected_targets = list(range(n + 1, top + 1))
     if [t for _, t in fan] != expected_targets:
         raise ReparseError("measurement fan-out must hit the terminals in order")
-    branches = [consts[cname] for cname, _ in fan]
+    branches = [cname for cname, _ in fan]
     count = len(branches)
     if count & (count - 1):
         raise ReparseError(f"{count} measurement branches is not a power of two")
     h = count.bit_length() - 1
 
-    dim = branches[0].shape[0] if branches else 0
-    for mat in steps + branches:
-        if mat.shape != (dim, dim):
-            raise ReparseError("constants disagree on the register dimension")
+    dim = consts[branches[0]].shape[0] if branches else 0
+    if any(mat.shape != (dim, dim) for mat in consts.values()):
+        raise ReparseError("constants disagree on the register dimension")
     k = dim.bit_length() - 1
     if 2 ** k != dim:
         raise ReparseError(f"register dimension {dim} is not a power of two")
     if h > k:
         raise ReparseError(f"{count} branches need more measured wires than the register has")
     try:
-        return qmc_from_matrices(k, h, steps, branches)
+        # one map per constant, built in first-use order (steps, then
+        # branches), so the first rejected matrix is the first one used
+        maps = {cname: Superoperator(consts[cname]) for cname in dict.fromkeys(steps + branches)}
+        return Qmc(k, h, tuple(maps[c] for c in steps), tuple(maps[c] for c in branches))
     except QmcForgeError as exc:
         raise ReparseError(f"model matrices rejected: {exc}") from exc

@@ -281,11 +281,18 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
     (["verify", "{circuit}", "--random", "1", "--seed", "-1"], None),
     (["compile", "{circuit}", "--name", "m\nendmodule"], None),
     (["compile", "{circuit}", "--name", ""], None),
+    (["verify", "{circuit}", "--tol", "abc"], None),
+    (["verify", "{circuit}", "--strategy", "fastest"], None),
+    (["bench", "--runs", "many"], None),
+    (["compile"], None),
+    ([], None),
+    (["frob"], None),
 ], ids=["state-triple", "state-object", "state-string", "state-nan",
         "state-overflow", "state-too-deep", "sizes-not-int", "sizes-empty", "sizes-past-12",
         "sizes-list-past-12", "runs-zero", "random-negative",
         "tol-nan", "tol-inf", "tol-negative", "seed-negative",
-        "name-newline", "name-empty"])
+        "name-newline", "name-empty", "tol-not-a-number", "strategy-unknown",
+        "runs-not-int", "circuit-missing", "command-missing", "command-unknown"])
 def test_bad_arguments_exit_2(argv, state, circuit_file, tmp_path, capsys, monkeypatch):
     # bench must reject its arguments before it builds any circuit
     monkeypatch.setattr(cli, "gen_test_circuit",
@@ -317,10 +324,19 @@ def test_bad_arguments_exit_2(argv, state, circuit_file, tmp_path, capsys, monke
 def test_unread_options_are_rejected(argv, circuit_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "gen_test_circuit",
                         lambda size: pytest.fail(f"bench ran size {size}"))
+    assert main([a.format(circuit=circuit_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: qmcforge: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([a.format(circuit=circuit_file) for a in argv])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_strategies_emit_identical_models(tmp_path, capsys):

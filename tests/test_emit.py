@@ -1,5 +1,6 @@
 """Model text emission: formatting, golden files, and reparse round-trips."""
 
+import hashlib
 import pathlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import nan_step_chain, random_circuit
 from qmcforge import emit
+from qmcforge.cli import gen_test_circuit
 from qmcforge.emit import emit_qpmc, format_matrix, format_number, reparse_model
 from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
@@ -356,3 +358,138 @@ def test_bad_token_in_valid_literal_names_line_and_token(data):
     with pytest.raises(ReparseError) as err:
         reparse_model("\n".join(lines) + "\n")
     assert str(err.value) == message
+
+
+# --- the fixed-width byte path for 0/1 matrices -------------------------------
+
+# entries equal to 0 or 1 in each dtype, signed zeros included
+_BIT_ENTRIES = {
+    "float64": [0.0, -0.0, 1.0],
+    "complex128": [0j, -0j, complex(-0.0, 0.0), complex(-0.0, -0.0), 1 + 0j, complex(1, -0.0)],
+    "bool": [False, True],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_format_matrix_bit_path_matches_word_path(data):
+    dtype = data.draw(st.sampled_from(sorted(_BIT_ENTRIES)))
+    m = data.draw(arrays(np.dtype(dtype), array_shapes(min_dims=2, max_dims=2, max_side=9),
+                         elements=st.sampled_from(_BIT_ENTRIES[dtype])))
+    text = emit._format_bits(m)
+    assert text is not None
+    assert len(text) == 3 * m.size  # brackets around 3rc - 2 bytes
+    assert text == emit._format_words(m) == format_matrix(m)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[1, 2]]), np.array([[1, np.nan]]), np.array([[0, 1j]]),
+    np.array([[complex(1, 1e-300)]]), np.array([[1, 0]], dtype=object),
+    np.zeros((2, 2, 2)), np.zeros((0, 0)),
+], ids=["two", "nan", "imaginary-unit", "tiny-imaginary", "object", "3-d", "empty"])
+def test_format_bits_declines_other_matrices(m):
+    assert emit._format_bits(m) is None
+
+
+def _parse_outcome(parse, literal):
+    try:
+        return parse(literal, "line 7")
+    except ReparseError as exc:
+        return str(exc)
+
+
+_BYTES = ["0", "1", "2", ",", ";", " ", "\t", "é"]
+_SPLICES = ["", "  ", "-0", "1.0", "nan", "0+0i", "1,"]
+
+
+@st.composite
+def _edited_bit_literal(draw):
+    """A fixed-width 0/1 literal, then byte flips (which keep the length),
+    splices, a truncation or re-spacing."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cols = rows
+    m = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.0, 1.0])))
+    literal = format_matrix(m)[1:-1]
+    assert emit._parse_bits(literal) is not None or rows != cols
+    kind = draw(st.sampled_from(["keep", "flip", "splice", "truncate", "respace"]))
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(literal) - 1))
+            literal = literal[:at] + draw(st.sampled_from(_BYTES)) + literal[at + 1:]
+    elif kind == "splice":
+        at = draw(st.integers(0, len(literal)))
+        cut = draw(st.integers(0, 2))
+        literal = literal[:at] + draw(st.sampled_from(_SPLICES)) + literal[at + cut:]
+    elif kind == "truncate":
+        literal = literal[:draw(st.integers(0, len(literal)))]
+    elif kind == "respace":
+        old, new = draw(st.sampled_from([(", ", ","), ("; ", ";"), (", ", " , "),
+                                         ("; ", " ; "), (" ", "  ")]))
+        literal = literal.replace(old, new, draw(st.integers(1, 3)))
+    return literal
+
+
+@settings(max_examples=400, deadline=None)
+@given(literal=_edited_bit_literal())
+def test_parse_matrix_bit_path_matches_token_path(literal):
+    fast = _parse_outcome(emit._parse_matrix, literal)
+    slow = _parse_outcome(emit._parse_tokens, literal)
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+
+
+def test_parse_bits_reads_square_literals_only():
+    assert np.array_equal(emit._parse_bits("1, 0; 0, 1"), np.eye(2))
+    assert emit._parse_bits("1") is not None
+    with pytest.raises(ReparseError, match="^line 7: dimension 3 is not a power of two$"):
+        emit._parse_matrix(format_matrix(np.eye(3))[1:-1], "line 7")
+    for literal in ("1, 0, 0, 1", "1; 0; 0; 1", "1,0; 0, 1", "1, 0; 0, 1 ", " 1, 0; 0, 1"):
+        assert emit._parse_bits(literal) is None
+
+
+def test_swaps_as_gates_model_is_unchanged_by_the_bit_path(monkeypatch):
+    # the inverse routing steps carry -0j entries, which must still print as 0
+    s, _ = translate(gen_test_circuit(4), strategy="naive-adjacent", emit_swaps_as_gates=True)
+    q = build_qmc(s)
+    assert any(np.signbit(so.matrix.imag).any() for so in q.steps)
+    text = emit_qpmc(q)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "77ead1087d3a91519f94c02473c9d9ce317240ecd4a3c52a7eab56ef78784c7e"
+    fast = reparse_model(text)
+    monkeypatch.setattr(emit, "_format_bits", lambda m: None)
+    monkeypatch.setattr(emit, "_parse_bits", lambda literal: None)
+    assert emit_qpmc(q) == text
+    slow = reparse_model(text)
+    assert len(fast.steps) == len(slow.steps) == len(q.steps)
+    for a, b in zip(fast.steps + fast.branches, slow.steps + slow.branches):
+        assert np.array_equal(a.matrix, b.matrix)
+
+
+# --- one map per model constant ------------------------------------------------
+
+def _two_h_model() -> str:
+    text = "qubits 1\ngate H 1\ngate X 1\ngate H 1\nmeasure 1\n"
+    model = emit_qpmc(build_qmc(translate(parse_circuit(text))[0]))
+    assert "<<U1>> : (s' = 1)" in model and "<<U1>> : (s' = 3)" in model
+    return model
+
+
+def test_reparse_builds_one_map_per_constant():
+    q = reparse_model(_two_h_model())
+    assert q.n == 3
+    assert q.steps[0] is q.steps[2]
+    assert q.steps[0] is not q.steps[1]
+    assert q.branches[0] is not q.branches[1]
+
+
+def test_reparse_rejects_trace_increasing_constant_used_twice():
+    model = _two_h_model()
+    literal = model.split("const matrix U1 = ", 1)[1].split(";\n", 1)[0]
+    bad = model.replace(literal, "[2, 0; 0, 1]", 1)
+    with pytest.raises(ReparseError) as err:
+        reparse_model(bad)
+    assert str(err.value) == ("model matrices rejected: superoperator increases trace "
+                              "(largest eigenvalue 4.000e+00)")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import Circuit
-from .config import DEFAULT_TOL, MAX_QUBITS
+from .config import DEFAULT_TOL, MAX_QUBITS, check_tolerance
 from .emit import emit_qpmc, reparse_model
 from .errors import QmcForgeError, SizeOutOfRange
 from .evaluate import check_equivalence, random_kets, run_qmc
@@ -77,12 +77,14 @@ def _load_ket(args, k: int) -> np.ndarray:
     dim = 2 ** k
     if args.state_file:
         try:
-            pairs = json.loads(_read_text(args.state_file))
+            # amplitudes are floats: a huge integer reads as inf and fails the
+            # norm check, where int() would refuse one of over 4,300 digits
+            pairs = json.loads(_read_text(args.state_file), parse_int=float)
         except RecursionError as exc:
             raise QmcForgeError("state file is nested too deeply") from exc
         try:
             v = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise QmcForgeError(
                 f"state file must hold a list of [re, im] number pairs ({exc})") from exc
         if v.shape != (dim,):
@@ -355,9 +357,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
-        # a NaN tolerance fails every check and an infinite one passes every check
-        if "tol" in args and not 0 <= args.tol < math.inf:
-            raise QmcForgeError(f"--tol wants a finite number >= 0, got {args.tol}")
+        if "tol" in args:
+            check_tolerance(args.tol, "--tol")
         if "seed" in args and args.seed < 0:
             raise QmcForgeError(f"--seed wants an integer >= 0, got {args.seed}")
         return args.func(args)

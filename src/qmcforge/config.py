@@ -5,6 +5,10 @@ algebraic identities (unitarity, completeness, daggers) are held to 1e-12,
 end-to-end pipeline comparisons to 1e-9, and the per-state trace-preservation
 check on compiled chains to 1e-10.
 
+Every tolerance argument must be a finite number >= 0
+(:func:`check_tolerance`): a NaN tolerance fails every check and an
+infinite one passes every check.
+
 ``MAX_QUBITS`` caps the register width. A chain step is a dense 2^k square
 matrix, so the parser rejects a wider ``qubits`` line before anything is
 allocated; it is a constant of the package, not a setting.
@@ -12,7 +16,11 @@ allocated; it is a constant of the package, not a setting.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+
+from .errors import QmcForgeError
 
 
 @dataclass(frozen=True)
@@ -26,3 +34,9 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 MAX_QUBITS = 12
+
+
+def check_tolerance(tol, name: str) -> None:
+    """Raise QmcForgeError unless ``tol`` is a finite real number >= 0."""
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+        raise QmcForgeError(f"{name} wants a finite number >= 0, got {tol}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import MEASURE, UNITARY, Circuit, topo_order, validate, wire_positions
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, check_tolerance
 from .errors import (BadInitialState, BitLengthMismatch, DimensionMismatch,
                      ValidationFailed)
 from .linalg import _permute_indices
@@ -142,8 +142,9 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
 
     Returns per-outcome terminal records, the accumulated product of the
     internal unitaries (last step leftmost), and the density after every
-    internal state.
+    internal state. ``tol`` must be finite and >= 0.
     """
+    check_tolerance(tol, "tol")
     dim = 2 ** q.k
     rho = np.asarray(rho0, dtype=np.complex128)
     if rho.shape != (dim, dim):
@@ -233,27 +234,17 @@ class EquivalenceReport:
 def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Carry the input block through the chain's steps as kets.
 
-    Returns the final kets V = M_n ... M_1 taus (d x N) and, for every step
-    t and input j, the chain deviation (n x N): NaN where column j of V_t
-    has a non-finite entry, else 0.0 (see check_equivalence).
+    Returns the final kets V = M_n ... M_1 taus (d x N) and, for every input
+    j, the index of the first step t whose ket (column j of V_t) has a
+    non-finite entry, or n if there is none (see check_equivalence).
     """
     v = taus
-    chain = np.zeros((len(q.steps), taus.shape[1]))
+    n = len(q.steps)
+    first = np.full(taus.shape[1], n)
     for t, so in enumerate(q.steps):
         v = so.matrix @ v
-        chain[t, ~np.isfinite(v).all(axis=0)] = np.nan
-    return v, chain
-
-
-def _first_failures(chain: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per input (column), the first step whose deviation fails, or the step
-    count when none does, and the worst deviation over the steps up to and
-    including that one; later steps of a failed input are not counted."""
-    steps, count = chain.shape
-    # a row past the last step marks the inputs whose every step passed
-    first = np.argmax(np.vstack([~(chain <= tol), np.ones(count, dtype=bool)]), axis=0)
-    counted = np.where(np.arange(steps)[:, None] <= first, chain, 0.0)
-    return first, counted.max(axis=0, initial=0.0)
+        first[(first == n) & ~np.isfinite(v).all(axis=0)] = t
+    return v, first
 
 
 def _worst(devs: np.ndarray) -> tuple[float, int | None]:
@@ -265,6 +256,8 @@ def _worst(devs: np.ndarray) -> tuple[float, int | None]:
     return float(devs[at]), at
 
 
+# a non-finite entry's NaNs are reported by the clauses, not warned about
+@np.errstate(invalid="ignore", over="ignore")
 def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
                       tol: float = DEFAULT_TOL.pipeline,
                       support_tol: float = DEFAULT_TOL.algebraic) -> EquivalenceReport:
@@ -289,8 +282,11 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
     reads the squared column norms of W_b = M_b V and the support clause
     the largest |w_i| outside the outcome's block times the largest |w_j|,
     one branch at a time. A deviation fails unless it is at most its
-    tolerance, so a NaN fails and shows as the worst.
+    tolerance, so a NaN fails and shows as the worst. ``tol`` and
+    ``support_tol`` must be finite and >= 0.
     """
+    check_tolerance(tol, "tol")
+    check_tolerance(support_tol, "support_tol")
     k, h = s.k, s.h
     dim = 2 ** k
     if inputs is None:
@@ -309,16 +305,17 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
         raise BadInitialState(f"input {bad[0]} is not a unit ket "
                               f"(squared norm {mass[bad[0]]:.6g})")
 
-    kets, chain = _chain_run(q, taus)
+    kets, first = _chain_run(q, taus)
 
     # clause: product form agrees with the DAG walk after reordering;
     # row j of the DAG's finals moves to row idx[j]
     reordered = finals[np.argsort(_permute_indices(k, s.wire_map))]
     state = _phase_distances(reordered, kets)
 
-    # clause: the chain preserves rank-1 states step by step (its kets stay finite)
-    steps, count = chain.shape
-    first, chain_worst = _first_failures(chain, tol)
+    # clause: the chain preserves rank-1 states step by step, so it fails
+    # exactly where a propagated ket stops being finite
+    steps, count = len(q.steps), taus.shape[1]
+    chain = np.where(first < steps, np.nan, 0.0)
 
     # clause: Born probabilities match terminal traces; mass stays in block
     block = dim // (2 ** h)
@@ -346,7 +343,7 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
             failures.append(f"state clause: input {idx} deviates by {state[idx]:.3e}")
         if first[idx] < steps:
             failures.append(f"chain clause: input {idx} step {first[idx] + 1} "
-                            f"deviates by {chain[first[idx], idx]:.3e}")
+                            f"deviates by {chain[idx]:.3e}")
         for b in np.flatnonzero(prob_bad[:, idx] | support_bad[:, idx]):
             if prob_bad[b, idx]:
                 failures.append(f"probability clause: input {idx} outcome "
@@ -357,7 +354,7 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
 
     worst: dict[str, float] = {}
     worst_at: dict[str, tuple[int, str | None] | None] = {}
-    for name, devs in (("state", state), ("chain", chain_worst)):
+    for name, devs in (("state", state), ("chain", chain)):
         worst[name], at = _worst(devs)
         worst_at[name] = None if at is None else (at, None)
     for name, devs in (("prob", prob), ("support", support)):

@@ -115,12 +115,19 @@ def parse_circuit(text: str) -> Circuit:
         if head == "qubits":
             if builder is not None:
                 raise CircuitSyntaxError(lineno, "duplicate qubits declaration")
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise CircuitSyntaxError(lineno, "expected: qubits <positive k>")
-            if int(tokens[1]) > MAX_QUBITS:
+            try:
+                k = int(tokens[1])
+            except ValueError:  # int() refuses over 4,300 digits
+                raise SizeOutOfRange(f"line {lineno}: qubits value of {len(tokens[1])} "
+                                     f"digits exceeds the register cap of {MAX_QUBITS}") from None
+            if k < 1:
+                raise CircuitSyntaxError(lineno, "expected: qubits <positive k>")
+            if k > MAX_QUBITS:
                 raise SizeOutOfRange(
                     f"line {lineno}: qubits {tokens[1]} exceeds the register cap of {MAX_QUBITS}")
-            builder = _Builder(int(tokens[1]))
+            builder = _Builder(k)
             continue
         if builder is None:
             raise CircuitSyntaxError(lineno, "qubits declaration must come first")

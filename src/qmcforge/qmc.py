@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, check_tolerance
 from .errors import DimensionMismatch, OutcomeOutOfRange
 from .linalg import check_finite
 from .normalize import SnfCircuit
@@ -204,8 +204,9 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
     The rows are s1..sn, one step each, and s{n+1}, the sum over the
     measurement branches; the terminals' identity self-loops need no check.
     Returns one violation per offending state; an empty list certifies the
-    chain.
+    chain. ``tol`` must be finite and >= 0.
     """
+    check_tolerance(tol, "tol")
     out: list[RowViolation] = []
     eye = np.eye(2 ** q.k, dtype=np.complex128)
 

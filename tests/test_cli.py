@@ -211,6 +211,17 @@ def test_compile_rejects_register_past_the_cap(tmp_path, capsys):
         "error: line 1: qubits 40 exceeds the register cap of 12"]
 
 
+def test_validate_refuses_qubits_past_the_int_digit_limit(tmp_path, capsys):
+    # int() refuses a decimal of over 4,300 digits; this was exit 1 and a traceback
+    src = tmp_path / "wide.qc"
+    src.write_text("qubits " + "1" * 5000 + "\n")
+    assert main(["validate", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: line 1: qubits value of 5000 digits exceeds the register cap of 12"]
+
+
 def test_verify_battery_shares_one_identity(tmp_path, capsys, monkeypatch):
     # each basis ket must be a row of one identity, not a column view that
     # keeps its own 2^k square identity alive (dim^3 memory in all)
@@ -269,6 +280,9 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
     (["simulate", "{circuit}", "--state-file", "{state}"],
      "[[1" + "0" * 400 + ", 0], [0, 0], [0, 0], [0, 0]]"),
     (["simulate", "{circuit}", "--state-file", "{state}"], "[" * 200000),
+    # over the 4,300 digits int() converts: was exit 1 and a traceback
+    (["simulate", "{circuit}", "--state-file", "{state}"],
+     "[[" + "1" * 5000 + ", 0], [0, 0], [0, 0], [0, 0]]"),
     (["bench", "--sizes", "x..3"], None),
     (["bench", "--sizes", "5..3"], None),
     (["bench", "--sizes", "4..13"], None),
@@ -288,8 +302,8 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
     ([], None),
     (["frob"], None),
 ], ids=["state-triple", "state-object", "state-string", "state-nan",
-        "state-overflow", "state-too-deep", "sizes-not-int", "sizes-empty", "sizes-past-12",
-        "sizes-list-past-12", "runs-zero", "random-negative",
+        "state-overflow", "state-too-deep", "state-5000-digits", "sizes-not-int",
+        "sizes-empty", "sizes-past-12", "sizes-list-past-12", "runs-zero", "random-negative",
         "tol-nan", "tol-inf", "tol-negative", "seed-negative",
         "name-newline", "name-empty", "tol-not-a-number", "strategy-unknown",
         "runs-not-int", "circuit-missing", "command-missing", "command-unknown"])

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import nan_step_chain, random_circuit
 from qmcforge import emit
-from qmcforge.cli import gen_test_circuit
+from qmcforge.cli import gen_test_circuit, main
 from qmcforge.emit import emit_qpmc, format_matrix, format_number, reparse_model
 from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
@@ -290,6 +290,64 @@ def test_reparse_rejects_non_stochastic_model():
     bad = emit_qpmc(q).replace("[0, 0; 0, 1]", "[0, 0; 0, 2]", 1)
     with pytest.raises(ReparseError):
         reparse_model(bad)
+
+
+def _verify_against_exits_2(model: str, tmp_path, capsys) -> None:
+    path = tmp_path / "model.qpmc"
+    path.write_text(model)
+    deutsch = pathlib.Path(__file__).parents[1] / "circuits" / "deutsch.qc"
+    assert main(["verify", str(deutsch), "--against", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+_HUGE = "1" * 5000  # int() refuses a decimal of over 4,300 digits
+
+
+# the first three edits once escaped as a bare ValueError
+@pytest.mark.parametrize("old, new, message", [
+    ("s: [0..5]", f"s: [0..{_HUGE}]", "^line 11: state number of 5000 digits$"),
+    ("(s = 5) -> true", f"(s = {_HUGE}) -> true", "^line 18: state number of 5000 digits$"),
+    ("(s' = 5);", f"(s' = {_HUGE});", "^line 16: state number of 5000 digits$"),
+    # converts, but must not become a list of 10^18 guards
+    ("s: [0..5]", "s: [0..1000000000000000000]",
+     "^guards do not cover 0..1000000000000000000 exactly once$"),
+], ids=["bound", "guard", "target", "bound-past-the-lines"])
+def test_reparse_refuses_huge_state_numbers(old, new, message, tmp_path, capsys):
+    model = _deutsch_model()
+    assert old in model
+    bad = model.replace(old, new, 1)
+    with pytest.raises(ReparseError, match=message):
+        reparse_model(bad)
+    _verify_against_exits_2(bad, tmp_path, capsys)
+
+
+def _fan_model(branches: int, step: str = "[0, 1; 1, 0]") -> str:
+    """A one-step model on the 2x2 projectors M0 and M1 whose fan-out
+    applies M0, M1, M0, ... to ``branches`` terminals."""
+    terms = " + ".join(f"<<M{i % 2}>> : (s' = {i + 2})" for i in range(branches))
+    lines = ["qmc", f"const matrix U1 = {step};", "const matrix M0 = [1, 0; 0, 0];",
+             "const matrix M1 = [0, 0; 0, 1];", "module model",
+             f"s: [0..{branches + 1}] init 0;", "[] (s = 0) -> <<U1>> : (s' = 1);",
+             f"[] (s = 1) -> {terms};",
+             *(f"[] (s = {i + 2}) -> true;" for i in range(branches)), "endmodule"]
+    return "\n".join(lines) + "\n"
+
+
+# the chain's shape is checked by Qmc alone; reparse reports its refusal
+@pytest.mark.parametrize("model, message", [
+    (_fan_model(3), "need 2^1 branch matrices, got 3"),
+    (_fan_model(4), "need 0 <= h <= k, got h=2 k=1"),
+    (_fan_model(2, format_matrix(np.eye(4))), "step 1 has shape (4, 4), register needs 2"),
+], ids=["three-branches", "four-branches-one-wire", "step-wider-than-branches"])
+def test_reparse_reports_qmc_shape_refusals(model, message, tmp_path, capsys):
+    assert reparse_model(_fan_model(2)).n == 1
+    with pytest.raises(ReparseError) as err:
+        reparse_model(model)
+    assert str(err.value) == f"model matrices rejected: {message}"
+    _verify_against_exits_2(model, tmp_path, capsys)
 
 
 # --- emit -> reparse -> emit on random chains --------------------------------

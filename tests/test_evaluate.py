@@ -15,11 +15,11 @@ from qmcforge.circuit import UNITARY, topo_order, wire_positions
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
 from qmcforge.errors import (BadInitialState, BitLengthMismatch,
-                             DimensionMismatch, ValidationFailed)
-from qmcforge.evaluate import (_first_failures, _walk, _worst,
-                               check_equivalence, global_phase_distance,
-                               measured_wires, outcome_probability,
-                               random_kets, run_qmc, simulate_circuit)
+                             DimensionMismatch, QmcForgeError, ValidationFailed)
+from qmcforge.evaluate import (_walk, _worst, check_equivalence,
+                               global_phase_distance, measured_wires,
+                               outcome_probability, random_kets, run_qmc,
+                               simulate_circuit)
 from qmcforge.gates import gate_matrix
 from qmcforge.linalg import _permute_indices, tensor
 from qmcforge.normalize import translate
@@ -133,6 +133,22 @@ def test_run_qmc_rejects_nan_initial_state(entry):
         run_qmc(q, rho)
 
 
+def test_run_qmc_refuses_infinite_tolerance():
+    # an infinite tol once accepted this non-Hermitian trace-5 density and
+    # returned outcome probabilities of about 3.0 and 2.0
+    q = build_qmc(translate(parse_circuit("qubits 1\nmeasure 1\n"))[0])
+    with pytest.raises(QmcForgeError, match="^tol wants a finite number >= 0, got inf$"):
+        run_qmc(q, np.array([[3, 1], [0, 2]]), tol=math.inf)
+
+
+def test_run_qmc_refuses_nan_and_negative_tolerance():
+    # a NaN tol once raised BadInitialState, blaming a valid density
+    q = build_qmc(translate(parse_circuit("qubits 1\nmeasure 1\n"))[0])
+    for tol in (math.nan, -1e-9):
+        with pytest.raises(QmcForgeError, match="^tol wants a finite number >= 0"):
+            run_qmc(q, np.diag([1.0, 0.0]), tol=tol)
+
+
 def test_global_phase_distance():
     v = np.array([1, 1j]) / np.sqrt(2)
     assert global_phase_distance(v, v) == pytest.approx(0.0, abs=1e-15)
@@ -207,16 +223,27 @@ def test_worst_deviation_keeps_nan():
     assert _worst(np.array([])) == (0.0, None)
 
 
-def test_chain_deviation_stops_at_the_first_failing_step():
-    nan = float("nan")
-    chain = np.array([[0.0, 0.2, 0.0],
-                      [0.1, 0.9, nan],
-                      [0.05, nan, 0.0]])  # steps x inputs
-    first, worst = _first_failures(chain, tol=0.15)
-    assert first.tolist() == [3, 0, 1]
-    assert worst[:2].tolist() == [0.1, 0.2] and math.isnan(worst[2])
-    first, worst = _first_failures(np.zeros((0, 2)), tol=0.15)
-    assert first.tolist() == [0, 0] and worst.tolist() == [0.0, 0.0]
+def test_check_equivalence_refuses_infinite_tolerances():
+    # with both tolerances infinite, a chain whose H step is the identity
+    # once passed
+    c = parse_circuit("qubits 1\ngate H 1\nmeasure 1\n")
+    s, _ = translate(c)
+    q = build_qmc(s)
+    wrong = dataclasses.replace(q, steps=(Superoperator(np.eye(2)),))
+    assert not check_equivalence(c, s, wrong).passed
+    with pytest.raises(QmcForgeError, match="^tol wants a finite number >= 0, got inf$"):
+        check_equivalence(c, s, wrong, tol=math.inf, support_tol=math.inf)
+    with pytest.raises(QmcForgeError, match="^support_tol wants a finite number >= 0"):
+        check_equivalence(c, s, wrong, support_tol=math.inf)
+
+
+@pytest.mark.parametrize("name", ["tol", "support_tol"])
+@pytest.mark.parametrize("value", [math.nan, -1e-9, "1e-9"], ids=["nan", "negative", "text"])
+def test_check_equivalence_refuses_bad_tolerances(name, value):
+    c = parse_circuit(BELL)
+    s, _ = translate(c)
+    with pytest.raises(QmcForgeError, match=f"^{name} wants a finite number >= 0"):
+        check_equivalence(c, s, build_qmc(s), **{name: value})
 
 
 def test_check_equivalence_rejects_bad_circuits_and_kets():
@@ -313,6 +340,7 @@ def _worse(worst: float, dev: float) -> float:
     return dev if dev > worst or math.isnan(dev) else worst
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
                      support_tol=DEFAULT_TOL.algebraic):
     """The per-input check_equivalence: one run_qmc per input, the state
@@ -381,8 +409,8 @@ def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
 def _perturbed_case(draw):
     """A random circuit and its chain, with some steps replaced by
     contractive non-unitary maps, some branches by non-projector
-    contractions, perhaps a NaN written into a step after construction,
-    and a battery of random and basis kets."""
+    contractions, perhaps a NaN or an infinity written into a step after
+    construction, and a battery of random and basis kets."""
     c = parse_circuit(draw(_circuit_text()))
     s, _ = translate(c)
     q = build_qmc(s)
@@ -401,7 +429,7 @@ def _perturbed_case(draw):
     if steps and draw(st.booleans()):
         t = draw(st.integers(0, len(steps) - 1))
         row, col = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        chain.steps[t].matrix[row, col] = np.nan
+        chain.steps[t].matrix[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     basis = draw(st.lists(st.integers(0, dim - 1), max_size=4))
     kets = random_kets(s.k, draw(st.integers(0, 3)), rng) + \
         [basis_state(s.k, i) for i in basis]

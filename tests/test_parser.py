@@ -77,6 +77,10 @@ def test_parse_caps_register_width():
     assert isinstance(err.value, QmcForgeError)
     with pytest.raises(SizeOutOfRange, match="line 2: qubits 13"):
         parse_circuit("# too wide by one\nqubits 13\ngate H 1\n")
+    # int() refuses a decimal of over 4,300 digits with a bare ValueError
+    with pytest.raises(SizeOutOfRange, match="^line 1: qubits value of 5000 digits "
+                                             "exceeds the register cap of 12$"):
+        parse_circuit("qubits " + "1" * 5000 + "\n")
     assert parse_circuit(f"qubits {MAX_QUBITS}\n").k == MAX_QUBITS == 12
 
 

@@ -220,6 +220,12 @@ def test_row_stochasticity_flags_nan():
     assert np.isnan(bad[0].deviation)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_row_stochasticity_refuses_bad_tolerance(tol):
+    with pytest.raises(QmcForgeError, match="^tol wants a finite number >= 0"):
+        verify_row_stochasticity(_single_h_chain(), tol=tol)
+
+
 def test_row_stochasticity_random_circuits():
     rng = np.random.default_rng(9)
     for _ in range(20):

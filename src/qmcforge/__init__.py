@@ -7,8 +7,8 @@ guarded-command dialect. The evaluator runs both semantics and confirms
 they agree.
 """
 
-from .circuit import (Circuit, Edge, Node, Violation, topo_order, validate,
-                      wire_positions)
+from .circuit import (Circuit, Edge, Node, Violation, placed, topo_order,
+                      validate, wire_positions)
 from .config import DEFAULT_TOL, Tolerances
 from .emit import emit_qpmc, reparse_model
 from .errors import QmcForgeError
@@ -17,8 +17,8 @@ from .evaluate import (EquivalenceReport, EvalReport, OutcomeRecord,
                        outcome_probability, random_kets, run_qmc,
                        simulate_circuit)
 from .gates import gate_arity, gate_matrix, known_gates
-from .linalg import (basis_ket, binary_swap, dagger, generalized_swap,
-                     is_unitary, swap_decomposition, tensor)
+from .linalg import (basis_ket, binary_swap, dagger, is_unitary,
+                     swap_decomposition, tensor)
 from .normalize import SnfCircuit, SwapAccount, translate
 from .parser import emit_circuit_text, parse_circuit
 from .qmc import (Qmc, RowViolation, Superoperator, build_qmc,
@@ -28,7 +28,7 @@ from .qmc import (Qmc, RowViolation, Superoperator, build_qmc,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "Edge", "Node", "Violation", "topo_order", "validate",
+    "Circuit", "Edge", "Node", "Violation", "placed", "topo_order", "validate",
     "wire_positions",
     "DEFAULT_TOL", "Tolerances",
     "emit_qpmc", "reparse_model",
@@ -37,8 +37,8 @@ __all__ = [
     "global_phase_distance", "outcome_probability", "random_kets", "run_qmc",
     "simulate_circuit",
     "gate_arity", "gate_matrix", "known_gates",
-    "basis_ket", "binary_swap", "dagger", "generalized_swap", "is_unitary",
-    "swap_decomposition", "tensor",
+    "basis_ket", "binary_swap", "dagger", "is_unitary", "swap_decomposition",
+    "tensor",
     "SnfCircuit", "SwapAccount", "translate",
     "emit_circuit_text", "parse_circuit",
     "Qmc", "RowViolation", "Superoperator", "build_qmc", "measurement_matrix",

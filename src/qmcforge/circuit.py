@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import CycleDetected, InvalidCircuit
+from .errors import CycleDetected, InvalidCircuit, ValidationFailed
 from .linalg import is_unitary
 
 __all__ = [
     "QUBIT", "UNITARY", "MEASURE", "TERMINATE",
     "Node", "Edge", "Circuit", "Violation",
-    "validate", "topo_order", "wire_positions",
+    "validate", "topo_order", "wire_positions", "placed",
 ]
 
 QUBIT = "qubit"
@@ -192,7 +192,8 @@ def wire_positions(c: Circuit) -> dict[int, tuple[int, ...]]:
 
     Qubit nodes get the position they source (their rank among qubit nodes,
     ascending by id). Since a gate's output j stays at the position of its
-    input j, positions propagate along edges unchanged.
+    input j, positions propagate along edges unchanged. The result is keyed
+    in ``topo_order``.
     """
     qubits = c.nodes_of_kind(QUBIT)
     pos_of_output: dict[tuple[int, int], int] = {}
@@ -215,3 +216,19 @@ def wire_positions(c: Circuit) -> dict[int, tuple[int, ...]]:
             pos_of_output[(nid, j)] = p
     return result
 
+
+def placed(c: Circuit) -> tuple[list[tuple[Node, tuple[int, ...]]], tuple[int, ...]]:
+    """What a translation or a simulation reads off a circuit: its unitary
+    nodes in topological order, each with the wire positions it acts on (in
+    input-label order), and the measured wire positions, ascending.
+
+    Raises ValidationFailed when the circuit breaks a structural rule.
+    """
+    problems = validate(c)
+    if problems:
+        raise ValidationFailed(problems)
+    positions = wire_positions(c)
+    gates = [(c.nodes[n], wires) for n, wires in positions.items()
+             if c.nodes[n].kind == UNITARY]
+    measured = tuple(sorted(positions[m][0] for m in c.nodes_of_kind(MEASURE)))
+    return gates, measured

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import MEASURE, UNITARY, Circuit, topo_order, validate, wire_positions
+from .circuit import Circuit, placed
 from .config import DEFAULT_TOL, check_tolerance
-from .errors import (BadInitialState, BitLengthMismatch, DimensionMismatch,
-                     ValidationFailed)
+from .errors import BadInitialState, BitLengthMismatch, DimensionMismatch
 from .linalg import _permute_indices
 from .normalize import SnfCircuit
 from .qmc import Qmc
@@ -49,13 +48,9 @@ def _apply_gate(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.n
     return np.moveaxis(state, tuple(range(d)), axes)
 
 
-def _measured(c: Circuit, positions: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    return tuple(sorted(positions[m][0] for m in c.nodes_of_kind(MEASURE)))
-
-
 def measured_wires(c: Circuit) -> tuple[int, ...]:
     """Wire positions that end in a measurement node, ascending."""
-    return _measured(c, wire_positions(c))
+    return placed(c)[1]
 
 
 def _walk(c: Circuit, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,21 +61,15 @@ def _walk(c: Circuit, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     outcome whose h bits, read as a binary number, are the measured wires
     in ascending wire order.
     """
-    problems = validate(c)
-    if problems:
-        raise ValidationFailed(problems)
+    gates, measured = placed(c)
     if kets.shape[0] != 2 ** c.k:
         raise DimensionMismatch(
             f"ket has {kets.shape[0]} amplitudes, register needs {2 ** c.k}")
-    positions = wire_positions(c)
     count = kets.shape[1]
     state = kets.reshape((2,) * c.k + (count,))
-    for nid in topo_order(c):
-        node = c.nodes[nid]
-        if node.kind == UNITARY:
-            state = _apply_gate(state, node.matrix,
-                                tuple(p - 1 for p in positions[nid]))
-    axes = tuple(w - 1 for w in _measured(c, positions))
+    for node, wires in gates:
+        state = _apply_gate(state, node.matrix, tuple(p - 1 for p in wires))
+    axes = tuple(w - 1 for w in measured)
     h = len(axes)
     probs = np.moveaxis(np.abs(state) ** 2, axes, tuple(range(h)))
     born = probs.reshape(2 ** h, 2 ** (c.k - h), count).sum(axis=1)
@@ -107,8 +96,8 @@ def outcome_probability(c: Circuit, psi, bits) -> float:
 
     Bit j belongs to the j-th measured wire in ascending wire order.
     """
-    values = _normalize_bits(bits, len(measured_wires(c)))
     _, born = _walk(c, _as_ket(psi, c.k)[:, None])
+    values = _normalize_bits(bits, born.shape[0].bit_length() - 1)
     return float(born[int("".join(map(str, values)) or "0", 2), 0])
 
 
@@ -136,6 +125,8 @@ class EvalReport:
         return tuple(o.probability for o in self.outcomes)
 
 
+# a non-finite step's NaNs are returned as probabilities, not warned about
+@np.errstate(invalid="ignore", over="ignore")
 def run_qmc(q: Qmc, rho0: np.ndarray,
             tol: float = DEFAULT_TOL.pipeline) -> EvalReport:
     """Propagate a density matrix through the chain.
@@ -180,6 +171,8 @@ def _phase_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a - phase * b, axis=0)
 
 
+# a non-finite entry's distance is returned as NaN, not warned about
+@np.errstate(invalid="ignore", over="ignore")
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over theta of the 2-norm distance between a and e^{i theta} b.
 

@@ -25,7 +25,6 @@ __all__ = [
     "dagger",
     "is_unitary",
     "binary_swap",
-    "generalized_swap",
     "swap_decomposition",
     "basis_ket",
     "require_square",
@@ -169,25 +168,4 @@ def swap_decomposition(perm: Sequence[int], strategy: str = "composed") -> list[
                     do_swap(p, p + 1)
                     changed = True
     return swaps
-
-
-def generalized_swap(perm: Sequence[int], strategy: str = "composed") -> tuple[np.ndarray, int]:
-    """Permutation matrix realizing a wire permutation, plus its swap cost.
-
-    ``perm[i-1]`` is the destination of wire i: the result P satisfies
-    P |b1...bk> = |c1...ck> with c_{perm(i)} = b_i.
-
-    The matrix is built in one pass over the basis indices and is the same
-    0/1 matrix under every strategy; the strategy sets only the cost, the
-    length of :func:`swap_decomposition`:
-      * ``composed``       selection sort, at most k-1 binary swaps;
-      * ``direct``         no decomposition, cost 0;
-      * ``naive-adjacent`` bubble sort into adjacent swaps, up to k(k-1)/2
-                           of them (the worst case the composed route is
-                           designed to avoid).
-
-    Returns (matrix, number_of_binary_swaps).
-    """
-    count = len(swap_decomposition(perm, strategy))
-    return _permutation_matrix(len(perm), perm), count
 

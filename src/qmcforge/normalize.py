@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import MEASURE, UNITARY, Circuit, topo_order, validate, wire_positions
-from .errors import ValidationFailed
-from .linalg import (_permute_indices, binary_swap, generalized_swap,
+from .circuit import Circuit, Node, placed
+from .linalg import (_permutation_matrix, _permute_indices, binary_swap,
                      swap_decomposition, tensor)
 
 __all__ = ["SnfCircuit", "SwapAccount", "translate"]
@@ -54,12 +53,15 @@ class SwapAccount:
     """Binary-swap synthesis cost, one entry per emitted step.
 
     When a measured-wire realignment was required it contributes the final
-    entry. ``total`` is always the sum of ``per_gate``.
+    entry.
     """
 
     per_gate: tuple[int, ...]
-    total: int
     strategy: str
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_gate)
 
 
 def _route_perm(wires: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -75,22 +77,7 @@ def _route_perm(wires: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _pad(base: np.ndarray, k: int) -> np.ndarray:
-    """U x I: ``base`` on the leading wires of a k-wire register."""
-    return tensor(base, np.eye(2 ** k // base.shape[0], dtype=np.complex128))
-
-
-def _embed(base: np.ndarray, wires: tuple[int, ...], k: int) -> np.ndarray:
-    """Full-register operator acting as ``base`` on ``wires``: P^-1 (U x I) P.
-
-    P sends basis index j to idx[j], so entry (a, b) of the product is entry
-    (idx[a], idx[b]) of U x I: one gather, no matrix product.
-    """
-    idx = _permute_indices(k, _route_perm(wires, k))
-    return _pad(base, k)[np.ix_(idx, idx)]
-
-
-def _grouped_payloads(c: Circuit, positions: dict[int, tuple[int, ...]]
+def _grouped_payloads(gates: list[tuple[Node, tuple[int, ...]]]
                       ) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
     """Split the gate sequence into maximal runs on pairwise-disjoint wires.
 
@@ -100,11 +87,7 @@ def _grouped_payloads(c: Circuit, positions: dict[int, tuple[int, ...]]
     groups: list[list[tuple[np.ndarray, tuple[int, ...]]]] = []
     used: set[int] = set()
     current: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for nid in topo_order(c):
-        node = c.nodes[nid]
-        if node.kind != UNITARY:
-            continue
-        wires = positions[nid]
+    for node, wires in gates:
         if current and (used & set(wires)):
             groups.append(current)
             current, used = [], set()
@@ -135,52 +118,57 @@ def translate(c: Circuit, strategy: str = "composed",
         (SnfCircuit, SwapAccount). The account has one entry per step, plus
         a final entry when the measured wires had to be realigned.
     """
-    problems = validate(c)
-    if problems:
-        raise ValidationFailed(problems)
-    k = c.k
-    positions = wire_positions(c)
-    measured = tuple(sorted(positions[m][0] for m in c.nodes_of_kind(MEASURE)))
-    h = len(measured)
+    gates, measured = placed(c)
+    k, h = c.k, len(measured)
 
     unitaries: list[np.ndarray] = []
     counts: list[int] = []
-    for group in _grouped_payloads(c, positions):
+    for group in _grouped_payloads(gates):
         wires = tuple(w for _, gw in group for w in gw)
-        gmat = tensor(*(base for base, _ in group))
+        # U x I: the run's matrix on the leading wires of the register
+        padded = tensor(*(base for base, _ in group),
+                        np.eye(2 ** (k - len(wires)), dtype=np.complex128))
         perm = _route_perm(wires, k)
+        swaps = swap_decomposition(perm, strategy)
+        counts.append(len(swaps))
         if emit_swaps_as_gates:
-            steps = _routing_steps(perm, k, strategy)
+            steps = _routing_steps(perm, swaps, k)
             unitaries.extend(steps)
-            unitaries.append(_pad(gmat, k))
+            unitaries.append(padded)
+            # conj().T writes -0j entries that the pinned model digests record
             unitaries.extend(s.conj().T for s in reversed(steps))
         else:
-            unitaries.append(_embed(gmat, wires, k))
-        counts.append(len(swap_decomposition(perm, strategy)))
+            # P^-1 (U x I) P with P sending basis index j to idx[j]: entry
+            # (a, b) is entry (idx[a], idx[b]) of U x I, one gather
+            idx = _permute_indices(k, perm)
+            unitaries.append(padded[np.ix_(idx, idx)])
 
     wire_map = tuple(range(1, k + 1))
     if measured != tuple(range(1, h + 1)):
         wire_map = _route_perm(measured, k)
+        swaps = swap_decomposition(wire_map, strategy)
+        counts.append(len(swaps))
         if emit_swaps_as_gates:
-            unitaries.extend(_routing_steps(wire_map, k, strategy))
+            unitaries.extend(_routing_steps(wire_map, swaps, k))
         else:
             # fuse R into the last step: R @ U moves row j of U to row idx[j]
             last = unitaries.pop() if unitaries else np.eye(2 ** k, dtype=np.complex128)
             unitaries.append(last[np.argsort(_permute_indices(k, wire_map))])
-        counts.append(len(swap_decomposition(wire_map, strategy)))
 
-    account = SwapAccount(per_gate=tuple(counts), total=sum(counts), strategy=strategy)
+    account = SwapAccount(per_gate=tuple(counts), strategy=strategy)
     log.debug("snf: %d step(s), h=%d, %d binary swap(s) under %s",
               len(unitaries), h, account.total, strategy)
     return SnfCircuit(k=k, unitaries=tuple(unitaries), h=h, wire_map=wire_map), account
 
 
-def _routing_steps(perm: tuple[int, ...], k: int, strategy: str) -> list[np.ndarray]:
+def _routing_steps(perm: tuple[int, ...], swaps: list[tuple[int, int]],
+                   k: int) -> list[np.ndarray]:
     """The routing permutation as standalone unitary steps, in application
-    order. Under "direct" the whole permutation is one step."""
+    order: one binary swap per entry of its decomposition ``swaps``; when
+    that is empty, none for the identity and otherwise ("direct") the whole
+    permutation as one step."""
+    if swaps:
+        return [binary_swap(k, i, j) for i, j in swaps]
     if list(perm) == list(range(1, k + 1)):
         return []
-    if strategy == "direct":
-        return [generalized_swap(perm, "direct")[0]]
-    return [binary_swap(k, i, j) for (i, j) in swap_decomposition(perm, strategy)]
-
+    return [_permutation_matrix(k, perm)]

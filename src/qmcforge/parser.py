@@ -20,7 +20,7 @@ from __future__ import annotations
 from io import StringIO
 
 from .circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit, Edge, Node,
-                      topo_order, validate, wire_positions)
+                      placed, validate)
 from .config import MAX_QUBITS
 from .errors import (ArityMismatch, CircuitSyntaxError, InvalidCircuit,
                      SizeOutOfRange, ValidationFailed, WireOutOfRange)
@@ -33,6 +33,9 @@ def _parse_wire(token: str, k: int, lineno: int) -> int:
     try:
         w = int(token)
     except ValueError:
+        if token.isdecimal():  # int() refuses over 4,300 digits
+            raise WireOutOfRange(f"line {lineno}: wire of {len(token)} digits "
+                                 f"outside 1..{k}") from None
         raise CircuitSyntaxError(lineno, f"expected a wire number, got {token!r}")
     if not 1 <= w <= k:
         raise WireOutOfRange(f"line {lineno}: wire {w} outside 1..{k}")
@@ -169,19 +172,17 @@ def emit_circuit_text(c: Circuit) -> str:
 
     Only works for circuits whose unitary nodes carry their source spelling
     (as produced by parse_circuit); reparsing the output yields the same
-    circuit up to node renumbering.
+    circuit up to node renumbering. Measure lines come last, in ascending
+    wire order. Raises ValidationFailed when the circuit breaks a structural
+    rule.
     """
-    positions = wire_positions(c)
+    gates, measured = placed(c)
     out = StringIO()
     out.write(f"qubits {c.k}\n")
-    for nid in topo_order(c):
-        node = c.nodes[nid]
-        if node.kind != UNITARY:
-            continue
+    for node, wires in gates:
         if not node.label:
-            raise InvalidCircuit(f"node {nid} carries no gate spelling")
-        wires = " ".join(str(w) for w in positions[nid])
-        out.write(f"gate {node.label} {wires}\n")
-    for nid in c.nodes_of_kind(MEASURE):
-        out.write(f"measure {positions[nid][0]}\n")
+            raise InvalidCircuit(f"gate on wires {wires} carries no gate spelling")
+        out.write(f"gate {node.label} {' '.join(map(str, wires))}\n")
+    for w in measured:
+        out.write(f"measure {w}\n")
     return out.getvalue()

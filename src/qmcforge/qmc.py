@@ -197,6 +197,8 @@ class RowViolation:
         return f"state {self.state}: outgoing maps deviate from trace-preserving by {self.deviation:.3e}"
 
 
+# a non-finite step's NaN deviation is reported as a violation, not warned about
+@np.errstate(invalid="ignore", over="ignore")
 def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[RowViolation]:
     """Check that each state's outgoing superoperators sum to a
     trace-preserving map (sum of all K^dagger K equals the identity).

@@ -52,15 +52,16 @@ def basis_state(k, index):
     return v
 
 
-def nan_step_chain(q):
+def nan_step_chain(q, value=np.nan, at=(0, 0)):
     """The one-wire, one-step, h=1 chain ``q`` with its step replaced by
-    [nan, 0; 0, 1]: a model no verifier may pass.
+    the identity with ``value`` written at ``at`` (by default [nan, 0; 0, 1]):
+    for a non-finite value, a model no verifier may pass.
 
     Construction rejects non-finite matrices, so the chain is built around a
-    finite identity step and the NaN is written into that step's array
+    finite identity step and the value is written into that step's array
     afterwards.
     """
     branches = [so.matrix for so in q.branches]
     chain = qmc_from_matrices(1, 1, [np.eye(2, dtype=np.complex128)], branches)
-    chain.steps[0].matrix[0, 0] = np.nan
+    chain.steps[0].matrix[at] = value
     return chain

@@ -1,14 +1,19 @@
 """Circuit graph model: validation rules, topological order, wire threading."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qmcforge.circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit,
-                              Edge, Node, topo_order, validate,
+                              Edge, Node, placed, topo_order, validate,
                               wire_positions)
-from qmcforge.errors import CycleDetected
+from qmcforge.errors import CycleDetected, ValidationFailed
+from qmcforge.evaluate import check_equivalence, measured_wires, simulate_circuit
 from qmcforge.gates import gate_matrix
-from qmcforge.parser import parse_circuit
+from qmcforge.normalize import translate
+from qmcforge.parser import emit_circuit_text, parse_circuit
+from qmcforge.qmc import build_qmc
 
 DEUTSCH = """\
 qubits 2
@@ -100,3 +105,31 @@ def test_wire_positions_multiwire_gate_order():
     positions = wire_positions(c)
     (gid,) = c.nodes_of_kind(UNITARY)
     assert positions[gid] == (3, 1)  # input order preserved, not sorted
+
+
+def test_placed_reads_gates_in_order_and_measured_wires_ascending():
+    c = parse_circuit("qubits 3\ngate H 2\ngate CNOT 3 1\nmeasure 3\nmeasure 1\n")
+    gates, measured = placed(c)
+    assert [(node.label, wires) for node, wires in gates] == [("H", (2,)), ("CNOT", (3, 1))]
+    assert measured == (1, 3)
+
+
+BELL = "qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"
+
+
+@pytest.mark.parametrize("reader", [
+    lambda c, s, q: translate(c),
+    lambda c, s, q: check_equivalence(c, s, q),
+    lambda c, s, q: simulate_circuit(c, np.eye(4)[0]),
+    lambda c, s, q: measured_wires(c),
+    lambda c, s, q: emit_circuit_text(c),
+], ids=["translate", "check_equivalence", "simulate_circuit", "measured_wires",
+        "emit_circuit_text"])
+def test_every_circuit_reader_refuses_a_dropped_edge(reader):
+    # the Bell circuit without its last edge leaves the second measure
+    # node unfed; every reader goes through placed and refuses it
+    c = parse_circuit(BELL)
+    s, _ = translate(c)
+    broken = dataclasses.replace(c, edges=c.edges[:-1])
+    with pytest.raises(ValidationFailed):
+        reader(broken, s, build_qmc(s))

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,17 @@ def test_run_qmc_rejects_nan_initial_state(entry):
         run_qmc(q, rho)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_run_qmc_gives_nan_probabilities_for_a_non_finite_step(value):
+    # inf * 0 in a step product once raised RuntimeWarning under -W error
+    q = build_qmc(translate(parse_circuit("qubits 1\ngate H 1\nmeasure 1\n"))[0])
+    chain = nan_step_chain(q, value, at=(0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_qmc(chain, np.diag([1.0, 0.0]))
+    assert all(math.isnan(p) for p in report.probabilities)
+
+
 def test_run_qmc_refuses_infinite_tolerance():
     # an infinite tol once accepted this non-Hermitian trace-5 density and
     # returned outcome probabilities of about 3.0 and 2.0
@@ -157,6 +169,15 @@ def test_global_phase_distance():
     assert global_phase_distance(v, w) > 0.5
     with pytest.raises(DimensionMismatch):
         global_phase_distance(v, np.ones(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_global_phase_distance_of_a_non_finite_ket_is_nan(value):
+    # inf * 0 in the aligned difference once raised RuntimeWarning under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(global_phase_distance(np.array([0.0, 1.0]),
+                                                np.array([value, 0.0])))
 
 
 def test_random_kets_are_normalized():
@@ -340,7 +361,6 @@ def _worse(worst: float, dev: float) -> float:
     return dev if dev > worst or math.isnan(dev) else worst
 
 
-@np.errstate(invalid="ignore", over="ignore")
 def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
                      support_tol=DEFAULT_TOL.algebraic):
     """The per-input check_equivalence: one run_qmc per input, the state
@@ -362,7 +382,10 @@ def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
     for idx, tau in enumerate(taus):
         report = run_qmc(q, np.outer(tau, tau.conj()), tol=tol)
 
-        product_state = report.accumulated @ tau
+        # the reference's own products of a non-finite chain make NaNs too;
+        # the package calls around them run unguarded
+        with np.errstate(invalid="ignore", over="ignore"):
+            product_state = report.accumulated @ tau
         dev = global_phase_distance(reordered[:, idx], product_state)
         seen["state"][idx, None] = dev
         if not dev <= tol:
@@ -371,8 +394,9 @@ def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
         vec = tau.copy()
         worst_step = 0.0
         for step, (so, rho) in enumerate(zip(q.steps, report.densities[1:]), start=1):
-            vec = so.matrix @ vec
-            cdev = float(np.max(np.abs(rho - np.outer(vec, vec.conj()))))
+            with np.errstate(invalid="ignore", over="ignore"):
+                vec = so.matrix @ vec
+                cdev = float(np.max(np.abs(rho - np.outer(vec, vec.conj()))))
             worst_step = _worse(worst_step, cdev)
             if not cdev <= tol:
                 failures.append(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qmcforge import linalg
 from qmcforge.errors import NonSquare, NotAPermutation
+from qmcforge.normalize import _routing_steps
 
 
 def test_basis_ket():
@@ -67,11 +68,21 @@ def test_binary_swap_action_on_kets():
     assert np.array_equal(p @ p, np.eye(8))
 
 
+def _strategy_matrix(perm, strategy):
+    # the routing a strategy emits, multiplied out, and its binary-swap bill
+    k = len(perm)
+    swaps = linalg.swap_decomposition(perm, strategy)
+    acc = np.eye(2 ** k, dtype=np.complex128)
+    for step in _routing_steps(tuple(perm), swaps, k):
+        acc = step @ acc
+    return acc, len(swaps)
+
+
 @pytest.mark.parametrize("strategy", ["composed", "direct", "naive-adjacent"])
 def test_generalized_swap_action(strategy):
     # perm sends wire i to position perm[i-1]; check on every basis ket.
     perm = (3, 1, 2)  # wire1->pos3, wire2->pos1, wire3->pos2
-    p, _ = linalg.generalized_swap(perm, strategy)
+    p, _ = _strategy_matrix(perm, strategy)
     for idx in range(8):
         bits = [(idx >> (3 - w)) & 1 for w in (1, 2, 3)]
         out = [0, 0, 0]
@@ -88,7 +99,7 @@ def test_generalized_swap_strategies_agree():
         perm = tuple(int(x) + 1 for x in rng.permutation(k))
         mats = {}
         for strategy in ("composed", "direct", "naive-adjacent"):
-            m, count = linalg.generalized_swap(perm, strategy)
+            m, count = _strategy_matrix(perm, strategy)
             mats[strategy] = m
             if strategy == "direct":
                 assert count == 0
@@ -96,6 +107,7 @@ def test_generalized_swap_strategies_agree():
                 assert count <= k - 1
             else:
                 assert count <= k * (k - 1) // 2
+        assert np.array_equal(mats["direct"], linalg._permutation_matrix(k, perm))
         assert np.array_equal(mats["composed"], mats["direct"])
         assert np.array_equal(mats["naive-adjacent"], mats["direct"])
 
@@ -104,8 +116,8 @@ def test_generalized_swap_strategies_agree():
 @given(st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
        st.sampled_from(["composed", "naive-adjacent"]))
 def test_swap_decomposition_rebuilds_matrix(perm, strategy):
-    # the product of the decomposition's binary swaps is the reference the
-    # one-pass generalized_swap matrix must equal; its length is the bill
+    # the product of the decomposition's binary swaps realizes the one-pass
+    # permutation matrix; its length is the bill
     k = len(perm)
     steps = linalg.swap_decomposition(perm, strategy)
     if strategy == "naive-adjacent":
@@ -113,21 +125,17 @@ def test_swap_decomposition_rebuilds_matrix(perm, strategy):
     acc = np.eye(2 ** k, dtype=np.complex128)
     for i, j in steps:
         acc = linalg.binary_swap(k, i, j) @ acc
-    mat, count = linalg.generalized_swap(perm, strategy)
-    assert count == len(steps)
-    assert np.array_equal(acc, mat)
+    assert np.array_equal(acc, linalg._permutation_matrix(k, perm))
 
 
 def test_identity_permutation_is_free():
     for strategy in ("composed", "direct", "naive-adjacent"):
-        m, count = linalg.generalized_swap((1, 2, 3), strategy)
-        assert count == 0
-        assert np.array_equal(m, np.eye(8))
+        assert linalg.swap_decomposition((1, 2, 3), strategy) == []
+    assert np.array_equal(linalg._permutation_matrix(3, (1, 2, 3)), np.eye(8))
 
 
-def test_generalized_swap_rejects_bad_input():
+def test_swap_decomposition_rejects_bad_input():
     with pytest.raises(NotAPermutation):
-        linalg.generalized_swap((1, 1, 2), "composed")
+        linalg.swap_decomposition((1, 1, 2), "composed")
     with pytest.raises(NotAPermutation):
-        linalg.generalized_swap((1, 2, 3), "sorted")
-
+        linalg.swap_decomposition((1, 2, 3), "sorted")

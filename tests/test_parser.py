@@ -84,6 +84,15 @@ def test_parse_caps_register_width():
     assert parse_circuit(f"qubits {MAX_QUBITS}\n").k == MAX_QUBITS == 12
 
 
+def test_parse_reports_a_5000_digit_wire_as_out_of_range():
+    # int() refuses a decimal of over 4,300 digits; the message once called
+    # it "not a wire number" and echoed all 5,000 digits
+    with pytest.raises(WireOutOfRange, match="^line 2: wire of 5000 digits outside 1..2$"):
+        parse_circuit("qubits 2\ngate H " + "1" * 5000)
+    with pytest.raises(WireOutOfRange, match="^line 2: wire of 4301 digits outside 1..2$"):
+        parse_circuit("qubits 2\ncgate X 1 ctrl " + "9" * 4301)
+
+
 def test_parse_rejects_mid_circuit_measurement():
     text = "qubits 1\nmeasure 1\ngate H 1\n"
     with pytest.raises(CircuitSyntaxError) as err:
@@ -116,6 +125,13 @@ measure 3
     g2 = [(c2.nodes[n].label, wire_positions(c2)[n])
           for n in topo_order(c2) if c2.nodes[n].kind == UNITARY]
     assert g1 == g2
+
+
+def test_writer_puts_measure_lines_in_ascending_wire_order():
+    c = parse_circuit("qubits 3\ngate CNOT 3 1\nmeasure 3\nmeasure 1\n")
+    text = emit_circuit_text(c)
+    assert text == "qubits 3\ngate CNOT 3 1\nmeasure 1\nmeasure 3\n"
+    assert emit_circuit_text(parse_circuit(text)) == text
 
 
 def test_writer_round_trip_random_circuits():

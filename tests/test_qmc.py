@@ -1,6 +1,7 @@
 """Chain construction: superoperators, branching, and row stochasticity."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,17 @@ def test_row_stochasticity_flags_leaky_chain():
 def test_row_stochasticity_flags_nan():
     # a NaN deviation is a violation, not a pass
     bad = verify_row_stochasticity(nan_step_chain(_single_h_chain()))
+    assert [v.state for v in bad] == ["s1"]
+    assert np.isnan(bad[0].deviation)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_row_stochasticity_reports_a_non_finite_step_without_warning(value):
+    # inf * 0 in the gram once raised RuntimeWarning under -W error
+    chain = nan_step_chain(_single_h_chain(), value, at=(0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = verify_row_stochasticity(chain)
     assert [v.state for v in bad] == ["s1"]
     assert np.isnan(bad[0].deviation)
 

@@ -3,7 +3,7 @@
 Tolerances are configuration, not magic numbers sprinkled through the code:
 algebraic identities (unitarity, completeness, daggers) are held to 1e-12,
 end-to-end pipeline comparisons to 1e-9, and the per-state trace-preservation
-check on compiled chains to 1e-10.
+check on chains, the one check that their maps are physical, to 1e-10.
 
 Every tolerance argument must be a finite number >= 0
 (:func:`check_tolerance`): a NaN tolerance fails every check and an
@@ -28,7 +28,6 @@ class Tolerances:
     algebraic: float = 1e-12
     pipeline: float = 1e-9
     qmc_rows: float = 1e-10
-    psd_slack: float = 1e-10
 
 
 DEFAULT_TOL = Tolerances()

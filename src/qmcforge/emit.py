@@ -30,9 +30,9 @@ import re
 
 import numpy as np
 
-from .errors import QmcForgeError, ReparseError
+from .errors import QmcForgeError, ReparseError, echo
 from .linalg import check_finite
-from .qmc import Qmc, Superoperator
+from .qmc import Qmc, Superoperator, verify_row_stochasticity
 
 __all__ = ["format_number", "format_matrix", "emit_qpmc", "reparse_model"]
 
@@ -180,7 +180,7 @@ def _parse_entry(token: str, where: str) -> complex:
             return complex(0.0, float(body))
         return complex(float(body[:split]), float(body[split:]))
     except ValueError:
-        raise ReparseError(f"{where}: bad numeric entry {token!r}") from None
+        raise ReparseError(f"{where}: bad numeric entry {echo(token)}") from None
 
 
 def _parse_matrix(literal: str, where: str) -> np.ndarray:
@@ -253,8 +253,8 @@ def reparse_model(text: str) -> Qmc:
     header once, before anything else; constants before the module, each one
     used; one module holding the state variable once; a linear chain, one
     measurement fan-out, terminal self-loops) and raises ReparseError, with
-    the offending line, on anything else.
-    Comments, blank lines and indentation are ignored.
+    the offending line or the first state :func:`verify_row_stochasticity`
+    reports, on anything else. Comments, blank lines and indentation are ignored.
     """
     consts: dict[str, np.ndarray] = {}
     commands: dict[int, list[tuple[str, int]] | None] = {}
@@ -312,14 +312,14 @@ def reparse_model(text: str) -> Qmc:
             for term in rhs.split(" + "):
                 am = _ACTION_RE.match(term.strip())
                 if not am:
-                    raise ReparseError(f"{where}: unrecognized action {term!r}")
+                    raise ReparseError(f"{where}: unrecognized action {echo(term)}")
                 cname, target = am.group(1), _state_number(am.group(2), where)
                 if cname not in consts:
                     raise ReparseError(f"{where}: unknown constant {cname}")
                 actions.append((cname, target))
             commands[guard] = actions
             continue
-        raise ReparseError(f"{where}: unrecognized line {line!r}")
+        raise ReparseError(f"{where}: unrecognized line {echo(line)}")
 
     if in_module:
         raise ReparseError("module is never closed")
@@ -355,9 +355,12 @@ def reparse_model(text: str) -> Qmc:
     h = len(branches).bit_length() - 1
     k = consts[branches[0]].shape[0].bit_length() - 1
     try:
-        # one map per constant, built in first-use order (steps, then
-        # branches), so the first rejected matrix is the first one used
+        # one map per constant, shared by every step using it
         maps = {cname: Superoperator(consts[cname]) for cname in dict.fromkeys(steps + branches)}
-        return Qmc(k, h, tuple(maps[c] for c in steps), tuple(maps[c] for c in branches))
+        q = Qmc(k, h, tuple(maps[c] for c in steps), tuple(maps[c] for c in branches))
     except QmcForgeError as exc:
         raise ReparseError(f"model matrices rejected: {exc}") from exc
+    violations = verify_row_stochasticity(q)
+    if violations:
+        raise ReparseError(f"model matrices rejected: {violations[0]}")
+    return q

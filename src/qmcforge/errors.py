@@ -11,6 +11,17 @@ class QmcForgeError(Exception):
     """Base class for all errors raised by qmcforge."""
 
 
+ECHO_CHARS = 40
+
+
+def echo(token: str) -> str:
+    """The repr of ``token`` for an error message, cut to its first
+    ``ECHO_CHARS`` characters and its length when longer."""
+    if len(token) <= ECHO_CHARS:
+        return repr(token)
+    return f"{token[:ECHO_CHARS]!r}... ({len(token)} characters)"
+
+
 # --- linear algebra ---------------------------------------------------------
 
 

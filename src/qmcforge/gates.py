@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ArityMismatch, BadParameters, UnknownGate
+from .errors import ArityMismatch, BadParameters, UnknownGate, echo
 from .linalg import check_finite, dagger
 
 __all__ = ["gate_matrix", "gate_arity", "known_gates"]
@@ -120,7 +120,7 @@ def gate_matrix(name: str, params: tuple[float, ...] | list[float] = ()) -> np.n
 
     if "(" in spelling:
         if not spelling.endswith(")"):
-            raise UnknownGate(f"malformed gate spelling {spelling!r}")
+            raise UnknownGate(f"malformed gate spelling {echo(spelling)}")
         head, _, tail = spelling.partition("(")
         if params:
             raise BadParameters(f"parameters given twice for {head!r}")
@@ -135,7 +135,7 @@ def gate_matrix(name: str, params: tuple[float, ...] | list[float] = ()) -> np.n
         if len(params) != 1:
             raise ArityMismatch(f"{spelling} takes exactly one angle, got {len(params)}")
         return check_finite(_PARAM[spelling](params[0]), spelling)
-    raise UnknownGate(f"unknown gate {spelling!r}")
+    raise UnknownGate(f"unknown gate {echo(spelling)}")
 
 
 def gate_arity(name: str) -> int:

@@ -22,8 +22,8 @@ from io import StringIO
 from .circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit, Edge, Node,
                       placed, validate)
 from .config import MAX_QUBITS
-from .errors import (ArityMismatch, CircuitSyntaxError, InvalidCircuit,
-                     SizeOutOfRange, ValidationFailed, WireOutOfRange)
+from .errors import (ECHO_CHARS, ArityMismatch, CircuitSyntaxError, InvalidCircuit,
+                     SizeOutOfRange, ValidationFailed, WireOutOfRange, echo)
 from .gates import gate_matrix
 
 __all__ = ["parse_circuit", "emit_circuit_text"]
@@ -33,12 +33,12 @@ def _parse_wire(token: str, k: int, lineno: int) -> int:
     try:
         w = int(token)
     except ValueError:
-        if token.isdecimal():  # int() refuses over 4,300 digits
-            raise WireOutOfRange(f"line {lineno}: wire of {len(token)} digits "
-                                 f"outside 1..{k}") from None
-        raise CircuitSyntaxError(lineno, f"expected a wire number, got {token!r}")
+        if not token.isdecimal():
+            raise CircuitSyntaxError(lineno, f"expected a wire number, got {echo(token)}")
+        w = 0  # a decimal that int() refuses has over 4,300 digits
     if not 1 <= w <= k:
-        raise WireOutOfRange(f"line {lineno}: wire {w} outside 1..{k}")
+        shown = w if len(token) <= ECHO_CHARS else f"of {len(token)} digits"
+        raise WireOutOfRange(f"line {lineno}: wire {shown} outside 1..{k}")
     return w
 
 
@@ -157,7 +157,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSyntaxError(lineno, "expected: measure <wire>")
             builder.add_measure(_parse_wire(tokens[1], builder.k, lineno), lineno)
         else:
-            raise CircuitSyntaxError(lineno, f"unknown statement {head!r}")
+            raise CircuitSyntaxError(lineno, f"unknown statement {echo(head)}")
     if builder is None:
         raise CircuitSyntaxError(1, "empty input: missing qubits declaration")
     circuit = builder.finish()

@@ -5,7 +5,8 @@ internal states s1..s(n+1) joined by the unitary superoperators, one
 branching fan-out from s(n+1) into 2^h terminal states weighted by the
 measurement superoperators, and an identity self-loop on every terminal.
 The defining soundness condition is that the superoperators leaving any
-state sum to a trace-preserving map.
+state sum to a trace-preserving map; :func:`verify_row_stochasticity` is
+the one check of it, and construction checks only the shape of the maps.
 
 The chain is stored as that shape: a ``steps`` tuple and a ``branches``
 tuple of one-matrix superoperators. The state names, the transition table
@@ -37,8 +38,8 @@ class Superoperator:
     the only kind of map the model text writes.
 
     ``matrix`` is stored as complex128. Construction rejects input that is
-    not a non-empty square 2-D matrix, and non-finite or trace-increasing
-    matrices.
+    not a non-empty square 2-D matrix of finite entries; whether the map is
+    physical is left to :func:`verify_row_stochasticity`.
     """
 
     matrix: np.ndarray
@@ -53,21 +54,6 @@ class Superoperator:
                 f"superoperator needs a non-empty square matrix, got shape {m.shape}")
         check_finite(m, "superoperator matrix")
         object.__setattr__(self, "matrix", m)
-        gram = self.gram()
-        herm = (gram + gram.conj().T) / 2.0
-        limit = 1.0 + DEFAULT_TOL.psd_slack
-        # Gershgorin: the largest eigenvalue is at most the largest absolute
-        # row sum, which already settles every permutation, unitary and
-        # projector step without an eigendecomposition.
-        bound = np.abs(herm).sum(axis=1).max()
-        if bound <= limit:
-            return
-        if not np.isfinite(bound):
-            raise DimensionMismatch("superoperator gram overflows: entries too large")
-        top = np.linalg.eigvalsh(herm).max()
-        if not top <= limit:
-            raise DimensionMismatch(
-                f"superoperator increases trace (largest eigenvalue {top:.3e})")
 
     @property
     def kraus(self) -> tuple[np.ndarray]:
@@ -197,7 +183,7 @@ class RowViolation:
         return f"state {self.state}: outgoing maps deviate from trace-preserving by {self.deviation:.3e}"
 
 
-# a non-finite step's NaN deviation is reported as a violation, not warned about
+# a NaN step and a gram that overflows to inf are violations, not warnings
 @np.errstate(invalid="ignore", over="ignore")
 def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[RowViolation]:
     """Check that each state's outgoing superoperators sum to a
@@ -205,19 +191,18 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
 
     The rows are s1..sn, one step each, and s{n+1}, the sum over the
     measurement branches; the terminals' identity self-loops need no check.
+    A step object shared by several positions has its gram formed once.
     Returns one violation per offending state; an empty list certifies the
     chain. ``tol`` must be finite and >= 0.
     """
     check_tolerance(tol, "tol")
-    out: list[RowViolation] = []
     eye = np.eye(2 ** q.k, dtype=np.complex128)
 
-    def check(state: str, total: np.ndarray) -> None:
-        dev = float(np.max(np.abs(total - eye)))
-        if not dev <= tol:
-            out.append(RowViolation(state, dev))
+    def deviation(total: np.ndarray) -> float:
+        return float(np.max(np.abs(total - eye)))
 
-    for i, so in enumerate(q.steps, start=1):
-        check(f"s{i}", so.gram())
-    check(f"s{q.n + 1}", sum(so.gram() for so in q.branches))
-    return out
+    distinct = {id(so): so for so in q.steps}
+    step_dev = {key: deviation(so.gram()) for key, so in distinct.items()}
+    rows = [(f"s{i}", step_dev[id(so)]) for i, so in enumerate(q.steps, start=1)]
+    rows.append((f"s{q.n + 1}", deviation(sum(so.gram() for so in q.branches))))
+    return [RowViolation(state, dev) for state, dev in rows if not dev <= tol]

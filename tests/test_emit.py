@@ -2,6 +2,7 @@
 
 import hashlib
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import build_qmc, measurement_matrix, qmc_from_matrices
+from qmcforge.qmc import (build_qmc, measurement_matrix, qmc_from_matrices,
+                          verify_row_stochasticity)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -543,11 +545,42 @@ def test_reparse_builds_one_map_per_constant():
     assert q.branches[0] is not q.branches[1]
 
 
-def test_reparse_rejects_trace_increasing_constant_used_twice():
+def test_reparse_rejects_trace_increasing_constant_used_twice(monkeypatch):
     model = _two_h_model()
     literal = model.split("const matrix U1 = ", 1)[1].split(";\n", 1)[0]
     bad = model.replace(literal, "[2, 0; 0, 1]", 1)
+    reports = []
+
+    def row_check(q):
+        reports.append(verify_row_stochasticity(q))
+        return reports[-1]
+
+    monkeypatch.setattr(emit, "verify_row_stochasticity", row_check)
     with pytest.raises(ReparseError) as err:
         reparse_model(bad)
-    assert str(err.value) == ("model matrices rejected: superoperator increases trace "
-                              "(largest eigenvalue 4.000e+00)")
+    assert str(err.value) == ("model matrices rejected: state s1: outgoing maps "
+                              "deviate from trace-preserving by 3.000e+00")
+    # the message names the first state; s3 shares the constant and is reported too
+    assert [(v.state, v.deviation) for v in reports[0]] == [("s1", 3.0), ("s3", 3.0)]
+
+
+# each once reparsed: the first with three numpy warnings before its error
+# line (a traceback under -W error), the second verified FAIL with exit 1
+@pytest.mark.parametrize("literal, message", [
+    ("[1e200, 0, 0, 0; 0, 1, 0, 0; 0, 0, 0, 1; 0, 0, 1, 0]",
+     "state s2: outgoing maps deviate from trace-preserving by inf"),
+    ("[0.5, 0, 0, 0; 0, 0.5, 0, 0; 0, 0, 0, 0.5; 0, 0, 0.5, 0]",
+     "state s2: outgoing maps deviate from trace-preserving by 7.500e-01"),
+], ids=["gram-overflows", "trace-decreasing"])
+def test_verify_against_refuses_a_model_whose_rows_are_not_trace_preserving(
+        literal, message, tmp_path, capsys):
+    model = _deutsch_model()
+    old = "const matrix U2 = [1, 0, 0, 0; 0, 1, 0, 0; 0, 0, 0, 1; 0, 0, 1, 0];"
+    assert old in model
+    bad = model.replace(old, f"const matrix U2 = {literal};", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReparseError) as err:
+            reparse_model(bad)
+        assert str(err.value) == f"model matrices rejected: {message}"
+        _verify_against_exits_2(bad, tmp_path, capsys)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import nan_step_chain, random_circuit
 from qmcforge.config import DEFAULT_TOL
-from qmcforge.errors import DimensionMismatch, OutcomeOutOfRange, QmcForgeError
+from qmcforge.emit import emit_qpmc, reparse_model
+from qmcforge.errors import (DimensionMismatch, OutcomeOutOfRange, QmcForgeError,
+                             ReparseError)
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.qmc import (Qmc, Superoperator, build_qmc, measurement_matrix,
@@ -23,12 +25,20 @@ def _single_h_chain():
     return build_qmc(SnfCircuit(k=1, unitaries=(H,), h=1, wire_map=(1,)))
 
 
+def _one_step_chain(step):
+    """The one-wire, one-step chain of ``step`` with no measurement, whose
+    fan-out row (the identity) always passes."""
+    return qmc_from_matrices(1, 0, [step], [np.eye(2)])
+
+
 def test_superoperator_validates_kraus_family():
     Superoperator(H)  # unitary: fine
     half = np.diag([1.0, 0.5]).astype(np.complex128)
     Superoperator(half)  # trace-nonincreasing: fine
-    with pytest.raises(DimensionMismatch):
-        Superoperator(np.diag([1.0, 1.5]).astype(np.complex128))
+    # a trace-increasing matrix is one matrix as well; the row check reports it
+    grow = np.diag([1.0, 1.5]).astype(np.complex128)
+    bad = verify_row_stochasticity(_one_step_chain(grow))
+    assert [(v.state, v.deviation) for v in bad] == [("s1", 1.25)]
     # a ragged list of operators and an empty one are no matrix at all
     with pytest.raises(DimensionMismatch):
         Superoperator((H, np.eye(4, dtype=np.complex128)))
@@ -76,30 +86,28 @@ def test_superoperator_rejects_non_finite_kraus():
             qmc_from_matrices(k, 0, [bad], [np.eye(2 ** k, dtype=np.complex128)])
         with pytest.raises(QmcForgeError):
             qmc_from_matrices(k, 0, [], [bad])
-    # finite entries whose gram overflows to inf/NaN are rejected as well
-    with np.errstate(all="ignore"), pytest.raises(DimensionMismatch, match="overflows"):
-        Superoperator(np.diag([1e200, 1]).astype(np.complex128))
+    # finite entries whose gram overflows make a chain; the row check reports
+    # the overflow as an infinite deviation, without a numpy warning
+    big = np.diag([1e200, 1]).astype(np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = verify_row_stochasticity(_one_step_chain(big))
+    assert [(v.state, v.deviation) for v in bad] == [("s1", np.inf)]
 
 
-def test_superoperator_screen_keeps_slight_trace_increase():
-    # the Gershgorin screen must not settle a map just above trace-preserving
-    with pytest.raises(DimensionMismatch, match="increases trace"):
-        Superoperator(1.0000001 * np.eye(2, dtype=np.complex128))
-    with pytest.raises(DimensionMismatch, match="increases trace"):
-        Superoperator(1.0000001 * H)
-    # a rank-1 projector off the axes has row sums above 1 but trace-preserves
-    # its range: the screen cannot settle it and eigvalsh accepts it
+def test_row_check_flags_slight_trace_increase():
+    # a map just above trace-preserving is a violation of its row
+    for m in (1.0000001 * np.eye(2, dtype=np.complex128), 1.0000001 * H):
+        bad = verify_row_stochasticity(_one_step_chain(m))
+        assert [v.state for v in bad] == ["s1"]
+        assert bad[0].deviation == pytest.approx(1.0000001 ** 2 - 1)
+    # a rank-1 projector off the axes has row sums above 1; with its
+    # complement it resolves the identity, so the fan-out row passes
     v = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)], dtype=np.complex128)
     projector = np.outer(v, v.conj())
     assert np.abs(projector).sum(axis=1).max() > 1.2
-    Superoperator(projector)
-
-
-def _eigvalsh_verdict(m):
-    """Acceptance by the eigenvalue test alone, without the row-sum screen."""
-    gram = m.conj().T @ m
-    top = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).max()
-    return bool(top <= 1.0 + DEFAULT_TOL.psd_slack)
+    q = qmc_from_matrices(1, 1, [H], [projector, np.eye(2) - projector])
+    assert verify_row_stochasticity(q) == []
 
 
 @st.composite
@@ -126,15 +134,77 @@ def _map_matrix(draw):
     return m * scale
 
 
+# --- the row check is the one physicality check -------------------------------
+
+def _row_reference(m):
+    """max |M^dagger M - I| of one matrix, formed plainly."""
+    with np.errstate(all="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def _per_step_reference(q):
+    """The violations of ``q`` with one gram per step position, unshared."""
+    rows = [(f"s{i}", _row_reference(so.matrix)) for i, so in enumerate(q.steps, start=1)]
+    with np.errstate(all="ignore"):
+        fan = sum(so.matrix.conj().T @ so.matrix for so in q.branches)
+        rows.append((f"s{q.n + 1}", float(np.max(np.abs(fan - np.eye(2 ** q.k))))))
+    return [(state, dev) for state, dev in rows if not dev <= DEFAULT_TOL.qmc_rows]
+
+
+def _assert_same_violations(found, expected):
+    assert [v.state for v in found] == [state for state, _ in expected]
+    # NaN deviations compare equal here
+    np.testing.assert_array_equal([v.deviation for v in found], [d for _, d in expected])
+
+
 @settings(max_examples=150, deadline=None)
-@given(m=_map_matrix())
-def test_screened_verdict_equals_eigvalsh_verdict(m):
-    try:
-        Superoperator(m)
-        accepted = True
-    except DimensionMismatch:
-        accepted = False
-    assert accepted == _eigvalsh_verdict(m)
+@given(m=_map_matrix(), h=st.booleans())
+def test_reparse_refuses_exactly_the_rows_the_reference_refuses(m, h):
+    # the draw is the middle step of an emitted model between two identities
+    k = m.shape[0].bit_length() - 1
+    h = int(h and k > 0)
+    eye = np.eye(2 ** k, dtype=np.complex128)
+    model = emit_qpmc(qmc_from_matrices(
+        k, h, [eye, m, eye], [measurement_matrix(h, k, i) for i in range(2 ** h)]))
+    if _row_reference(m) > DEFAULT_TOL.qmc_rows:
+        with pytest.raises(ReparseError, match=r"^model matrices rejected: state s2: "):
+            reparse_model(model)
+    else:
+        q = reparse_model(model)
+        assert np.array_equal(q.steps[1].matrix, m)
+        assert verify_row_stochasticity(q) == []
+
+
+_EDITS = [np.nan, np.inf, -np.inf, 0.0, 2.0, 1.0 + 1e-9, 1.0 + 1e-11, 1e200, 1j]
+
+
+@st.composite
+def _shared_step_chain(draw):
+    """A reparsed chain whose steps reuse two or three model constants at
+    several positions, with one entry of a step (and so of every position
+    sharing its constant) written in place afterwards, as nan_step_chain
+    writes its value."""
+    k = draw(st.integers(1, 2))
+    dim = 2 ** k
+    pool = [np.eye(dim)[::-1], np.kron(H, np.eye(dim // 2)), np.diag(np.exp(0.5j * np.arange(dim)))]
+    steps = draw(st.lists(st.sampled_from(pool[:draw(st.integers(2, 3))]),
+                          min_size=1, max_size=6))
+    h = draw(st.integers(0, k))
+    q = reparse_model(emit_qpmc(qmc_from_matrices(
+        k, h, steps, [measurement_matrix(h, k, i) for i in range(2 ** h)])))
+    target = draw(st.sampled_from(q.steps + q.branches))
+    at = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+    target.matrix[at] = draw(st.sampled_from(_EDITS))
+    return q
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=_shared_step_chain())
+def test_row_check_per_map_equals_per_step_reference(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = verify_row_stochasticity(q)
+    _assert_same_violations(found, _per_step_reference(q))
 
 
 def test_superoperator_apply():

@@ -276,15 +276,15 @@ def reparse_model(text: str) -> Qmc:
         if m:
             name, literal = m.groups()
             if seen_module:
-                raise ReparseError(f"{where}: constant {name} after the module line")
+                raise ReparseError(f"{where}: constant {echo(name, str)} after the module line")
             if name in consts:
-                raise ReparseError(f"{where}: duplicate constant {name}")
+                raise ReparseError(f"{where}: duplicate constant {echo(name, str)}")
             consts[name] = _parse_matrix(literal, where)
             continue
         m = _MODULE_RE.match(line)
         if m:
             if seen_module:
-                raise ReparseError(f"{where}: second module {m.group(1)}")
+                raise ReparseError(f"{where}: second module {echo(m.group(1), str)}")
             in_module = seen_module = True
             continue
         if line == "endmodule":
@@ -315,7 +315,7 @@ def reparse_model(text: str) -> Qmc:
                     raise ReparseError(f"{where}: unrecognized action {echo(term)}")
                 cname, target = am.group(1), _state_number(am.group(2), where)
                 if cname not in consts:
-                    raise ReparseError(f"{where}: unknown constant {cname}")
+                    raise ReparseError(f"{where}: unknown constant {echo(cname, str)}")
                 actions.append((cname, target))
             commands[guard] = actions
             continue
@@ -331,7 +331,7 @@ def reparse_model(text: str) -> Qmc:
     used = {cname for acts in commands.values() if acts for cname, _ in acts}
     unused = [name for name in consts if name not in used]
     if unused:
-        raise ReparseError(f"constant {unused[0]} is never used")
+        raise ReparseError(f"constant {echo(unused[0], str)} is never used")
 
     terminals = [g for g, acts in commands.items() if acts is None]
     if not terminals or terminals != list(range(min(terminals), top + 1)):

@@ -14,12 +14,12 @@ class QmcForgeError(Exception):
 ECHO_CHARS = 40
 
 
-def echo(token: str) -> str:
-    """The repr of ``token`` for an error message, cut to its first
-    ``ECHO_CHARS`` characters and its length when longer."""
+def echo(token: str, show=repr) -> str:
+    """``show(token)`` (its repr by default) for an error message, cut to
+    its first ``ECHO_CHARS`` characters and its length when longer."""
     if len(token) <= ECHO_CHARS:
-        return repr(token)
-    return f"{token[:ECHO_CHARS]!r}... ({len(token)} characters)"
+        return show(token)
+    return f"{show(token[:ECHO_CHARS])}... ({len(token)} characters)"
 
 
 # --- linear algebra ---------------------------------------------------------

@@ -57,13 +57,14 @@ class _Builder:
             w: (w, 1) for w in range(1, k + 1)}
 
     def add_gate(self, spelling: str, wires: list[int], lineno: int) -> None:
+        # before the matrix: each control doubles its width
+        if len(set(wires)) != len(wires):
+            raise CircuitSyntaxError(lineno, f"duplicate wire in {wires}")
         matrix = gate_matrix(spelling)
         dim = matrix.shape[0].bit_length() - 1
         if len(wires) != dim:
             raise ArityMismatch(
                 f"line {lineno}: {spelling} needs {dim} wires, got {len(wires)}")
-        if len(set(wires)) != len(wires):
-            raise CircuitSyntaxError(lineno, f"duplicate wire in {wires}")
         nid = self.next_id
         self.next_id += 1
         self.nodes[nid] = Node(UNITARY, dim=dim, matrix=matrix, label=spelling)

@@ -7,6 +7,8 @@ measurement superoperators, and an identity self-loop on every terminal.
 The defining soundness condition is that the superoperators leaving any
 state sum to a trace-preserving map; :func:`verify_row_stochasticity` is
 the one check of it, and construction checks only the shape of the maps.
+Permutation, phase and projector rows are read from their diagonal in
+O(d^2); only the other rows form d^3 grams.
 
 The chain is stored as that shape: a ``steps`` tuple and a ``branches``
 tuple of one-matrix superoperators. The state names, the transition table
@@ -183,7 +185,29 @@ class RowViolation:
         return f"state {self.state}: outgoing maps deviate from trace-preserving by {self.deviation:.3e}"
 
 
-# a NaN step and a gram that overflows to inf are violations, not warnings
+def _diagonal_mass(maps) -> np.ndarray | None:
+    """diag(sum of M^dagger M) over ``maps``, each matrix's column norms
+    squared, when every matrix has at most one nonzero per row and per column
+    and all its nonzeros are finite; the sum is then exactly diagonal.
+    Otherwise None, and the caller forms the grams."""
+    d = maps[0].dim
+    mass = np.zeros(d)
+    for so in maps:
+        flat = np.flatnonzero(so.matrix != 0)
+        if flat.size > d:
+            return None
+        rows, cols = np.divmod(flat, d)
+        if (np.bincount(rows, minlength=d).max() > 1
+                or np.bincount(cols, minlength=d).max() > 1):
+            return None
+        values = so.matrix.ravel()[flat]
+        if not np.isfinite(values).all():
+            return None
+        mass[cols] += (values.conj() * values).real
+    return mass
+
+
+# a NaN step and a gram or column norm that overflows to inf are violations, not warnings
 @np.errstate(invalid="ignore", over="ignore")
 def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[RowViolation]:
     """Check that each state's outgoing superoperators sum to a
@@ -191,18 +215,24 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
 
     The rows are s1..sn, one step each, and s{n+1}, the sum over the
     measurement branches; the terminals' identity self-loops need no check.
-    A step object shared by several positions has its gram formed once.
+    A row whose matrices have at most one nonzero per row and per column,
+    all finite (permutations, phases, diagonal projectors), has a diagonal
+    sum, read from the column norms in O(d^2); every other row forms its
+    grams. A step object shared by several positions is checked once.
     Returns one violation per offending state; an empty list certifies the
     chain. ``tol`` must be finite and >= 0.
     """
     check_tolerance(tol, "tol")
     eye = np.eye(2 ** q.k, dtype=np.complex128)
 
-    def deviation(total: np.ndarray) -> float:
-        return float(np.max(np.abs(total - eye)))
+    def deviation(maps) -> float:
+        mass = _diagonal_mass(maps)
+        if mass is None:
+            return float(np.max(np.abs(sum(so.gram() for so in maps) - eye)))
+        return float(np.max(np.abs(mass - 1)))
 
     distinct = {id(so): so for so in q.steps}
-    step_dev = {key: deviation(so.gram()) for key, so in distinct.items()}
+    step_dev = {key: deviation((so,)) for key, so in distinct.items()}
     rows = [(f"s{i}", step_dev[id(so)]) for i, so in enumerate(q.steps, start=1)]
-    rows.append((f"s{q.n + 1}", deviation(sum(so.gram() for so in q.branches))))
+    rows.append((f"s{q.n + 1}", deviation(q.branches)))
     return [RowViolation(state, dev) for state, dev in rows if not dev <= tol]

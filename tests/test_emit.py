@@ -272,6 +272,33 @@ def test_reparse_rejects_stray_constants(edit, message):
         reparse_model(edit(_deutsch_model()))
 
 
+_LONG = "N" * 5000
+_LONG_CONST = f"const matrix {_LONG} = [1];\n"
+
+
+def _second_module(model: str) -> str:
+    body = model[model.index("module model"):model.index("endmodule") + len("endmodule")]
+    return model.replace(body, body + "\n" + body.replace("model", _LONG, 1), 1)
+
+
+# each of these once echoed the 5,000-character name in full
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.replace("<<U2>>", f"<<{_LONG}>>", 1), "unknown constant"),
+    (lambda m: m.replace("\nmodule model\n", f"\n{_LONG_CONST * 2}module model\n", 1),
+     "duplicate constant"),
+    (lambda m: m.replace("endmodule\n", f"endmodule\n{_LONG_CONST}", 1), "constant"),
+    (lambda m: m.replace("\nmodule model\n", f"\n{_LONG_CONST}module model\n", 1),
+     "constant"),
+    (_second_module, "second module"),
+], ids=["unknown", "duplicate", "after-module", "unused", "second-module"])
+def test_reparse_cuts_long_names_in_messages(edit, message):
+    with pytest.raises(ReparseError) as err:
+        reparse_model(edit(_deutsch_model()))
+    text = str(err.value)
+    assert f"{message} {'N' * 40}... (5000 characters)" in text
+    assert len(text) < 200
+
+
 def test_reparse_rejects_non_finite_entries():
     # a NaN entry once reached the Superoperator trace check and escaped as a
     # raw numpy LinAlgError; 1e999 overflows to inf

@@ -1,5 +1,7 @@
 """Circuit text format: parsing, diagnostics, and writer round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,23 @@ def test_parse_rejects_mid_circuit_measurement():
 def test_parse_rejects_duplicate_measure():
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("qubits 1\ngate H 1\nmeasure 1\nmeasure 1\n")
+
+
+def test_parse_reports_a_repeated_wire_before_building_the_gate_matrix():
+    # each control doubles the matrix's width: ten controls on one wire once
+    # built a 2048-square matrix (80 MiB peak) before reporting the repeat
+    text = "qubits 2\ncgate X 1 ctrl " + " 2" * 10 + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitSyntaxError, match=r"^line 2: duplicate wire in \[2, 2, "):
+            parse_circuit(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # a line with an unknown gate and a repeated wire reports the repeat
+    with pytest.raises(CircuitSyntaxError, match=r"^line 2: duplicate wire in \[1, 1\]$"):
+        parse_circuit("qubits 2\ngate WAT 1 1\n")
 
 
 def test_writer_round_trip_preserves_semantics():

@@ -15,8 +15,8 @@ from qmcforge.errors import (DimensionMismatch, OutcomeOutOfRange, QmcForgeError
                              ReparseError)
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
-from qmcforge.qmc import (Qmc, Superoperator, build_qmc, measurement_matrix,
-                          qmc_from_matrices, verify_row_stochasticity)
+from qmcforge.qmc import (Qmc, Superoperator, _diagonal_mass, build_qmc,
+                          measurement_matrix, qmc_from_matrices, verify_row_stochasticity)
 
 H = gate_matrix("H")
 
@@ -205,6 +205,83 @@ def test_row_check_per_map_equals_per_step_reference(q):
         warnings.simplefilter("error")
         found = verify_row_stochasticity(q)
     _assert_same_violations(found, _per_step_reference(q))
+
+
+_MAGNITUDES = [0.0, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-11, 0.5, 1.5]
+
+
+@st.composite
+def _sparse_row(draw):
+    """One row of a chain on k <= 3 wires: a monomial step (random phases
+    and magnitudes, some columns zero) or a set of diagonal branches over a
+    random split of the diagonal, then maybe one entry added off that
+    pattern or one ``_EDITS`` value written in place. Returns the chain,
+    whose row s1 it is, the row's maps and the change made ("none",
+    "off-pattern" or the edit value)."""
+    k = draw(st.integers(0, 3))
+    dim = 2 ** k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.ones(dim)
+    if draw(st.booleans()):
+        values = rng.choice(_MAGNITUDES, dim) * rng.uniform(0.9, 1.1, dim) ** draw(st.booleans())
+    if draw(st.booleans()):
+        values = values * np.exp(2j * np.pi * rng.random(dim))
+    if draw(st.booleans()):
+        step = np.zeros((dim, dim), dtype=np.complex128)
+        step[rng.permutation(dim), np.arange(dim)] = values
+        q = qmc_from_matrices(k, 0, [step], [np.eye(dim)])
+        maps = q.steps
+    else:
+        h = draw(st.integers(0, k))
+        owner = rng.integers(0, 2 ** h, dim)
+        branches = [np.diag(np.where(owner == b, values, 0)) for b in range(2 ** h)]
+        q = qmc_from_matrices(k, h, [], branches)
+        maps = q.branches
+    change = draw(st.sampled_from(["none", "off-pattern", "edit"]))
+    target = maps[draw(st.integers(0, len(maps) - 1))].matrix
+    if change == "off-pattern" and dim > 1:
+        # a second nonzero in a row or a column that holds one already
+        if not target.any():
+            target[0, 0] = 1.0
+        nonzero = np.argwhere(target != 0)
+        i, j = nonzero[draw(st.integers(0, len(nonzero) - 1))]
+        shift = draw(st.integers(1, dim - 1))
+        at = (i, (j + shift) % dim) if draw(st.booleans()) else ((i + shift) % dim, j)
+        target[at] = 0.25 + 0.5j
+    elif change == "edit":
+        change = draw(st.sampled_from(_EDITS))
+        target[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = change
+    else:
+        change = "none"
+    return q, maps, change
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_sparse_row())
+def test_diagonal_mass_screen_agrees_with_the_gram(row):
+    q, maps, change = row
+    with np.errstate(over="ignore"):
+        mass = _diagonal_mass(maps)
+    with np.errstate(all="ignore"):
+        total = sum(so.matrix.conj().T @ so.matrix for so in maps)
+        reference = float(np.max(np.abs(total - np.eye(2 ** q.k))))
+    if change == "off-pattern" or not isinstance(change, str) and not np.isfinite(change):
+        assert mass is None
+    if mass is not None:
+        deviation = float(np.max(np.abs(mass - 1)))
+        scale = max(1.0, float(np.max(mass)))
+        assert deviation == reference or \
+            abs(deviation - reference) <= 8 * np.finfo(float).eps * scale
+    # the row check's verdict and reported deviation, screened or not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = verify_row_stochasticity(q)
+    if abs(reference - DEFAULT_TOL.qmc_rows) > 1e-14:
+        expected = _per_step_reference(q)
+        assert [v.state for v in found] == [s for s, _ in expected]
+        for v, (_, dev) in zip(found, expected):
+            assert v.deviation == dev or np.isnan(v.deviation) and np.isnan(dev) or \
+                abs(v.deviation - dev) <= 8 * np.finfo(float).eps * max(1.0, dev)
 
 
 def test_superoperator_apply():

@@ -10,7 +10,8 @@ multiplied out. The routing is thus fused into the step matrix (or, behind a
 flag, emitted as standalone swap steps), and one final permutation moves the
 measured wires into the leading positions. A SwapAccount reports how many
 binary swaps each routing decomposes into under the chosen strategy; the
-strategy sets only that count, not the matrices.
+strategy sets only that count, not the matrices. Equal padded gates and
+standalone swap steps are built once per call and share one array.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .circuit import Circuit, Node, placed
 from .linalg import (_permutation_matrix, _permute_indices, binary_swap,
-                     swap_decomposition, tensor)
+                     dagger, swap_decomposition, tensor)
 
 __all__ = ["SnfCircuit", "SwapAccount", "translate"]
 
@@ -36,6 +37,7 @@ class SnfCircuit:
 
     ``wire_map[w-1]`` records where original wire w ended up after the final
     measured-wires-first realignment (the identity map when none was needed).
+    Positions holding the same matrix may hold the same array.
     """
 
     k: int
@@ -123,20 +125,25 @@ def translate(c: Circuit, strategy: str = "composed",
 
     unitaries: list[np.ndarray] = []
     counts: list[int] = []
+    # identical steps share one array: a swap chain repeats few matrices
+    made: dict[tuple, np.ndarray] = {}
     for group in _grouped_payloads(gates):
         wires = tuple(w for _, gw in group for w in gw)
+        bases = tuple(base for base, _ in group)
         # U x I: the run's matrix on the leading wires of the register
-        padded = tensor(*(base for base, _ in group),
-                        np.eye(2 ** (k - len(wires)), dtype=np.complex128))
+        key = ("padded", len(wires), *((b.dtype.str, b.shape, b.tobytes()) for b in bases))
+        padded = _once(made, key, tensor, *bases,
+                       np.eye(2 ** (k - len(wires)), dtype=np.complex128))
         perm = _route_perm(wires, k)
         swaps = swap_decomposition(perm, strategy)
         counts.append(len(swaps))
         if emit_swaps_as_gates:
-            steps = _routing_steps(perm, swaps, k)
+            steps = _routing_steps(perm, swaps, k, made)
             unitaries.extend(steps)
             unitaries.append(padded)
-            # conj().T writes -0j entries that the pinned model digests record
-            unitaries.extend(s.conj().T for s in reversed(steps))
+            # dagger's conj().T writes -0j entries that the pinned model
+            # digests record; every step stays alive in made, so its id is a key
+            unitaries.extend(_once(made, ("undo", id(s)), dagger, s) for s in reversed(steps))
         else:
             # P^-1 (U x I) P with P sending basis index j to idx[j]: entry
             # (a, b) is entry (idx[a], idx[b]) of U x I, one gather
@@ -149,7 +156,7 @@ def translate(c: Circuit, strategy: str = "composed",
         swaps = swap_decomposition(wire_map, strategy)
         counts.append(len(swaps))
         if emit_swaps_as_gates:
-            unitaries.extend(_routing_steps(wire_map, swaps, k))
+            unitaries.extend(_routing_steps(wire_map, swaps, k, made))
         else:
             # fuse R into the last step: R @ U moves row j of U to row idx[j]
             last = unitaries.pop() if unitaries else np.eye(2 ** k, dtype=np.complex128)
@@ -161,14 +168,23 @@ def translate(c: Circuit, strategy: str = "composed",
     return SnfCircuit(k=k, unitaries=tuple(unitaries), h=h, wire_map=wire_map), account
 
 
+def _once(made: dict, key: tuple, build, *args) -> np.ndarray:
+    """``made[key]``, built as ``build(*args)`` on first use."""
+    if key not in made:
+        made[key] = build(*args)
+    return made[key]
+
+
 def _routing_steps(perm: tuple[int, ...], swaps: list[tuple[int, int]],
-                   k: int) -> list[np.ndarray]:
+                   k: int, made: dict | None = None) -> list[np.ndarray]:
     """The routing permutation as standalone unitary steps, in application
     order: one binary swap per entry of its decomposition ``swaps``; when
     that is empty, none for the identity and otherwise ("direct") the whole
-    permutation as one step."""
+    permutation as one step. Steps already in ``made`` are reused, new
+    ones are added to it."""
+    made = {} if made is None else made
     if swaps:
-        return [binary_swap(k, i, j) for i, j in swaps]
+        return [_once(made, ("swap", i, j), binary_swap, k, i, j) for i, j in swaps]
     if list(perm) == list(range(1, k + 1)):
         return []
-    return [_permutation_matrix(k, perm)]
+    return [_once(made, ("perm", tuple(perm)), _permutation_matrix, k, perm)]

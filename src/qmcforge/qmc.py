@@ -200,7 +200,7 @@ def _diagonal_mass(maps) -> np.ndarray | None:
         if (np.bincount(rows, minlength=d).max() > 1
                 or np.bincount(cols, minlength=d).max() > 1):
             return None
-        values = so.matrix.ravel()[flat]
+        values = so.matrix[rows, cols]
         if not np.isfinite(values).all():
             return None
         mass[cols] += (values.conj() * values).real

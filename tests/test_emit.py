@@ -142,6 +142,21 @@ def test_matrix_constants_are_deduplicated():
     assert "<<U1>>" in emitted
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["composed", "direct", "naive-adjacent"]), st.booleans())
+def test_shared_step_arrays_emit_as_copies_do(seed, strategy, swaps_as_gates):
+    # translate gives equal steps one array; the model and the row check must
+    # be those of the same chain with every position holding its own copy
+    c = random_circuit(np.random.default_rng(seed))
+    s, _ = translate(c, strategy=strategy, emit_swaps_as_gates=swaps_as_gates)
+    q = build_qmc(s)
+    copies = qmc_from_matrices(s.k, s.h, [u.copy() for u in s.unitaries],
+                               [so.matrix.copy() for so in q.branches])
+    assert emit_qpmc(q) == emit_qpmc(copies)
+    assert verify_row_stochasticity(q) == verify_row_stochasticity(copies)
+
+
 def test_float64_step_re_emits_byte_stably():
     # a float64 step and its complex128 twin were once declared as U1 and U2
     # with the same literal, which reparse collapsed into one constant

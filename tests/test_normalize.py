@@ -139,3 +139,14 @@ def test_emit_swaps_as_gates_expands_chain():
     for u in split.unitaries:
         ps = u @ ps
     assert np.allclose(pf, ps, atol=1e-12)
+
+
+def test_swap_steps_share_one_array_per_matrix():
+    # a CNOT cycle routed by adjacent swaps emitted as gates repeats a few
+    # matrices at many positions: each distinct matrix is one array
+    cycle = [(3, 1), (5, 3), (2, 5), (4, 2), (1, 4)]
+    text = "qubits 5\n" + "".join(f"gate CNOT {a} {b}\n" for a, b in cycle)
+    s, _ = translate(parse_circuit(text), strategy="naive-adjacent",
+                     emit_swaps_as_gates=True)
+    distinct = {u.tobytes() for u in s.unitaries}
+    assert len({id(u) for u in s.unitaries}) == len(distinct) < s.n

@@ -1,10 +1,10 @@
 """Dual semantics: state-vector circuit runs vs density-matrix chain runs.
 
 The circuit side walks the DAG directly, applying each gate to its wires by
-tensor contraction; it never touches the normalizer's padded matrices, so it
-serves as an independent oracle for the compiled chain. One walk validates
-and places the circuit once and carries a whole block of input kets, one
-per column, so all final states and all Born probabilities of a battery
+tensor contraction; it reads nothing the normalizer made, so it serves as
+an independent oracle for the compiled chain. Each reader places the
+circuit once, and one walk carries a whole block of input kets, one per
+column, so all final states and all Born probabilities of a battery
 come from a single pass over the DAG; ``simulate_circuit`` and
 ``outcome_probability`` are that walk on a block of one. On the chain side,
 ``run_qmc`` propagates one density matrix through the superoperators.
@@ -24,14 +24,12 @@ import numpy as np
 from .circuit import Circuit, placed
 from .config import DEFAULT_TOL, check_tolerance
 from .errors import BadInitialState, BitLengthMismatch, DimensionMismatch
-from .linalg import _permute_indices
 from .normalize import SnfCircuit
 from .qmc import Qmc
 
 __all__ = ["EvalReport", "OutcomeRecord", "EquivalenceReport",
            "simulate_circuit", "outcome_probability", "run_qmc",
-           "check_equivalence", "global_phase_distance", "random_kets",
-           "measured_wires"]
+           "check_equivalence", "global_phase_distance", "random_kets"]
 
 
 def _as_ket(psi, k: int) -> np.ndarray:
@@ -48,39 +46,33 @@ def _apply_gate(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.n
     return np.moveaxis(state, tuple(range(d)), axes)
 
 
-def measured_wires(c: Circuit) -> tuple[int, ...]:
-    """Wire positions that end in a measurement node, ascending."""
-    return placed(c)[1]
+def _walk(k: int, gates, lead: tuple[int, ...],
+          kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``placed`` gates on a block of kets, one per column (2^k x N).
 
-
-def _walk(c: Circuit, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the circuit on a block of kets, one per column.
-
-    ``kets`` is 2^k x N. Returns the final states (2^k x N, wire 1 the most
-    significant bit) and the Born probabilities (2^h x N): row i is the
-    outcome whose h bits, read as a binary number, are the measured wires
-    in ascending wire order.
+    Returns the final states (2^k x N), the wires of ``lead`` moved in that
+    order to the most significant bits and the rest after them ascending,
+    and the Born probabilities (2^h x N, h = len(lead)): row i is the
+    outcome whose h bits, read as a binary number, are the lead wires.
     """
-    gates, measured = placed(c)
-    if kets.shape[0] != 2 ** c.k:
+    if kets.shape[0] != 2 ** k:
         raise DimensionMismatch(
-            f"ket has {kets.shape[0]} amplitudes, register needs {2 ** c.k}")
+            f"ket has {kets.shape[0]} amplitudes, register needs {2 ** k}")
     count = kets.shape[1]
-    state = kets.reshape((2,) * c.k + (count,))
+    state = kets.reshape((2,) * k + (count,))
     for node, wires in gates:
         state = _apply_gate(state, node.matrix, tuple(p - 1 for p in wires))
-    axes = tuple(w - 1 for w in measured)
-    h = len(axes)
-    probs = np.moveaxis(np.abs(state) ** 2, axes, tuple(range(h)))
-    born = probs.reshape(2 ** h, 2 ** (c.k - h), count).sum(axis=1)
-    return state.reshape(kets.shape), born
+    h = len(lead)
+    state = np.moveaxis(state, tuple(w - 1 for w in lead), tuple(range(h))).reshape(kets.shape)
+    born = (np.abs(state) ** 2).reshape(2 ** h, 2 ** (k - h), count).sum(axis=1)
+    return state, born
 
 
 def simulate_circuit(c: Circuit, psi) -> np.ndarray:
     """Run the circuit on a ket, returning the register state just before
     the measure/terminate sinks (wire 1 is the most significant bit).
     """
-    final, _ = _walk(c, _as_ket(psi, c.k)[:, None])
+    final, _ = _walk(c.k, placed(c)[0], (), _as_ket(psi, c.k)[:, None])
     return final[:, 0]
 
 
@@ -96,7 +88,8 @@ def outcome_probability(c: Circuit, psi, bits) -> float:
 
     Bit j belongs to the j-th measured wire in ascending wire order.
     """
-    _, born = _walk(c, _as_ket(psi, c.k)[:, None])
+    gates, measured = placed(c)
+    _, born = _walk(c.k, gates, measured, _as_ket(psi, c.k)[:, None])
     values = _normalize_bits(bits, born.shape[0].bit_length() - 1)
     return float(born[int("".join(map(str, values)) or "0", 2), 0])
 
@@ -251,14 +244,16 @@ def _worst(devs: np.ndarray) -> tuple[float, int | None]:
 
 # a non-finite entry's NaNs are reported by the clauses, not warned about
 @np.errstate(invalid="ignore", over="ignore")
-def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
+def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
                       tol: float = DEFAULT_TOL.pipeline,
                       support_tol: float = DEFAULT_TOL.algebraic) -> EquivalenceReport:
     """Compare circuit semantics against the compiled chain, clause by clause.
 
     Args:
         c: source circuit (the independent oracle side).
-        s: its strong normal form (for the recorded wire reordering).
+        s: the compiler's strong normal form, whose ``wire_map`` is checked
+            against the oracle's own wire order; None when there is no
+            compiler claim (a reparsed model).
         q: the chain under test; may come from reparse_model.
         inputs: kets to try; defaults to every computational basis state.
 
@@ -268,7 +263,7 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
     once over the block and yields every final state and every Born
     probability. The chain side carries the block through the model's step
     matrices as kets, V_t = M_t V_{t-1}. The state clause compares the
-    final kets with the reordered DAG finals. Every map is one matrix M, so
+    final kets with the measured-first DAG finals. Every map is one matrix M, so
     the density M rho M† of rho = v v† is (M v)(M v)† exactly: the chain
     clause checks at every step that each ket is still finite, and the
     branch densities are w w† with w = M_b v. So the probability clause
@@ -280,17 +275,17 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
     """
     check_tolerance(tol, "tol")
     check_tolerance(support_tol, "support_tol")
-    k, h = s.k, s.h
+    gates, measured = placed(c)
+    k, h = c.k, len(measured)
     dim = 2 ** k
+    if q.h != h:
+        raise BitLengthMismatch(f"chain has {2 ** q.h} outcomes, circuit has {2 ** h}")
+    if q.k != k:
+        raise DimensionMismatch(f"chain acts on {q.k} wires, circuit has {k}")
     if inputs is None:
         inputs = np.eye(dim, dtype=np.complex128)
     taus = np.array([_as_ket(psi, k) for psi in inputs],
                     dtype=np.complex128).reshape(-1, dim).T
-    finals, born = _walk(c, taus)
-    if born.shape[0] != 2 ** q.h:
-        raise BitLengthMismatch(f"chain has {2 ** q.h} outcomes, circuit has {born.shape[0]}")
-    if q.k != k:
-        raise DimensionMismatch(f"chain acts on {q.k} wires, circuit has {k}")
     # written as "not <= tol" so that a NaN amplitude fails the check
     mass = np.sum(taus.real ** 2 + taus.imag ** 2, axis=0)
     bad = np.flatnonzero(~(np.abs(mass - 1.0) <= tol))
@@ -298,12 +293,11 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
         raise BadInitialState(f"input {bad[0]} is not a unit ket "
                               f"(squared norm {mass[bad[0]]:.6g})")
 
+    finals, born = _walk(k, gates, measured, taus)
     kets, first = _chain_run(q, taus)
 
-    # clause: product form agrees with the DAG walk after reordering;
-    # row j of the DAG's finals moves to row idx[j]
-    reordered = finals[np.argsort(_permute_indices(k, s.wire_map))]
-    state = _phase_distances(reordered, kets)
+    # clause: product form agrees with the DAG walk, measured wires first
+    state = _phase_distances(finals, kets)
 
     # clause: the chain preserves rank-1 states step by step, so it fails
     # exactly where a propagated ket stops being finite
@@ -330,6 +324,12 @@ def check_equivalence(c: Circuit, s: SnfCircuit, q: Qmc, inputs=None,
     prob_bad = ~(prob <= tol)
     support_bad = ~(support <= support_tol)
     failures: list[str] = []
+    # the finals hold wire w at position wire_map[w-1]
+    order = measured + tuple(w for w in range(1, k + 1) if w not in measured)
+    wire_map = tuple(order.index(w) + 1 for w in range(1, k + 1))
+    if s is not None and s.wire_map != wire_map:
+        failures.append(f"state clause: wire map {s.wire_map} is not the "
+                        f"measured-first order {wire_map}")
     for idx in np.flatnonzero(state_bad | (first < steps) | prob_bad.any(axis=0)
                               | support_bad.any(axis=0)):
         if state_bad[idx]:

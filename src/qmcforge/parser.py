@@ -59,7 +59,7 @@ class _Builder:
     def add_gate(self, spelling: str, wires: list[int], lineno: int) -> None:
         # before the matrix: each control doubles its width
         if len(set(wires)) != len(wires):
-            raise CircuitSyntaxError(lineno, f"duplicate wire in {wires}")
+            raise CircuitSyntaxError(lineno, f"duplicate wire in {echo(str(wires), str)}")
         matrix = gate_matrix(spelling)
         dim = matrix.shape[0].bit_length() - 1
         if len(wires) != dim:

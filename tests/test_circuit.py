@@ -9,7 +9,7 @@ from qmcforge.circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit,
                               Edge, Node, placed, topo_order, validate,
                               wire_positions)
 from qmcforge.errors import CycleDetected, ValidationFailed
-from qmcforge.evaluate import check_equivalence, measured_wires, simulate_circuit
+from qmcforge.evaluate import check_equivalence, simulate_circuit
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import translate
 from qmcforge.parser import emit_circuit_text, parse_circuit
@@ -121,9 +121,8 @@ BELL = "qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"
     lambda c, s, q: translate(c),
     lambda c, s, q: check_equivalence(c, s, q),
     lambda c, s, q: simulate_circuit(c, np.eye(4)[0]),
-    lambda c, s, q: measured_wires(c),
     lambda c, s, q: emit_circuit_text(c),
-], ids=["translate", "check_equivalence", "simulate_circuit", "measured_wires",
+], ids=["translate", "check_equivalence", "simulate_circuit",
         "emit_circuit_text"])
 def test_every_circuit_reader_refuses_a_dropped_edge(reader):
     # the Bell circuit without its last edge leaves the second measure

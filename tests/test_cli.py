@@ -123,6 +123,24 @@ def test_verify_fails_against_wrong_model(circuit_file, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_against_does_not_compile(circuit_file, tmp_path, capsys, monkeypatch):
+    # the oracle reads only the circuit and the model
+    good, wrong_src, wrong = (tmp_path / name for name in ("good.qpmc", "wrong.qc", "wrong.qpmc"))
+    wrong_src.write_text(DEUTSCH.replace("gate CNOT 1 2", "gate CZ 1 2"))
+    assert main(["compile", circuit_file, "--output", str(good)]) == 0
+    assert main(["compile", str(wrong_src), "--output", str(wrong)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify --against compiled the circuit")
+
+    monkeypatch.setattr(cli, "translate", refuse)
+    monkeypatch.setattr(cli, "build_qmc", refuse)
+    assert main(["verify", circuit_file, "--against", str(good)]) == 0
+    assert main(["verify", circuit_file, "--against", str(wrong)]) == 1
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" in out
+
+
 SINGLE_H = "qubits 1\ngate H 1\nmeasure 1\n"
 H_ROW = "0.7071067811865475, 0.7071067811865475; 0.7071067811865475, -0.7071067811865475"
 

@@ -12,18 +12,17 @@ from hypothesis import strategies as st
 
 from helpers import (DOUBLE, PARAM, SINGLE, basis_state, nan_step_chain,
                      random_circuit)
-from qmcforge.circuit import UNITARY, topo_order, wire_positions
+from qmcforge.circuit import UNITARY, placed, topo_order, wire_positions
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
 from qmcforge.errors import (BadInitialState, BitLengthMismatch,
                              DimensionMismatch, QmcForgeError, ValidationFailed)
 from qmcforge.evaluate import (_walk, _worst, check_equivalence,
-                               global_phase_distance, measured_wires,
-                               outcome_probability, random_kets, run_qmc,
-                               simulate_circuit)
+                               global_phase_distance, outcome_probability,
+                               random_kets, run_qmc, simulate_circuit)
 from qmcforge.gates import gate_matrix
-from qmcforge.linalg import _permute_indices, tensor
-from qmcforge.normalize import translate
+from qmcforge.linalg import _permute_indices, binary_swap, tensor
+from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import emit_circuit_text, parse_circuit
 from qmcforge.qmc import Superoperator, build_qmc, qmc_from_matrices
 
@@ -225,6 +224,22 @@ def test_check_equivalence_flags_wrong_wire_map():
     assert any("state clause" in f for f in rep.failures)
 
 
+def test_check_equivalence_refuses_a_consistent_wire_map_lie():
+    # a compiler that swaps two unmeasured wires at the end and records the
+    # swap in its wire map: the oracle derives the order itself
+    c = parse_circuit("qubits 3\ngate X 2\nmeasure 1\n")
+    s, _ = translate(c)
+    lied = SnfCircuit(k=3, unitaries=(*s.unitaries, binary_swap(3, 2, 3)), h=s.h,
+                      wire_map=(1, 3, 2))
+    q = build_qmc(lied)
+    for claim in (lied, None):
+        rep = check_equivalence(c, claim, q)
+        assert not rep.passed
+        assert "state clause: input 0 deviates by 1.414e+00" in rep.failures
+    assert check_equivalence(c, lied, q).failures[0] == \
+        "state clause: wire map (1, 3, 2) is not the measured-first order (1, 2, 3)"
+
+
 def test_check_equivalence_fails_closed_on_nan():
     # max(0.0, nan) is 0.0 and nan > tol is False: both once let this PASS
     c = parse_circuit("qubits 1\ngate H 1\nmeasure 1\n")
@@ -331,15 +346,21 @@ def _full_matrix(u: np.ndarray, wires: tuple[int, ...], k: int) -> np.ndarray:
 @given(text=_circuit_text(), count=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_oracle_matches_per_ket_definition(text, count, seed):
     c = parse_circuit(text)
-    k, wires = c.k, measured_wires(c)
+    k, (placement, wires) = c.k, placed(c)
     h = len(wires)
     kets = random_kets(k, count, np.random.default_rng(seed))
     positions = wire_positions(c)
     gates = [_full_matrix(c.nodes[n].matrix, positions[n], k)
              for n in topo_order(c) if c.nodes[n].kind == UNITARY]
 
-    finals, born = _walk(c, np.array(kets).T)
-    assert finals.shape == (2 ** k, count) and born.shape == (2 ** h, count)
+    finals, _ = _walk(k, placement, (), np.array(kets).T)
+    lead, born = _walk(k, placement, wires, np.array(kets).T)
+    assert finals.shape == lead.shape == (2 ** k, count) and born.shape == (2 ** h, count)
+    # lead holds basis state i at the index whose bits are i's measured
+    # bits followed by its other bits, each in ascending wire order
+    order = list(wires) + [w for w in range(1, k + 1) if w not in wires]
+    moved = [int("".join(str((i >> (k - w)) & 1) for w in order), 2) for i in range(2 ** k)]
+    assert np.array_equal(lead[moved], finals)
     for j, ket in enumerate(kets):
         expected = ket
         for g in gates:
@@ -352,6 +373,18 @@ def test_batched_oracle_matches_per_ket_definition(text, count, seed):
                     if "".join(str((i >> (k - w)) & 1) for w in wires) == bits)
             assert born[outcome, j] == pytest.approx(p, abs=1e-12)
             assert outcome_probability(c, ket, bits) == pytest.approx(p, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_circuit_text(), strategy=st.sampled_from(["composed", "direct", "naive-adjacent"]),
+       swaps_as_gates=st.booleans())
+def test_an_honest_compile_claims_the_oracles_own_wire_order(text, strategy, swaps_as_gates):
+    # with or without the compiler's claim, the same report, bit for bit
+    c = parse_circuit(text)
+    s, _ = translate(c, strategy=strategy, emit_swaps_as_gates=swaps_as_gates)
+    q = build_qmc(s)
+    inputs = list(np.eye(2 ** c.k)) + random_kets(c.k, 2, np.random.default_rng(0))
+    assert check_equivalence(c, None, q, inputs) == check_equivalence(c, s, q, inputs)
 
 
 # --- the ket block against the per-input check ----------------------------
@@ -373,7 +406,10 @@ def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
     k, h = s.k, s.h
     dim = 2 ** k
     taus = [np.asarray(psi, dtype=np.complex128).reshape(-1) for psi in inputs]
-    finals, born = _walk(c, np.array(taus, dtype=np.complex128).reshape(-1, dim).T)
+    columns = np.array(taus, dtype=np.complex128).reshape(-1, dim).T
+    gates, measured = placed(c)
+    finals, _ = _walk(k, gates, (), columns)
+    _, born = _walk(k, gates, measured, columns)
     reordered = finals[np.argsort(_permute_indices(k, s.wire_map))]
     seen = {"state": {}, "chain": {}, "prob": {}, "support": {}}
     failures = []

@@ -124,6 +124,13 @@ def test_parse_reports_a_repeated_wire_before_building_the_gate_matrix():
         parse_circuit("qubits 2\ngate WAT 1 1\n")
 
 
+@pytest.mark.parametrize("line", ["gate H" + " 1" * 5000, "cgate X 1 ctrl" + " 2" * 5000])
+def test_a_long_repeated_wire_list_is_echoed_cut(line):
+    with pytest.raises(CircuitSyntaxError, match=r"^line 2: duplicate wire in \[") as err:
+        parse_circuit(f"qubits 2\n{line}\n")
+    assert len(str(err.value)) < 200
+
+
 def test_writer_round_trip_preserves_semantics():
     text = """qubits 3
 gate H 1

@@ -14,25 +14,38 @@ emission is deterministic: the same chain always yields identical bytes.
 A matrix whose entries are all 0 or 1 (every permutation step and every
 measurement projector) has a fixed-width literal: inside the brackets, entry
 i is its digit at byte 3i, then ``,`` (``;`` at a row end) and a space, so
-an r x c literal is 3rc - 2 bytes. Both directions handle that literal as
-one byte buffer. Emit takes it for a numeric 2-D array whose imaginary parts
-are all 0 and whose real parts are all 0 or 1 (``-0.0`` and ``-0j`` count as
-0); reparse takes it only for a literal of exactly that layout with a square
-entry count. Everything else (other values, NaN, object arrays, any literal
-spaced or separated differently) goes through the per-value path, whose
-bytes, arrays and error messages the byte path reproduces exactly.
+an r x c literal is 3rc - 2 bytes. A map with an index form (see
+:mod:`qmcforge.qmc`) whose values are all 1 is written into a copy of the
+cached all-zero literal of its width, a ``1`` at byte 1 + 3(row * d + col)
+of the bracketed text, with no dense array. Any other numeric 2-D array
+whose imaginary parts are all 0 and whose real parts are all 0 or 1 (``-0.0``
+and ``-0j`` count as 0) is written from one byte buffer. Reparse takes the
+fixed-width path only for a literal of exactly that layout and a square
+entry count, which holds exactly when ``literal.replace("1", "0")`` is the
+zero literal; a monomial one becomes an index-built map, any other a dense
+one. Everything else (other values, NaN, object arrays, any literal spaced
+or separated differently) goes through the per-value path, whose bytes,
+arrays and error messages the byte paths reproduce exactly.
+
+Constants are named once per distinct matrix: two maps share a constant
+exactly when their dense arrays have equal bytes, signed zeros included
+(a ``-0j`` undo step of a routing swap keeps its own constant). The key is
+the index form's bytes for an index-built map and for a dense monomial
+array with no signed zero among its zero entries, and the dense bytes
+otherwise; it is computed once per map object.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import QmcForgeError, ReparseError, echo
 from .linalg import check_finite
-from .qmc import Qmc, Superoperator, verify_row_stochasticity
+from .qmc import Qmc, Superoperator, _log_maps, verify_row_stochasticity
 
 __all__ = ["format_number", "format_matrix", "emit_qpmc", "reparse_model"]
 
@@ -99,22 +112,49 @@ def _format_words(m: np.ndarray) -> str:
     return "[" + "; ".join(", ".join(row) for row in rows) + "]"
 
 
-def _constant_pool(q: Qmc) -> tuple[list[tuple[str, np.ndarray]], list[str], list[str]]:
+@lru_cache(maxsize=8)
+def _zero_literal(width: int) -> str:
+    """The fixed-width literal of the width x width zero matrix, brackets
+    included."""
+    row = ", ".join("0" * width)
+    return "[" + "; ".join([row] * width) + "]"
+
+
+def _map_literal(so: Superoperator, form) -> str:
+    """The literal of a map whose ``monomial`` form is ``form``: a monomial
+    0/1 matrix is written into a copy of the zero literal, a 1 at byte
+    1 + 3(row * d + col) for each entry, with no dense array; any other
+    matrix goes through :func:`format_matrix`."""
+    if form is None or not (form[2] == 1).all():
+        return format_matrix(so.matrix)
+    rows, cols, _ = form
+    buf = bytearray(_zero_literal(so.dim), "ascii")
+    np.frombuffer(buf, dtype=np.uint8)[1 + 3 * (rows * so.dim + cols)] = _ONE
+    return buf.decode("ascii")
+
+
+def _constant_pool(q: Qmc) -> tuple[list[tuple[str, str]], list[str], list[str]]:
     """Name every distinct matrix: U1.. for chain steps in first-use order,
-    M0..M{2^h-1} for the measurement branches. Returns the declarations and
-    the constant name of each step and of each branch."""
-    names: dict[bytes, str] = {}
-    decls: list[tuple[str, np.ndarray]] = []
+    M0..M{2^h-1} for the measurement branches. Two maps share a name exactly
+    when their dense arrays have equal ``tobytes()`` (signed zeros
+    included); the key is computed once per map object. Returns the
+    declarations (name, literal) and the constant name of each step and of
+    each branch."""
+    names: dict[tuple, str] = {}
+    decls: list[tuple[str, str]] = []
+    named: dict[int, str] = {}
 
-    def declare(mat: np.ndarray, cname: str) -> str:
-        key = mat.tobytes()
-        if key not in names:
-            names[key] = cname
-            decls.append((cname, mat))
-        return names[key]
+    def declare(so: Superoperator, cname: str) -> str:
+        if id(so) not in named:
+            key, form = so._bytes_key()
+            if key not in names:
+                names[key] = cname
+                decls.append((cname, _map_literal(so, form)))
+            named[id(so)] = names[key]
+        return named[id(so)]
 
-    steps = [declare(so.matrix, f"U{len(decls) + 1}") for so in q.steps]
-    branches = [declare(so.matrix, f"M{i}") for i, so in enumerate(q.branches)]
+    steps = [declare(so, f"U{len(decls) + 1}") for so in q.steps]
+    branches = [declare(so, f"M{i}") for i, so in enumerate(q.branches)]
     return decls, steps, branches
 
 
@@ -135,8 +175,8 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
     lines = ["qmc", ""]
     lines.append(f"// {name}: {q.k}-wire register, {n} chain step(s), "
                  f"{count} measurement branch(es) (h={q.h})")
-    for cname, mat in decls:
-        lines.append(f"const matrix {cname} = {format_matrix(mat)};")
+    for cname, literal in decls:
+        lines.append(f"const matrix {cname} = {literal};")
     lines.append("")
     lines.append(f"module {name}")
     lines.append(f"  s: [0..{top}] init 0;")
@@ -183,33 +223,42 @@ def _parse_entry(token: str, where: str) -> complex:
         raise ReparseError(f"{where}: bad numeric entry {echo(token)}") from None
 
 
-def _parse_matrix(literal: str, where: str) -> np.ndarray:
-    """The square matrix of a literal: read as bytes when it has the
+def _parse_matrix(literal: str, where: str) -> Superoperator:
+    """The map of a square literal: read as bytes when it has the
     fixed-width 0/1 layout, else token by token."""
-    m = _parse_bits(literal)
-    if m is None:
-        return _parse_tokens(literal, where)
-    width = m.shape[0]
-    if width & (width - 1):
-        raise ReparseError(f"{where}: dimension {width} is not a power of two")
-    return m
+    so = _parse_bits(literal)
+    if so is None:
+        return Superoperator(_parse_tokens(literal, where))
+    if so.dim & (so.dim - 1):
+        raise ReparseError(f"{where}: dimension {so.dim} is not a power of two")
+    return so
 
 
-def _parse_bits(literal: str) -> np.ndarray | None:
-    """The square complex matrix of a fixed-width 0/1 literal, read as one
-    byte buffer; None unless ``literal`` has exactly that layout."""
+def _parse_bits(literal: str) -> Superoperator | None:
+    """The map of a fixed-width 0/1 literal, read as one byte buffer: built
+    from its index form when no row and no column holds two 1s, else from a
+    dense array; None unless ``literal`` has exactly that layout and a
+    square entry count."""
     count, rest = divmod(len(literal) + 2, 3)
     width = math.isqrt(count)
-    if rest or width * width != count or not literal.isascii():
+    # the layout holds exactly when every digit is a 0 or a 1 and every
+    # other byte is the zero literal's
+    if rest or width * width != count or \
+            literal.replace("1", "0") != _zero_literal(width)[1:-1]:
         return None
-    buf = np.frombuffer(literal.encode("ascii"), dtype=np.uint8)
-    digits, seps = buf[0::3], buf[1::3]
-    # a ";" after every row's last entry and a "," after every other one
-    if not (((digits | 1) == _ONE).all() and (buf[2::3] == _SPACE).all()
-            and (seps[width - 1::width] == _SEMI).all()
-            and np.count_nonzero(seps == _COMMA) == count - width):
-        return None
-    return (digits == _ONE).reshape(width, width).astype(np.complex128)
+    digits = np.frombuffer(literal.encode("ascii"), dtype=np.uint8)[0::3]
+    flat = np.flatnonzero(digits == _ONE)
+    rows, cols = np.divmod(flat, width)
+    if (np.bincount(rows, minlength=width).max() <= 1
+            and np.bincount(cols, minlength=width).max() <= 1):
+        # row-major positions: the canonical index form, rows ascending
+        ones = np.ones(flat.size, dtype=np.complex128)
+        for a in (rows, cols, ones):
+            a.flags.writeable = False
+        return Superoperator._indexed(width, rows, cols, ones)
+    m = np.zeros(count, dtype=np.complex128)
+    m[flat] = 1
+    return Superoperator(m.reshape(width, width))
 
 
 def _parse_tokens(literal: str, where: str) -> np.ndarray:
@@ -256,7 +305,7 @@ def reparse_model(text: str) -> Qmc:
     the offending line or the first state :func:`verify_row_stochasticity`
     reports, on anything else. Comments, blank lines and indentation are ignored.
     """
-    consts: dict[str, np.ndarray] = {}
+    consts: dict[str, Superoperator] = {}
     commands: dict[int, list[tuple[str, int]] | None] = {}
     top = None
     in_module = seen_module = seen_header = False
@@ -353,13 +402,13 @@ def reparse_model(text: str) -> Qmc:
     branches = [cname for cname, _ in fan]
     # Qmc checks the branch count against h and every matrix against k
     h = len(branches).bit_length() - 1
-    k = consts[branches[0]].shape[0].bit_length() - 1
+    k = consts[branches[0]].dim.bit_length() - 1
     try:
         # one map per constant, shared by every step using it
-        maps = {cname: Superoperator(consts[cname]) for cname in dict.fromkeys(steps + branches)}
-        q = Qmc(k, h, tuple(maps[c] for c in steps), tuple(maps[c] for c in branches))
+        q = Qmc(k, h, tuple(consts[c] for c in steps), tuple(consts[c] for c in branches))
     except QmcForgeError as exc:
         raise ReparseError(f"model matrices rejected: {exc}") from exc
+    _log_maps("reparse_model", q)
     violations = verify_row_stochasticity(q)
     if violations:
         raise ReparseError(f"model matrices rejected: {violations[0]}")

@@ -12,7 +12,12 @@ come from a single pass over the DAG; ``simulate_circuit`` and
 chain's step matrices and compares the two semantics along every clause
 that the translation promises to preserve; a NaN deviation counts as a
 failure. Every chain map is one matrix, so the density of a propagated ket
-is its outer product and no density is formed.
+is its outer product and no density is formed. A map with an index form
+(see :mod:`qmcforge.qmc`) is applied to the block as a gather,
+``out[rows] = values[:, None] * v[cols]``, and a measurement branch is read
+only on the rows its form can reach; a map without one, or any ket that is
+no longer finite, takes the dense matmul, so NaN and inf deviations spread
+and are reported as before.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .circuit import Circuit, placed
 from .config import DEFAULT_TOL, check_tolerance
 from .errors import BadInitialState, BitLengthMismatch, DimensionMismatch
 from .normalize import SnfCircuit
-from .qmc import Qmc
+from .qmc import Qmc, Superoperator
 
 __all__ = ["EvalReport", "OutcomeRecord", "EquivalenceReport",
            "simulate_circuit", "outcome_probability", "run_qmc",
@@ -217,6 +222,20 @@ class EquivalenceReport:
     worst_at: dict[str, tuple[int, str | None] | None] = field(default_factory=dict, hash=False)
 
 
+def _product_rows(so: Superoperator, v: np.ndarray,
+                  finite: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """M v for a block of kets, as (rows, P): the rows of M v that can be
+    nonzero and their values. With an index form and every ket of ``v``
+    finite that is a gather, ``P = values[:, None] * v[cols]`` at the form's
+    rows, all other rows zero. Otherwise ``(None, M v)`` by the dense matmul,
+    whose 0 * NaN spreads a non-finite entry as the clauses expect."""
+    form = so.monomial if finite else None
+    if form is None:
+        return None, so.matrix @ v
+    rows, cols, values = form
+    return rows, values[:, None] * v[cols]
+
+
 def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Carry the input block through the chain's steps as kets.
 
@@ -228,7 +247,12 @@ def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(q.steps)
     first = np.full(taus.shape[1], n)
     for t, so in enumerate(q.steps):
-        v = so.matrix @ v
+        rows, mv = _product_rows(so, v, (first == n).all())
+        if rows is None:
+            v = mv
+        else:
+            v = np.zeros_like(v)
+            v[rows] = mv
         first[(first == n) & ~np.isfinite(v).all(axis=0)] = t
     return v, first
 
@@ -308,14 +332,18 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
     block = dim // (2 ** h)
     prob = np.empty((len(q.branches), count))
     support = np.zeros((len(q.branches), count))
+    finite = (first == steps).all()
+    everywhere = np.arange(dim)
     for b, so in enumerate(q.branches):
-        w = np.abs(so.matrix @ kets)
+        # |W_b| on the rows it can be nonzero on; a zero row adds nothing
+        # to a column's sum or maximum
+        rows, w = _product_rows(so, kets, finite)
+        rows, w = everywhere if rows is None else rows, np.abs(w)
         prob[b] = np.abs(born[b] - np.sum(w ** 2, axis=0))
         lo, hi = b * block, (b + 1) * block
         if block < dim:
-            outside = np.maximum(w[:lo].max(axis=0, initial=0.0),
-                                 w[hi:].max(axis=0, initial=0.0))
-            support[b] = outside * w.max(axis=0)
+            outside = w[(rows < lo) | (rows >= hi)].max(axis=0, initial=0.0)
+            support[b] = outside * w.max(axis=0, initial=0.0)
 
     def bits(b: int) -> str:
         return format(b, f"0{q.h}b") if q.h else ""

@@ -7,17 +7,27 @@ measurement superoperators, and an identity self-loop on every terminal.
 The defining soundness condition is that the superoperators leaving any
 state sum to a trace-preserving map; :func:`verify_row_stochasticity` is
 the one check of it, and construction checks only the shape of the maps.
-Permutation, phase and projector rows are read from their diagonal in
-O(d^2); only the other rows form d^3 grams.
+Permutation, phase and projector rows are read from their diagonal
+without forming a gram; only the other rows form d^3 grams.
 
 The chain is stored as that shape: a ``steps`` tuple and a ``branches``
 tuple of one-matrix superoperators. The state names, the transition table
 keyed by ``(source, target)`` and the labeling are read-only views derived
 from the two tuples.
+
+A map whose matrix is monomial, at most one nonzero per row and per
+column, has an index form (rows, cols, values). ``build_qmc`` builds the
+2^h projectors from index ranges and forms none of them dense; reparse
+builds every monomial 0/1 constant the same way. ``Superoperator.matrix``
+materializes the dense array on first read and keeps it, and from then on
+that array is the only truth: ``monomial`` derives the form by one scan of
+it on every read and caches nothing, so a write into ``matrix`` in place
+reaches every reader, the row check included.
 """
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,29 +43,136 @@ from .normalize import SnfCircuit
 __all__ = ["Superoperator", "Qmc", "RowViolation", "measurement_matrix",
            "build_qmc", "qmc_from_matrices", "verify_row_stochasticity"]
 
+log = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
+
 class Superoperator:
     """The completely positive map rho -> M rho M^dagger of one matrix M,
     the only kind of map the model text writes.
 
-    ``matrix`` is stored as complex128. Construction rejects input that is
-    not a non-empty square 2-D matrix of finite entries; whether the map is
-    physical is left to :func:`verify_row_stochasticity`.
+    ``Superoperator(m)`` stores the dense matrix ``m`` as complex128 (no
+    copy for complex128 input). :meth:`from_index` builds the map of a
+    monomial matrix, at most one nonzero per row and per column (a
+    permutation times phases, a diagonal projector), from its index form
+    alone. ``matrix`` materializes that dense array on first read and keeps
+    it; from then on the dense array is the only truth, so a write into
+    ``matrix`` in place is seen by every later reader. ``monomial`` gives
+    the index form to the readers that can use it (the row check, emit and
+    the equivalence check).
+
+    Construction rejects input that is not a non-empty square 2-D matrix of
+    finite entries; whether the map is physical is left to
+    :func:`verify_row_stochasticity`.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("_dense", "_index", "_dim")
 
-    def __post_init__(self):
+    def __init__(self, matrix: np.ndarray):
         try:
-            m = np.asarray(self.matrix, dtype=np.complex128)
+            m = np.asarray(matrix, dtype=np.complex128)
         except (TypeError, ValueError) as exc:
             raise DimensionMismatch("superoperator needs one numeric matrix") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
             raise DimensionMismatch(
                 f"superoperator needs a non-empty square matrix, got shape {m.shape}")
         check_finite(m, "superoperator matrix")
-        object.__setattr__(self, "matrix", m)
+        self._dense, self._index, self._dim = m, None, m.shape[0]
+
+    @classmethod
+    def from_index(cls, d: int, rows, cols, values) -> Superoperator:
+        """The map of the d x d matrix with ``values[i]`` at
+        ``(rows[i], cols[i])`` and zeros elsewhere, formed without a dense
+        array. Each row and each column may appear at most once, and
+        ``values`` must be finite. The form is stored canonically: zero
+        values dropped, entries in row order, arrays read-only.
+        """
+        try:
+            rows, cols = np.asarray(rows), np.asarray(cols)
+            values = np.array(values, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch("index form needs numeric arrays") from exc
+        if not (isinstance(d, (int, np.integer)) and d > 0):
+            raise DimensionMismatch(f"index form needs a dimension >= 1, got {d!r}")
+        if not (rows.ndim == cols.ndim == values.ndim == 1
+                and rows.shape == cols.shape == values.shape
+                and rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise DimensionMismatch("index form needs three 1-D arrays of one length, "
+                                    "integer rows and columns")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+        if rows.size and not (0 <= min(rows.min(), cols.min())
+                              and max(rows.max(), cols.max()) < d
+                              and np.bincount(rows).max() == np.bincount(cols).max() == 1):
+            raise DimensionMismatch(
+                f"index form needs distinct rows and distinct columns in 0..{d - 1}")
+        check_finite(values, "superoperator values")
+        if not values.all():
+            keep = values != 0
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+        if rows.size > 1 and (rows[1:] < rows[:-1]).any():
+            order = np.argsort(rows)
+            rows, cols, values = rows[order], cols[order], values[order]
+        for a in (rows, cols, values):
+            a.flags.writeable = False
+        return cls._indexed(int(d), rows, cols, values)
+
+    @classmethod
+    def _indexed(cls, d: int, rows: np.ndarray, cols: np.ndarray,
+                 values: np.ndarray) -> Superoperator:
+        """A map of an index form that is canonical already (checked by
+        :meth:`from_index`, or built so by the caller), stored as given."""
+        so = cls.__new__(cls)
+        so._dense, so._index, so._dim = None, (rows, cols, values), d
+        return so
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, formed from the index form on first read."""
+        if self._dense is None:
+            rows, cols, values = self._index
+            m = np.zeros((self._dim, self._dim), dtype=np.complex128)
+            m[rows, cols] = values
+            self._dense, self._index = m, None
+        return self._dense
+
+    @property
+    def monomial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The index form (rows, cols, values), entries in row order, when
+        the matrix has at most one nonzero per row and per column and all
+        its nonzeros are finite; otherwise None. The stored form while no
+        dense array exists; after that one scan of ``matrix`` per read, so
+        a write into ``matrix`` is never missed."""
+        if self._dense is None:
+            return self._index
+        m = self._dense
+        flat = np.flatnonzero(m != 0)
+        if flat.size > self._dim:
+            return None
+        rows, cols = np.divmod(flat, self._dim)
+        if (np.bincount(rows, minlength=self._dim).max() > 1
+                or np.bincount(cols, minlength=self._dim).max() > 1):
+            return None
+        values = m[rows, cols]
+        if not np.isfinite(values).all():
+            return None
+        return rows, cols, values
+
+    def _bytes_key(self) -> tuple[tuple, tuple | None]:
+        """(key, ``monomial``): two maps get equal keys exactly when their
+        dense arrays have equal ``tobytes()``, signed zeros included, and an
+        index-built map is not densified. The key is the index form's bytes
+        for an index-built map and for a dense monomial array none of whose
+        zero entries has its sign bit set, whose zeros are then +0 as a
+        densified index form's are; it is the dense bytes otherwise."""
+        form = self.monomial
+        m = self._dense
+        exact = form is not None
+        if exact and m is not None:
+            # the parts one by one: a dagger view cannot be read as float pairs
+            signed = np.signbit(m.real) | np.signbit(m.imag)
+            signed[form[0], form[1]] = False
+            exact = not signed.any()
+        key = ("index", *(a.tobytes() for a in form)) if exact else ("dense", m.tobytes())
+        return key, form
 
     @property
     def kraus(self) -> tuple[np.ndarray]:
@@ -64,7 +181,7 @@ class Superoperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._dim
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         if rho.shape != (self.dim, self.dim):
@@ -104,7 +221,7 @@ class Qmc:
             for i, so in enumerate(maps, start=first):
                 if so.dim != dim:
                     raise DimensionMismatch(
-                        f"{kind} {i} has shape {so.matrix.shape}, register needs {dim}")
+                        f"{kind} {i} has shape {(so.dim, so.dim)}, register needs {dim}")
 
     @property
     def n(self) -> int:
@@ -168,12 +285,35 @@ def build_qmc(s: SnfCircuit) -> Qmc:
     """Compile a strong-normal-form tuple into its Markov chain.
 
     One internal state per chain position, 2^h terminals. Internal
-    transitions carry the unitary superoperators; the final
-    internal state fans out through the measurement projectors; terminals
-    self-loop with the identity.
+    transitions carry the unitary superoperators, one map per distinct step
+    array, shared by every position that applies it; the final internal
+    state fans out through the measurement projectors, built from their
+    index ranges with no dense matrix; terminals self-loop with the identity.
     """
-    branches = [measurement_matrix(s.h, s.k, i) for i in range(2 ** s.h)]
-    return qmc_from_matrices(s.k, s.h, list(s.unitaries), branches)
+    maps: dict[int, Superoperator] = {}
+    for m in s.unitaries:
+        if id(m) not in maps:
+            maps[id(m)] = Superoperator(m)
+    d, block = 2 ** s.k, 2 ** (s.k - s.h)
+    # projector i keeps the block of rows i * block .. (i + 1) * block - 1;
+    # read-only arrays, shared as views
+    index, ones = np.arange(d), np.ones(block, dtype=np.complex128)
+    index.flags.writeable = ones.flags.writeable = False
+    branches = tuple(Superoperator._indexed(d, span, span, ones)
+                     for span in index.reshape(-1, block))
+    q = Qmc(s.k, s.h, tuple(maps[id(m)] for m in s.unitaries), branches)
+    _log_maps("build_qmc", q)
+    return q
+
+
+def _log_maps(stage: str, q: Qmc) -> None:
+    """One debug line: the chain's sizes and how many of its distinct maps
+    are index-built and how many dense."""
+    if log.isEnabledFor(logging.DEBUG):
+        distinct = {id(so): so for so in q.steps + q.branches}.values()
+        index = sum(so._dense is None for so in distinct)
+        log.debug("%s: k=%d, h=%d, %d step(s), %d distinct map(s): %d index-built, %d dense",
+                  stage, q.k, q.h, q.n, len(distinct), index, len(distinct) - index)
 
 
 @dataclass(frozen=True)
@@ -187,22 +327,15 @@ class RowViolation:
 
 def _diagonal_mass(maps) -> np.ndarray | None:
     """diag(sum of M^dagger M) over ``maps``, each matrix's column norms
-    squared, when every matrix has at most one nonzero per row and per column
-    and all its nonzeros are finite; the sum is then exactly diagonal.
-    Otherwise None, and the caller forms the grams."""
-    d = maps[0].dim
-    mass = np.zeros(d)
+    squared, when every map has an index form (``Superoperator.monomial``);
+    the sum is then exactly diagonal. Otherwise None, and the caller forms
+    the grams."""
+    mass = np.zeros(maps[0].dim)
     for so in maps:
-        flat = np.flatnonzero(so.matrix != 0)
-        if flat.size > d:
+        form = so.monomial
+        if form is None:
             return None
-        rows, cols = np.divmod(flat, d)
-        if (np.bincount(rows, minlength=d).max() > 1
-                or np.bincount(cols, minlength=d).max() > 1):
-            return None
-        values = so.matrix[rows, cols]
-        if not np.isfinite(values).all():
-            return None
+        _, cols, values = form
         mass[cols] += (values.conj() * values).real
     return mass
 
@@ -215,10 +348,9 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
 
     The rows are s1..sn, one step each, and s{n+1}, the sum over the
     measurement branches; the terminals' identity self-loops need no check.
-    A row whose matrices have at most one nonzero per row and per column,
-    all finite (permutations, phases, diagonal projectors), has a diagonal
-    sum, read from the column norms in O(d^2); every other row forms its
-    grams. A step object shared by several positions is checked once.
+    A row whose maps all have an index form (permutations, phases,
+    diagonal projectors, with finite nonzeros) has a diagonal sum, read from
+    the column norms of the forms; every other row forms its grams. A step object shared by several positions is checked once.
     Returns one violation per offending state; an empty list certifies the
     chain. ``tol`` must be finite and >= 0.
     """

@@ -18,8 +18,8 @@ from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import (build_qmc, measurement_matrix, qmc_from_matrices,
-                          verify_row_stochasticity)
+from qmcforge.qmc import (Superoperator, build_qmc, measurement_matrix,
+                          qmc_from_matrices, verify_row_stochasticity)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -540,11 +540,12 @@ def test_parse_matrix_bit_path_matches_token_path(literal):
     if isinstance(slow, str):
         assert fast == slow
     else:
-        assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+        # _parse_matrix returns a map; compare its dense matrix
+        assert fast.matrix.dtype == slow.dtype and np.array_equal(fast.matrix, slow)
 
 
 def test_parse_bits_reads_square_literals_only():
-    assert np.array_equal(emit._parse_bits("1, 0; 0, 1"), np.eye(2))
+    assert np.array_equal(emit._parse_bits("1, 0; 0, 1").matrix, np.eye(2))
     assert emit._parse_bits("1") is not None
     with pytest.raises(ReparseError, match="^line 7: dimension 3 is not a power of two$"):
         emit._parse_matrix(format_matrix(np.eye(3))[1:-1], "line 7")
@@ -626,3 +627,130 @@ def test_verify_against_refuses_a_model_whose_rows_are_not_trace_preserving(
             reparse_model(bad)
         assert str(err.value) == f"model matrices rejected: {message}"
         _verify_against_exits_2(bad, tmp_path, capsys)
+
+
+# --- the index form: literals, reparse and the constant-pool key ---------------
+
+@st.composite
+def _monomial_bits(draw, widths=st.integers(1, 9)):
+    """An r x r 0/1 matrix with at most one 1 per row and per column, as
+    its (rows, cols) index form."""
+    width = draw(widths)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(0, width))
+    return width, np.sort(rng.choice(width, count, replace=False)), \
+        rng.choice(width, count, replace=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(form=_monomial_bits())
+def test_index_literal_matches_the_byte_path(form):
+    width, rows, cols = form
+    so = Superoperator.from_index(width, rows, cols, np.ones(rows.size))
+    literal = emit._map_literal(so, so.monomial)
+    assert literal == emit._format_bits(so.matrix) == format_matrix(so.matrix)
+    # a dense monomial array is written from its scan the same way
+    dense = Superoperator(so.matrix.conj())  # -0j in every imaginary part
+    assert emit._map_literal(dense, dense.monomial) == literal
+
+
+@st.composite
+def _square_bits(draw):
+    """A square 0/1 literal: a monomial one, or one with a second 1 in some
+    row or column, which stays dense."""
+    width, rows, cols = draw(_monomial_bits(st.sampled_from([1, 2, 4, 8])))
+    m = np.zeros((width, width))
+    m[rows, cols] = 1
+    if width > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, width - 1)), draw(st.integers(0, width - 1))
+        m[i, j] = m[i, (j + 1) % width] = 1
+    return format_matrix(m)[1:-1], m
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_square_bits())
+def test_parse_bits_index_form_densifies_to_the_token_path(case):
+    literal, m = case
+    so = emit._parse_bits(literal)
+    monomial = (np.count_nonzero(m, axis=0).max() <= 1
+                and np.count_nonzero(m, axis=1).max() <= 1)
+    form = so.monomial
+    assert (form is not None) == monomial
+    if monomial:
+        rows, cols, values = form
+        assert np.array_equal(m[rows, cols], values) and np.count_nonzero(m) == rows.size
+    tokens = emit._parse_tokens(literal, "line 7")
+    assert so.matrix.dtype == tokens.dtype and np.array_equal(so.matrix, tokens)
+
+
+def test_identity_step_and_unmeasured_branch_share_one_constant():
+    # the h=0 branch is the index-built identity; an identity step is a
+    # dense array with equal bytes, so both are U1
+    cnot = gate_matrix("CNOT")
+    for steps in ((np.eye(4, dtype=np.complex128), cnot), (cnot, np.eye(4, dtype=np.complex128))):
+        model = emit_qpmc(build_qmc(SnfCircuit(k=2, unitaries=steps, h=0, wire_map=(1, 2))))
+        assert model.count("\nconst matrix ") == 2
+        assert "const matrix M0" not in model
+        identity = "U1" if steps[0] is not cnot else "U2"
+        assert f"[] (s = 2) -> <<{identity}>> : (s' = 3);" in model
+        assert emit_qpmc(reparse_model(model)) == model
+
+
+_LONG_CHAIN = ("qubits 7\ngate CNOT 1 5\ngate CNOT 7 1\ngate CNOT 2 7\ngate CNOT 4 2\n"
+               "gate CNOT 3 4\ngate CNOT 6 3\ngate CNOT 5 6\n")
+
+
+def test_swap_undo_steps_keep_their_own_constants():
+    # the 7-wire cycle under naive-adjacent with swaps as gates: the undo
+    # steps carry -0j and stay apart from their forward swaps
+    s, _ = translate(parse_circuit(_LONG_CHAIN), strategy="naive-adjacent",
+                     emit_swaps_as_gates=True)
+    model = emit_qpmc(build_qmc(s))
+    assert s.n == 83
+    assert len(model) == 691_786 and model.count("\nconst matrix ") == 14
+    assert hashlib.sha256(model.encode()).hexdigest() == \
+        "3972a60403f3a16b7497c1b8a806107a8a3f4dcc17136c1a05925ad5c7bc0137"
+
+
+@st.composite
+def _pool_maps(draw):
+    """Maps of one width that the constant pool must tell apart by their
+    dense bytes: index-built forms, dense copies of them, dense copies with
+    a signed zero written somewhere, transposed views and a map with two
+    nonzeros in a row."""
+    dim = 2 ** draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    maps = []
+    for _ in range(draw(st.integers(2, 6))):
+        count = draw(st.integers(0, dim))
+        rows = rng.choice(dim, count, replace=False)
+        cols = rng.choice(dim, count, replace=False)
+        values = draw(st.sampled_from([np.ones(count), np.full(count, 1 - 0j).conj(),
+                                       np.exp(1j * np.arange(count))]))
+        dense = np.zeros((dim, dim), dtype=np.complex128)
+        dense[rows, cols] = values
+        kind = draw(st.sampled_from(["index", "dense", "signed", "view", "two"]))
+        if kind == "index":
+            maps.append(Superoperator.from_index(dim, rows, cols, values))
+            continue
+        if kind == "signed":
+            zeros = np.argwhere(dense == 0)
+            if zeros.size:
+                dense[tuple(zeros[draw(st.integers(0, len(zeros) - 1))])] = \
+                    draw(st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0)]))
+        elif kind == "view":
+            dense = dense.T.copy().T
+        elif kind == "two" and dim > 1:
+            dense[0, :2] = 1
+        maps.append(Superoperator(dense))
+    return maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps=_pool_maps())
+def test_pool_key_is_equal_exactly_when_the_dense_bytes_are(maps):
+    keys = [so._bytes_key()[0] for so in maps]
+    dense = [so.matrix.tobytes() for so in maps]
+    for a in range(len(maps)):
+        for b in range(len(maps)):
+            assert (keys[a] == keys[b]) == (dense[a] == dense[b])

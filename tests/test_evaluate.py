@@ -15,16 +15,18 @@ from helpers import (DOUBLE, PARAM, SINGLE, basis_state, nan_step_chain,
 from qmcforge.circuit import UNITARY, placed, topo_order, wire_positions
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
+from qmcforge.emit import emit_qpmc, reparse_model
 from qmcforge.errors import (BadInitialState, BitLengthMismatch,
                              DimensionMismatch, QmcForgeError, ValidationFailed)
-from qmcforge.evaluate import (_walk, _worst, check_equivalence,
-                               global_phase_distance, outcome_probability,
-                               random_kets, run_qmc, simulate_circuit)
-from qmcforge.gates import gate_matrix
+from qmcforge.evaluate import (_chain_run, _product_rows, _walk, _worst,
+                               check_equivalence, global_phase_distance,
+                               outcome_probability, random_kets, run_qmc,
+                               simulate_circuit)
+from qmcforge.gates import gate_arity, gate_matrix
 from qmcforge.linalg import _permute_indices, binary_swap, tensor
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import emit_circuit_text, parse_circuit
-from qmcforge.qmc import Superoperator, build_qmc, qmc_from_matrices
+from qmcforge.qmc import Qmc, Superoperator, build_qmc, qmc_from_matrices
 
 BELL = "qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"
 
@@ -557,3 +559,98 @@ def test_check_equivalence_memory_is_bounded():
         tracemalloc.stop()
     assert rep.passed
     assert peak <= 2_000_000
+
+
+# --- the gather readers against the dense matmul ---------------------------------
+
+@st.composite
+def _index_chain(draw):
+    """A chain on k <= 4 wires of index-built steps (permutations times 0/1
+    values or unit phases) and its index-built projectors, the same maps as
+    dense arrays, a block of random and basis kets, and whether any value
+    is a non-real phase."""
+    k = draw(st.integers(0, 4))
+    h = draw(st.integers(0, k))
+    dim = 2 ** k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    phases = draw(st.booleans())
+    forms = []
+    for _ in range(draw(st.integers(0, 5))):
+        values = np.exp(2j * np.pi * rng.random(dim)) if phases else np.ones(dim)
+        forms.append((rng.permutation(dim), np.arange(dim), values))
+    block = dim // 2 ** h
+    spans = np.arange(dim).reshape(-1, block)
+    forms += [(span, span, np.ones(block)) for span in spans]
+    maps = [Superoperator.from_index(dim, *form) for form in forms]
+    dense = []
+    for rows, cols, values in forms:
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        m[rows, cols] = values
+        dense.append(m)
+    q = Qmc(k, h, tuple(maps[:-2 ** h]), tuple(maps[-2 ** h:]))
+    kets = np.array(random_kets(k, draw(st.integers(0, 3)), rng)
+                    + [basis_state(k, draw(st.integers(0, dim - 1)))]).T
+    return q, dense, kets, phases
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_index_chain())
+def test_gather_readers_equal_the_matmul(case):
+    q, dense, kets, phases = case
+
+    def same(a, b):
+        if phases:
+            return np.max(np.abs(a - b)) <= DEFAULT_TOL.pipeline
+        return np.array_equal(a, b)
+
+    v, first = _chain_run(q, kets)
+    reference = kets
+    for m in dense[:q.n]:
+        reference = m @ reference
+    assert same(v, reference) and (first == q.n).all()
+    for so, m in zip(q.branches, dense[q.n:]):
+        rows, w = _product_rows(so, v, True)
+        full = np.zeros_like(v)
+        full[rows] = w
+        assert np.array_equal(full, m @ v)
+
+
+_PERMUTING = ["X", "CNOT", "SWAP", "CCNOT", "Z", "S"]
+
+
+@st.composite
+def _permuting_pair(draw):
+    """Two circuits on the same wires with the same measured wires, built
+    from X, CNOT, SWAP, CCNOT and the 0/±1/±i phases Z and S, so every chain
+    map is monomial; the second is either the first or unrelated."""
+    k = draw(st.integers(1, 4))
+    measured = draw(st.lists(st.integers(1, k), unique=True, max_size=k))
+
+    def text():
+        lines = [f"qubits {k}"]
+        for _ in range(draw(st.integers(1, 6))):
+            wires = draw(st.permutations(range(1, k + 1)))
+            name = draw(st.sampled_from([g for g in _PERMUTING
+                                         if gate_arity(g) <= k]))
+            lines.append(f"gate {name} " + " ".join(map(str, wires[:gate_arity(name)])))
+        return "\n".join(lines + [f"measure {w}" for w in measured]) + "\n"
+
+    first = text()
+    return first, first if draw(st.booleans()) else text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_permuting_pair(), seed=st.integers(0, 2 ** 32 - 1))
+def test_check_equivalence_reports_the_same_through_the_index_forms(pair, seed):
+    source, other = pair
+    c = parse_circuit(source)
+    s, _ = translate(parse_circuit(other))
+    model = emit_qpmc(build_qmc(s))
+    kets = random_kets(c.k, 2, np.random.default_rng(seed)) + [basis_state(c.k, 0)]
+    fast = check_equivalence(c, None, reparse_model(model), kets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Superoperator, "monomial", property(lambda so: None))
+        slow = check_equivalence(c, None, reparse_model(model), kets)
+    assert fast == slow
+    if source == other:
+        assert fast.passed

@@ -15,6 +15,7 @@ from qmcforge.errors import (DimensionMismatch, OutcomeOutOfRange, QmcForgeError
                              ReparseError)
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
+from qmcforge.parser import parse_circuit
 from qmcforge.qmc import (Qmc, Superoperator, _diagonal_mass, build_qmc,
                           measurement_matrix, qmc_from_matrices, verify_row_stochasticity)
 
@@ -493,3 +494,131 @@ def test_derived_views_match_the_string_keyed_reference(chain):
         q.transitions[("s1", "s1")] = q.branches[0]
     with pytest.raises(TypeError):
         q.labeling["s1"] = frozenset()
+
+
+# --- the index form ------------------------------------------------------------
+
+def test_index_built_map_materializes_once_and_then_reads_its_array():
+    so = Superoperator.from_index(4, [2, 0, 3], [1, 3, 0], [1j, -1.0, 0.0])
+    # stored canonically: the zero value dropped, entries in row order
+    rows, cols, values = so.monomial
+    assert rows.tolist() == [0, 2] and cols.tolist() == [3, 1]
+    assert values.tolist() == [-1.0, 1j]
+    assert not (rows.flags.writeable or cols.flags.writeable or values.flags.writeable)
+    assert so.dim == 4
+    expected = np.zeros((4, 4), dtype=np.complex128)
+    expected[0, 3], expected[2, 1] = -1.0, 1j
+    m = so.matrix
+    assert m.dtype == np.complex128 and np.array_equal(m, expected)
+    assert so.matrix is m
+    # from now on the array is the truth: a write in place is seen
+    m[1, 0] = 0.5
+    rows, cols, values = so.monomial
+    assert rows.tolist() == [0, 1, 2] and values.tolist() == [-1.0, 0.5, 1j]
+    m[1, 2] = 0.5
+    assert so.monomial is None
+
+
+@pytest.mark.parametrize("args, match", [
+    ((2, [0], [0], [np.nan]), "non-finite"),
+    ((2, [0], [0], [complex(1, np.inf)]), "non-finite"),
+    ((2, [0, 0], [0, 1], [1, 1]), "distinct rows"),
+    ((2, [0, 1], [1, 1], [1, 1]), "distinct rows"),
+    ((2, [2], [0], [1]), "distinct rows"),
+    ((2, [-1], [0], [1]), "distinct rows"),
+    ((2, [0.0], [0], [1]), "integer rows"),
+    ((2, [0, 1], [0], [1, 1]), "one length"),
+    ((2, [[0]], [[0]], [[1]]), "1-D"),
+    ((0, [], [], []), "dimension"),
+    ((2.0, [0], [0], [1]), "dimension"),
+    ((2, [0], [0], ["one"]), "numeric"),
+    ((2, [[0], [0, 1]], [0], [1]), "numeric"),
+], ids=["nan", "inf-part", "row-twice", "column-twice", "past-the-end", "negative",
+        "float-rows", "ragged", "2-d", "zero-dim", "float-dim", "text-value", "ragged-rows"])
+def test_from_index_rejects_forms_that_are_not_monomial(args, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        Superoperator.from_index(*args)
+
+
+def test_build_qmc_forms_no_dense_projector(monkeypatch):
+    s = SnfCircuit(k=3, unitaries=(np.eye(8, dtype=np.complex128),), h=2, wire_map=(1, 2, 3))
+
+    def no_kron(*args):
+        raise AssertionError("build_qmc formed a Kronecker product")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    q = build_qmc(s)
+    monkeypatch.undo()
+    for i, so in enumerate(q.branches):
+        rows, cols, values = so.monomial
+        assert rows.tolist() == cols.tolist() == [2 * i, 2 * i + 1]
+        assert values.tolist() == [1, 1]
+        assert np.array_equal(so.matrix, measurement_matrix(2, 3, i))
+
+
+def test_build_qmc_builds_one_map_per_distinct_step_array():
+    s, _ = translate(random_circuit(np.random.default_rng(3), max_wires=4),
+                     strategy="naive-adjacent", emit_swaps_as_gates=True)
+    s = SnfCircuit(k=s.k, unitaries=s.unitaries * 2, h=s.h, wire_map=s.wire_map)
+    q = build_qmc(s)
+    assert len({id(so) for so in q.steps}) == len({id(m) for m in s.unitaries})
+    for so, m in zip(q.steps, s.unitaries):
+        assert so.matrix is m
+
+
+def test_write_into_a_reparsed_index_built_branch_is_caught():
+    q = reparse_model(emit_qpmc(_single_h_chain()))
+    branch = q.branches[1]
+    assert branch.monomial is not None and verify_row_stochasticity(q) == []
+    branch.matrix[0, 1] = 0.5
+    assert [(v.state, v.deviation) for v in verify_row_stochasticity(q)] == [("s2", 0.25)]
+
+
+@st.composite
+def _index_row(draw):
+    """The maps of one row on k <= 4 wires: a permutation times phases or
+    0/1 values, or the diagonal projectors of a random split of the
+    diagonal, each index-built; and the same maps built dense."""
+    k = draw(st.integers(0, 4))
+    dim = 2 ** k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.ones(dim, dtype=np.complex128)
+    if draw(st.booleans()):
+        values = np.exp(2j * np.pi * rng.random(dim)) * rng.choice([0.5, 1.0, 1.0 + 1e-9], dim)
+    if draw(st.booleans()):
+        forms = [(rng.permutation(dim), np.arange(dim), values)]
+    else:
+        owner = rng.integers(0, 2 ** draw(st.integers(0, k)), dim)
+        forms = [(np.flatnonzero(owner == b), np.flatnonzero(owner == b), values[owner == b])
+                 for b in range(owner.max() + 1)]
+    maps = [Superoperator.from_index(dim, *form) for form in forms]
+    dense = []
+    for rows, cols, vals in forms:
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        m[rows, cols] = vals
+        dense.append(Superoperator(m))
+    return maps, dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=_index_row())
+def test_diagonal_mass_of_index_forms_equals_the_gram(row):
+    maps, dense = row
+    mass = _diagonal_mass(maps)
+    assert np.array_equal(mass, _diagonal_mass(dense))
+    gram = sum(so.matrix.conj().T @ so.matrix for so in dense)
+    assert np.allclose(np.diag(mass), gram, rtol=0, atol=8 * np.finfo(float).eps)
+    # reading the index form materialized nothing
+    assert all(so.monomial is so.monomial for so in maps)
+
+
+def test_build_and_reparse_log_their_maps(caplog):
+    s, _ = translate(parse_circuit("qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"))
+    with caplog.at_level("DEBUG", logger="qmcforge"):
+        q = build_qmc(s)
+        reparse_model(emit_qpmc(q))
+    lines = [r.getMessage() for r in caplog.records if r.name == "qmcforge.qmc"]
+    assert lines == [
+        "build_qmc: k=2, h=2, 2 step(s), 6 distinct map(s): 4 index-built, 2 dense",
+        "reparse_model: k=2, h=2, 2 step(s), 6 distinct map(s): 5 index-built, 1 dense",
+    ]

@@ -22,10 +22,20 @@ whose imaginary parts are all 0 and whose real parts are all 0 or 1 (``-0.0``
 and ``-0j`` count as 0) is written from one byte buffer. Reparse takes the
 fixed-width path only for a literal of exactly that layout and a square
 entry count, which holds exactly when ``literal.replace("1", "0")`` is the
-zero literal; a monomial one becomes an index-built map, any other a dense
-one. Everything else (other values, NaN, object arrays, any literal spaced
-or separated differently) goes through the per-value path, whose bytes,
-arrays and error messages the byte paths reproduce exactly.
+cached zero literal of its width; its 1s are then located by ``str.find``
+(one numpy scan reads a literal holding more than a few), and a monomial
+one becomes an index-built map, any other a dense one. Everything else
+(other values, NaN, object arrays, any literal spaced or separated
+differently) goes through the per-value path, whose bytes, arrays and
+error messages the byte paths reproduce exactly.
+
+Each pass reparse makes over a constant line is a memchr-speed search, a
+copy or a comparison, none of them Python code per byte. It splits lines
+with ``str.split("\\n")`` unless the text holds another line boundary of
+``str.splitlines`` (``\\r``, ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``,
+``\\u2028``, ``\\u2029``), looks for a ``//`` comment only in a line holding a
+``/``, and knows a constant line by its ``];`` ending and a regex over its
+``const matrix NAME = [`` head only.
 
 Constants are named once per distinct matrix: two maps share a constant
 exactly when their dense arrays have equal bytes, signed zeros included
@@ -113,11 +123,18 @@ def _format_words(m: np.ndarray) -> str:
 
 
 @lru_cache(maxsize=8)
+def _zero_digits(width: int) -> str:
+    """The fixed-width literal of the width x width zero matrix, without
+    its brackets."""
+    row = ", ".join("0" * width)
+    return "; ".join([row] * width)
+
+
+@lru_cache(maxsize=8)
 def _zero_literal(width: int) -> str:
     """The fixed-width literal of the width x width zero matrix, brackets
     included."""
-    row = ", ".join("0" * width)
-    return "[" + "; ".join([row] * width) + "]"
+    return "[" + _zero_digits(width) + "]"
 
 
 def _map_literal(so: Superoperator, form) -> str:
@@ -200,7 +217,7 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
 # --- reparse ---------------------------------------------------------------
 
 _MODULE_RE = re.compile(rf"^module ({_NAME_RE.pattern})$")
-_CONST_RE = re.compile(r"^const matrix (\w+) = \[(.*)\];$")
+_CONST_HEAD_RE = re.compile(r"const matrix (\w+) = \[")
 _VAR_RE = re.compile(r"^s: \[0\.\.(\d+)\] init 0;$")
 _STEP_RE = re.compile(r"^\[\] \(s = (\d+)\) -> (.*);$")
 _ACTION_RE = re.compile(r"^<<(\w+)>> : \(s' = (\d+)\)$")
@@ -234,27 +251,47 @@ def _parse_matrix(literal: str, where: str) -> Superoperator:
     return so
 
 
+# Up to this many 1s are located by str.find, one call per 1; a literal
+# holding more is scanned once by numpy, whose fixed cost is that of a few
+# dozen str.find calls.
+_FIND_ONES = 16
+
+
 def _parse_bits(literal: str) -> Superoperator | None:
-    """The map of a fixed-width 0/1 literal, read as one byte buffer: built
-    from its index form when no row and no column holds two 1s, else from a
-    dense array; None unless ``literal`` has exactly that layout and a
-    square entry count."""
+    """The map of a fixed-width 0/1 literal: built from its index form when
+    no row and no column holds two 1s, else from a dense array; None unless
+    ``literal`` has exactly that layout and a square entry count.
+
+    The layout holds exactly when every digit is a 0 or a 1 and every other
+    byte is the zero literal's: one comparison with the cached zero digits.
+    Entry i then sits at byte 3i, so the 1s of a literal holding at most
+    ``_FIND_ONES`` of them are found by ``str.find``, each search starting
+    3 bytes past the last 1; a literal holding more is read as one byte
+    buffer.
+    """
     count, rest = divmod(len(literal) + 2, 3)
     width = math.isqrt(count)
-    # the layout holds exactly when every digit is a 0 or a 1 and every
-    # other byte is the zero literal's
-    if rest or width * width != count or \
-            literal.replace("1", "0") != _zero_literal(width)[1:-1]:
+    if rest or width * width != count or literal.replace("1", "0") != _zero_digits(width):
         return None
-    digits = np.frombuffer(literal.encode("ascii"), dtype=np.uint8)[0::3]
-    flat = np.flatnonzero(digits == _ONE)
-    rows, cols = np.divmod(flat, width)
-    if (np.bincount(rows, minlength=width).max() <= 1
-            and np.bincount(cols, minlength=width).max() <= 1):
+    flat: list[int] | np.ndarray = []
+    at = literal.find("1")
+    while at >= 0 and len(flat) <= _FIND_ONES:
+        flat.append(at // 3)
+        at = literal.find("1", at + 3)
+    if at < 0:
+        rows, cols = [i // width for i in flat], [i % width for i in flat]
+        monomial = len(set(rows)) == len(rows) == len(set(cols))
+    else:
+        digits = np.frombuffer(literal.encode("ascii"), dtype=np.uint8)[0::3]
+        flat = np.flatnonzero(digits == _ONE)
+        rows, cols = np.divmod(flat, width)
+        monomial = (np.bincount(rows, minlength=width).max() <= 1
+                    and np.bincount(cols, minlength=width).max() <= 1)
+    if monomial:
         # row-major positions: the canonical index form, rows ascending
-        ones = np.ones(flat.size, dtype=np.complex128)
-        for a in (rows, cols, ones):
-            a.flags.writeable = False
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        ones = np.ones(len(flat), dtype=np.complex128)
+        rows.flags.writeable = cols.flags.writeable = ones.flags.writeable = False
         return Superoperator._indexed(width, rows, cols, ones)
     m = np.zeros(count, dtype=np.complex128)
     m[flat] = 1
@@ -286,6 +323,21 @@ def _parse_tokens(literal: str, where: str) -> np.ndarray:
     return m
 
 
+# the line boundaries of str.splitlines other than "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _split_lines(text: str) -> list[str]:
+    """``text.splitlines()``: by ``str.split("\\n")``, which is about twice
+    as fast, when ``text`` holds no other line boundary."""
+    if any(ch in text for ch in _OTHER_BREAKS):
+        return text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final "\n" ends the last line and opens no other
+    return lines
+
+
 def _state_number(digits: str, where: str) -> int:
     """A state number of the model text; int() refuses one of over 4,300
     digits, which numbers no state of a chain the emitter can write."""
@@ -309,8 +361,9 @@ def reparse_model(text: str) -> Qmc:
     commands: dict[int, list[tuple[str, int]] | None] = {}
     top = None
     in_module = seen_module = seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
+    for lineno, raw in enumerate(_split_lines(text), start=1):
+        # most lines hold no "/", and a one-character search is memchr fast
+        line = (raw if raw.find("/") < 0 else raw.split("//", 1)[0]).strip()
         if not line:
             continue
         where = f"line {lineno}"
@@ -321,9 +374,11 @@ def reparse_model(text: str) -> Qmc:
             continue
         if line == "qmc":
             raise ReparseError(f"{where}: repeated qmc header")
-        m = _CONST_RE.match(line)
+        # a constant line is "const matrix NAME = [" + literal + "];": the
+        # regex reads the head only, not the literal
+        m = _CONST_HEAD_RE.match(line) if line.endswith("];") else None
         if m:
-            name, literal = m.groups()
+            name, literal = m.group(1), line[m.end():-2]
             if seen_module:
                 raise ReparseError(f"{where}: constant {echo(name, str)} after the module line")
             if name in consts:

@@ -14,10 +14,13 @@ that the translation promises to preserve; a NaN deviation counts as a
 failure. Every chain map is one matrix, so the density of a propagated ket
 is its outer product and no density is formed. A map with an index form
 (see :mod:`qmcforge.qmc`) is applied to the block as a gather,
-``out[rows] = values[:, None] * v[cols]``, and a measurement branch is read
-only on the rows its form can reach; a map without one, or any ket that is
-no longer finite, takes the dense matmul, so NaN and inf deviations spread
-and are reported as before.
+``out[rows] = values[:, None] * v[cols]``. The measurement branches are
+read the same way, only on the rows their forms can reach, and when every
+branch has a form and all forms are of one length (every projector block
+``build_qmc`` or reparse builds) their forms are concatenated and all 2^h
+branches are read in one gather and reduced per branch. A map without a
+form, or any ket that is no longer finite, takes the dense matmul, so NaN
+and inf deviations spread and are reported as before.
 """
 
 from __future__ import annotations
@@ -257,6 +260,52 @@ def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, first
 
 
+def _branch_deviations(branches: tuple[Superoperator, ...], kets: np.ndarray,
+                       born: np.ndarray, finite: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The probability and support deviations of every branch and input,
+    (2^h x N) each, from W_b = M_b V: |born_b - squared column norms of
+    W_b|, and the largest |w_i| outside the outcome's block times the
+    largest |w_j|.
+
+    When every ket is finite and every branch has an index form, all of one
+    length or empty, the forms are concatenated and read in one gather,
+    ``|values[:, None] * kets[cols]|``, and reduced per branch over a
+    (branches, rows, N) view. Its sums add the same rows in the same order
+    as one branch's read does, so the bits do not depend on the path; forms
+    of several lengths would need segment sums, whose order differs.
+    Otherwise each branch is read on its own by :func:`_product_rows`.
+    """
+    dim, count = kets.shape
+    block = dim // len(branches)
+    sums, support = np.zeros((len(branches), count)), np.zeros((len(branches), count))
+    forms = [so.monomial for so in branches] if finite else None
+    if forms and all(form is not None for form in forms) and \
+            len({form[0].size for form in forms} - {0}) <= 1:
+        # an empty form is a zero matrix: its sums and maxima stay 0
+        full = [b for b, form in enumerate(forms) if form[0].size]
+        if full:
+            rows, cols, values = (np.concatenate([forms[b][i] for b in full]) for i in range(3))
+            w = np.abs(values[:, None] * kets[cols])
+            shape = (len(full), rows.size // len(full), count)
+            sums[full] = (w ** 2).reshape(shape).sum(axis=1)
+            if block < dim:
+                inside = rows // block == np.repeat(full, shape[1])
+                outside = np.where(inside[:, None], 0.0, w).reshape(shape).max(axis=1)
+                support[full] = outside * w.reshape(shape).max(axis=1)
+        return np.abs(born - sums), support
+    everywhere = np.arange(dim)
+    for b, so in enumerate(branches):
+        # |W_b| on the rows it can be nonzero on; a zero row adds nothing
+        # to a column's sum or maximum
+        rows, w = _product_rows(so, kets, finite)
+        rows, w = everywhere if rows is None else rows, np.abs(w)
+        sums[b] = np.sum(w ** 2, axis=0)
+        if block < dim:
+            outside = w[rows // block != b].max(axis=0, initial=0.0)
+            support[b] = outside * w.max(axis=0, initial=0.0)
+    return np.abs(born - sums), support
+
+
 def _worst(devs: np.ndarray) -> tuple[float, int | None]:
     """The worst of a flat array of deviations and its index: the first NaN
     if there is one, else the first maximum; 0.0 and None when empty."""
@@ -293,7 +342,8 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
     branch densities are w w† with w = M_b v. So the probability clause
     reads the squared column norms of W_b = M_b V and the support clause
     the largest |w_i| outside the outcome's block times the largest |w_j|,
-    one branch at a time. A deviation fails unless it is at most its
+    for all branches in one gather when their index forms allow it (see
+    :func:`_branch_deviations`). A deviation fails unless it is at most its
     tolerance, so a NaN fails and shows as the worst. ``tol`` and
     ``support_tol`` must be finite and >= 0.
     """
@@ -325,25 +375,11 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
 
     # clause: the chain preserves rank-1 states step by step, so it fails
     # exactly where a propagated ket stops being finite
-    steps, count = len(q.steps), taus.shape[1]
+    steps = len(q.steps)
     chain = np.where(first < steps, np.nan, 0.0)
 
     # clause: Born probabilities match terminal traces; mass stays in block
-    block = dim // (2 ** h)
-    prob = np.empty((len(q.branches), count))
-    support = np.zeros((len(q.branches), count))
-    finite = (first == steps).all()
-    everywhere = np.arange(dim)
-    for b, so in enumerate(q.branches):
-        # |W_b| on the rows it can be nonzero on; a zero row adds nothing
-        # to a column's sum or maximum
-        rows, w = _product_rows(so, kets, finite)
-        rows, w = everywhere if rows is None else rows, np.abs(w)
-        prob[b] = np.abs(born[b] - np.sum(w ** 2, axis=0))
-        lo, hi = b * block, (b + 1) * block
-        if block < dim:
-            outside = w[(rows < lo) | (rows >= hi)].max(axis=0, initial=0.0)
-            support[b] = outside * w.max(axis=0, initial=0.0)
+    prob, support = _branch_deviations(q.branches, kets, born, (first == steps).all())
 
     def bits(b: int) -> str:
         return format(b, f"0{q.h}b") if q.h else ""

@@ -2,11 +2,12 @@
 
 import hashlib
 import pathlib
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -18,7 +19,7 @@ from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import (Superoperator, build_qmc, measurement_matrix,
+from qmcforge.qmc import (Qmc, Superoperator, build_qmc, measurement_matrix,
                           qmc_from_matrices, verify_row_stochasticity)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -176,21 +177,21 @@ def test_emit_rejects_non_identifier_names(name):
     assert "module _m1\n" in emit_qpmc(q, name="_m1")
 
 
-def test_reparse_round_trip_random_circuits():
-    rng = np.random.default_rng(6)
-    for _ in range(25):
-        c = random_circuit(rng)
-        s, _ = translate(c)
-        q = build_qmc(s)
-        text = emit_qpmc(q)
-        q2 = reparse_model(text)
-        assert q2.k == q.k and q2.h == q.h
-        assert q2.states == q.states
-        assert set(q2.transitions) == set(q.transitions)
-        for key, so in q.transitions.items():
-            assert np.array_equal(so.matrix, q2.transitions[key].matrix)
-        # second emission is byte-identical
-        assert emit_qpmc(q2) == text
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_reparse_round_trip_random_circuits(seed):
+    c = random_circuit(np.random.default_rng(seed))
+    s, _ = translate(c)
+    q = build_qmc(s)
+    text = emit_qpmc(q)
+    q2 = reparse_model(text)
+    assert q2.k == q.k and q2.h == q.h
+    assert q2.states == q.states
+    assert set(q2.transitions) == set(q.transitions)
+    for key, so in q.transitions.items():
+        assert np.array_equal(so.matrix, q2.transitions[key].matrix)
+    # second emission is byte-identical
+    assert emit_qpmc(q2) == text
 
 
 def test_reparse_rejects_malformed_models():
@@ -754,3 +755,127 @@ def test_pool_key_is_equal_exactly_when_the_dense_bytes_are(maps):
     for a in range(len(maps)):
         for b in range(len(maps)):
             assert (keys[a] == keys[b]) == (dense[a] == dense[b])
+
+
+# --- model text under edits ----------------------------------------------------
+
+# every line boundary str.splitlines knows, and characters around them
+_LINE_CHARS = ["a", " ", "/", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x1f", "\x85", "\u2028", "\u2029", "\u00a0", "\u00e9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(_LINE_CHARS), max_size=12).map("".join))
+def test_split_lines_splits_as_splitlines_does(text):
+    assert emit._split_lines(text) == text.splitlines()
+
+
+def _with_crlf_and_comments(model: str) -> str:
+    """The model with a trailing ``// a/b`` comment on every constant line
+    and CRLF line endings."""
+    lines = [line + " // a/b" if line.startswith("const matrix ") else line
+             for line in model.splitlines()]
+    return "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize("circuit", sorted((pathlib.Path(__file__).parents[1] / "circuits")
+                                           .glob("*.qc")), ids=lambda p: p.stem)
+def test_crlf_model_with_comments_reparses_to_the_same_chain(circuit, tmp_path):
+    model = emit_qpmc(build_qmc(translate(parse_circuit(circuit.read_text()))[0]))
+    edited = _with_crlf_and_comments(model)
+    assert edited.count(" // a/b\r\n") == model.count("\nconst matrix ")
+    q, q2 = reparse_model(model), reparse_model(edited)
+    assert len(q2.steps) == len(q.steps) and len(q2.branches) == len(q.branches)
+    for a, b in zip(q.steps + q.branches, q2.steps + q2.branches):
+        assert np.array_equal(a.matrix, b.matrix)
+    path = tmp_path / "model.qpmc"
+    path.write_bytes(edited.encode())
+    assert main(["verify", str(circuit), "--against", str(path)]) == 0
+
+
+def test_slash_inside_a_bit_literal_is_one_error_line(tmp_path, capsys):
+    model = _deutsch_model()
+    bad = model.replace("const matrix U2 = [1, 0,", "const matrix U2 = [1, 0/,", 1)
+    assert bad != model
+    with pytest.raises(ReparseError) as err:
+        reparse_model(bad)
+    assert str(err.value) == "line 5: bad numeric entry '0/'"
+    _verify_against_exits_2(bad, tmp_path, capsys)
+
+
+# one character in place of another; each of the inserts inside a literal
+_FLIPS = ["0", "1", "2", ",", ";", " ", "[", "]", "/", "\r", "\n", "\x0b", "\x1c", "-",
+          ".", "e", "i", "=", "<", ">", "'", "s", "+", "\u00e9", "\u2028", "\uff11"]
+_INSERTS = ["/", "//", "\r", "\r\n", "\u00e9", "\x85", "\u2028", "\u00a0", "\uff11",
+            " // a/b"]
+
+
+@st.composite
+def _edited_model(draw):
+    """The model of a random circuit on at most 3 wires after one to three
+    edits: byte flips, truncations, dropped or swapped lines, inserts inside
+    a matrix literal and toggled digits of a literal."""
+    c = random_circuit(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), max_wires=3)
+    text = emit_qpmc(build_qmc(translate(c)[0]))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "truncate", "drop", "swap", "insert", "bit"]))
+        if kind == "flip" and text:
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + draw(st.sampled_from(_FLIPS)) + text[at + 1:]
+        elif kind == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+        elif kind in ("drop", "swap"):
+            lines = text.split("\n")
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if kind == "drop":
+                del lines[i]
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+        else:
+            literals = [m.span(1) for m in re.finditer(r"= \[([^\]\n]*)\];", text)]
+            if not literals:
+                continue
+            lo, hi = draw(st.sampled_from(literals))
+            at = draw(st.integers(lo, hi))
+            if kind == "insert":
+                text = text[:at] + draw(st.sampled_from(_INSERTS)) + text[at:]
+            elif text[at:at + 1] in ("0", "1"):
+                # a 0/1 literal stays one after a digit is toggled
+                text = text[:at] + "10"[int(text[at])] + text[at + 1:]
+    return text
+
+
+# a projector with a second 1 in its first column: rows distinct, not monomial
+_SECOND_ONE_IN_A_COLUMN = _deutsch_model().replace(
+    "const matrix M0 = [1, 0, 0, 0; 0, 1, 0, 0; 0, 0, 0, 0;",
+    "const matrix M0 = [1, 0, 0, 0; 0, 1, 0, 0; 1, 0, 0, 0;", 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edited_model())
+@example(text=_SECOND_ONE_IN_A_COLUMN)
+def test_edited_model_reparses_to_a_chain_or_a_reparse_error(text):
+    parse_bits, accepted = emit._parse_bits, []
+
+    def spy(literal):
+        so = parse_bits(literal)
+        if so is not None:
+            accepted.append((literal, so, so.monomial))
+        return so
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emit, "_parse_bits", spy)
+        try:
+            q = reparse_model(text)
+        except ReparseError:
+            q = None
+    assert q is None or isinstance(q, Qmc)
+    # the fixed-width path reads exactly what the per-token path reads, and
+    # its index form is the one a scan of that matrix finds
+    for literal, so, form in accepted:
+        tokens = emit._parse_tokens(literal, "line 1")
+        assert so.matrix.dtype == tokens.dtype and np.array_equal(so.matrix, tokens)
+        scan = Superoperator(tokens).monomial
+        assert (form is None) == (scan is None)
+        assert form is None or all(np.array_equal(a, b) for a, b in zip(form, scan))

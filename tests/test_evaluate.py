@@ -15,6 +15,7 @@ from helpers import (DOUBLE, PARAM, SINGLE, basis_state, nan_step_chain,
 from qmcforge.circuit import UNITARY, placed, topo_order, wire_positions
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
+from qmcforge import evaluate
 from qmcforge.emit import emit_qpmc, reparse_model
 from qmcforge.errors import (BadInitialState, BitLengthMismatch,
                              DimensionMismatch, QmcForgeError, ValidationFailed)
@@ -654,3 +655,105 @@ def test_check_equivalence_reports_the_same_through_the_index_forms(pair, seed):
     assert fast == slow
     if source == other:
         assert fast.passed
+
+
+# --- the gathered branch read against one branch at a time ----------------------
+
+def _per_branch_deviations(branches, kets, born, finite):
+    """The probability and support deviations read one branch at a time by
+    ``_product_rows``: the reference for the gathered read."""
+    dim, count = kets.shape
+    block = dim // len(branches)
+    prob = np.empty((len(branches), count))
+    support = np.zeros((len(branches), count))
+    everywhere = np.arange(dim)
+    for b, so in enumerate(branches):
+        rows, w = _product_rows(so, kets, finite)
+        rows, w = everywhere if rows is None else rows, np.abs(w)
+        prob[b] = np.abs(born[b] - np.sum(w ** 2, axis=0))
+        lo, hi = b * block, (b + 1) * block
+        if block < dim:
+            outside = w[(rows < lo) | (rows >= hi)].max(axis=0, initial=0.0)
+            support[b] = outside * w.max(axis=0, initial=0.0)
+    return prob, support
+
+
+@st.composite
+def _branch_set(draw):
+    """A circuit on k <= 4 wires measuring its first h, its compiled steps,
+    and 2^h branches: the projectors, some with phases, scaled values,
+    rows moved out of their block, rows dropped (forms of other lengths),
+    an all-zero branch (an empty form) or one non-monomial branch; perhaps
+    a NaN written into a step; random and basis kets."""
+    k = draw(st.integers(1, 4))
+    h = draw(st.integers(0, k))
+    dim, block = 2 ** k, 2 ** (k - h)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lines = [f"qubits {k}"]
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from([g for g in ("H", "X", "T", "CNOT", "SWAP", "CCNOT")
+                                     if gate_arity(g) <= k]))
+        wires = draw(st.permutations(range(1, k + 1)))[:gate_arity(name)]
+        lines.append(f"gate {name} " + " ".join(map(str, wires)))
+    c = parse_circuit("\n".join(lines + [f"measure {w}" for w in range(1, h + 1)]) + "\n")
+    steps = [so.matrix.copy() for so in build_qmc(translate(c)[0]).steps]
+    # one kind for every branch, then at most two branches of any kind
+    kinds = [draw(st.sampled_from(["projector", "phases", "scaled", "moved"]))] * 2 ** h
+    for b, kind in draw(st.lists(st.tuples(st.integers(0, 2 ** h - 1), st.sampled_from(
+            ["projector", "phases", "scaled", "moved", "fewer", "zero", "dense"])), max_size=2)):
+        kinds[b] = kind
+    branches = []
+    for b, kind in enumerate(kinds):
+        rows = np.arange(b * block, (b + 1) * block)
+        cols, values = rows.copy(), np.ones(block, dtype=np.complex128)
+        if kind == "phases":
+            values = np.exp(2j * np.pi * rng.random(block))
+        elif kind == "scaled":
+            values = values * rng.uniform(0.1, 2.0, block)
+        elif kind == "moved":
+            cols = rng.permutation(dim)[:block]
+            rows = np.sort(rng.permutation(dim)[:block])
+        elif kind == "fewer":
+            keep = rng.random(block) < 0.5
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+        elif kind == "zero":
+            rows, cols, values = rows[:0], cols[:0], values[:0]
+        so = Superoperator.from_index(dim, rows, cols, values)
+        if kind == "dense" and dim > 1:
+            m = so.matrix.copy()
+            m[rows[0], (cols[0] + 1) % dim] = 0.5
+            so = Superoperator(m)
+        branches.append(so)
+    q = Qmc(k, h, tuple(map(Superoperator, steps)), tuple(branches))
+    if q.steps and draw(st.integers(0, 3)) == 0:
+        q.steps[draw(st.integers(0, q.n - 1))].matrix[0, 0] = np.nan
+    kets = random_kets(k, draw(st.integers(0, 3)), rng) + \
+        [basis_state(k, draw(st.integers(0, dim - 1)))]
+    return c, q, kets
+
+
+def _same_report(a, b) -> bool:
+    """Reports equal field by field, a NaN equal to a NaN."""
+    return all(x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
+               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_branch_set())
+def test_gathered_branch_read_equals_one_branch_at_a_time(case):
+    c, q, kets = case
+    _, measured = placed(c)
+    block = np.array(kets).T
+    _, born = _walk(c.k, placed(c)[0], measured, block)
+    v, first = _chain_run(q, block)
+    finite = bool((first == q.n).all())
+    got = evaluate._branch_deviations(q.branches, v, born, finite)
+    want = _per_branch_deviations(q.branches, v, born, finite)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    fast = check_equivalence(c, None, q, kets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_branch_deviations", _per_branch_deviations)
+        slow = check_equivalence(c, None, q, kets)
+    assert fast.failures == slow.failures and fast.worst_at == slow.worst_at
+    assert _same_report(fast, slow)

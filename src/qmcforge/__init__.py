@@ -7,8 +7,7 @@ guarded-command dialect. The evaluator runs both semantics and confirms
 they agree.
 """
 
-from .circuit import (Circuit, Edge, Node, Violation, placed, topo_order,
-                      validate, wire_positions)
+from .circuit import Circuit, Edge, Node, Violation
 from .config import DEFAULT_TOL, Tolerances
 from .emit import emit_qpmc, reparse_model
 from .errors import QmcForgeError
@@ -28,8 +27,7 @@ from .qmc import (Qmc, RowViolation, Superoperator, build_qmc,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "Edge", "Node", "Violation", "placed", "topo_order", "validate",
-    "wire_positions",
+    "Circuit", "Edge", "Node", "Violation",
     "DEFAULT_TOL", "Tolerances",
     "emit_qpmc", "reparse_model",
     "QmcForgeError",

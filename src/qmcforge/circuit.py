@@ -11,23 +11,30 @@ Edges carry a source output label ``s_label`` and a target input label
 ``t_label``; the incoming labels of a node must be exactly 1..In and the
 outgoing labels exactly 1..Out. Gate input j and output j denote the same
 physical wire location, which is how wires thread through the graph.
+
+A ``Circuit`` is checked against these rules when it is built and cannot
+change afterwards, so every circuit that exists is valid and carries its
+placement: the gates in topological order with the wires each acts on, and
+the measured wires.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import CycleDetected, InvalidCircuit, ValidationFailed
+from .errors import ValidationFailed
 from .linalg import is_unitary
 
 __all__ = [
     "QUBIT", "UNITARY", "MEASURE", "TERMINATE",
     "Node", "Edge", "Circuit", "Violation",
-    "validate", "topo_order", "wire_positions", "placed",
 ]
 
 QUBIT = "qubit"
@@ -58,28 +65,47 @@ class Edge:
     t_label: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Immutable-by-convention circuit graph. ``k`` is the number of wires."""
+    """A circuit graph on ``k`` wires, valid by construction.
+
+    Construction copies each gate matrix into a read-only array and
+    ``nodes`` into a read-only mapping, then checks the structural rules:
+    per-kind in/out degrees, unitary payloads of the right dimension,
+    contiguous 1..In / 1..Out edge labels, acyclicity, and the size account
+    |measure| + |terminate| = k. It raises ValidationFailed carrying every
+    violation. A valid circuit records its placement:
+
+    * ``gates``: the unitary nodes in topological order (qubit nodes first,
+      then unitaries, sinks last, ties by ascending node id), each with the
+      wire positions it acts on in input-label order;
+    * ``measured``: the measured wire positions, ascending.
+
+    A wire's position is the rank of its qubit node among the qubit nodes,
+    ascending by id; a gate's output j stays at the position of its input j.
+    ``dataclasses.replace`` builds a new circuit and checks it the same way.
+    """
 
     k: int
-    nodes: dict[int, Node] = field(default_factory=dict)
+    nodes: Mapping[int, Node] = field(default_factory=dict)
     edges: tuple[Edge, ...] = ()
+    gates: tuple[tuple[Node, tuple[int, ...]], ...] = field(init=False, repr=False,
+                                                            compare=False)
+    measured: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nodes = {nid: _frozen(node) for nid, node in self.nodes.items()}
+        object.__setattr__(self, "nodes", MappingProxyType(nodes))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        problems, order, ins = _check(self)
+        if problems:
+            raise ValidationFailed(problems)
+        gates, measured = _place(self, order, ins)
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "measured", measured)
 
     def nodes_of_kind(self, kind: str) -> list[int]:
         return sorted(n for n, node in self.nodes.items() if node.kind == kind)
-
-    def in_edges(self) -> dict[int, list[Edge]]:
-        table: dict[int, list[Edge]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            table[e.target].append(e)
-        return table
-
-    def out_edges(self) -> dict[int, list[Edge]]:
-        table: dict[int, list[Edge]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            table[e.source].append(e)
-        return table
 
 
 @dataclass(frozen=True)
@@ -94,6 +120,16 @@ class Violation:
         return f"{self.rule} at {self.subject}: {self.detail}"
 
 
+def _frozen(node: Node) -> Node:
+    """``node`` with a read-only copy of its matrix, so that no caller's
+    array can change the circuit after its check."""
+    if node.matrix is None:
+        return node
+    matrix = np.array(node.matrix)
+    matrix.flags.writeable = False
+    return dataclasses.replace(node, matrix=matrix)
+
+
 def _required_degree(node: Node) -> tuple[int, int]:
     if node.kind == QUBIT:
         return 0, 1
@@ -102,21 +138,19 @@ def _required_degree(node: Node) -> tuple[int, int]:
     return 1, 0
 
 
-def validate(c: Circuit, tol: float = DEFAULT_TOL.algebraic) -> list[Violation]:
-    """Check the structural rules; return all violations (empty means valid).
-
-    Rules: per-kind in/out degrees, unitary payloads of the right dimension,
-    contiguous 1..In / 1..Out edge labels, acyclicity, and the size account
-    |measure| + |terminate| = k.
-    """
-    out: list[Violation] = []
-    ins, outs = c.in_edges(), c.out_edges()
-
-    for e in c.edges:
-        if e.source not in c.nodes or e.target not in c.nodes:
-            out.append(Violation("structure", f"edge {e}", "dangling endpoint"))
+def _check(c: Circuit) -> tuple[list[Violation], list[int], dict[int, list[Edge]]]:
+    """Every violated structural rule (see :class:`Circuit`), the
+    topological order and each node's incoming edges. The order is only
+    meaningful when there are no violations."""
+    out = [Violation("structure", f"edge {e}", "dangling endpoint")
+           for e in c.edges if e.source not in c.nodes or e.target not in c.nodes]
     if out:
-        return out
+        return out, [], {}
+    ins: dict[int, list[Edge]] = {n: [] for n in c.nodes}
+    outs: dict[int, list[Edge]] = {n: [] for n in c.nodes}
+    for e in c.edges:
+        ins[e.target].append(e)
+        outs[e.source].append(e)
 
     for nid, node in sorted(c.nodes.items()):
         want_in, want_out = _required_degree(node)
@@ -133,7 +167,7 @@ def validate(c: Circuit, tol: float = DEFAULT_TOL.algebraic) -> list[Violation]:
             elif node.matrix is None or node.matrix.shape != (2 ** node.dim, 2 ** node.dim):
                 out.append(Violation("condition2", f"node {nid}",
                                      f"matrix shape does not match dim {node.dim}"))
-            elif not is_unitary(node.matrix, tol):
+            elif not is_unitary(node.matrix, DEFAULT_TOL.algebraic):
                 out.append(Violation("condition2", f"node {nid}",
                                      "matrix is not unitary"))
         t_labels = sorted(e.t_label for e in ins[nid])
@@ -145,9 +179,8 @@ def validate(c: Circuit, tol: float = DEFAULT_TOL.algebraic) -> list[Violation]:
             out.append(Violation("condition5", f"node {nid}",
                                  f"outgoing labels {s_labels} != 1..{want_out}"))
 
-    try:
-        topo_order(c)
-    except CycleDetected:
+    order = _topo_order(c, ins, outs)
+    if len(order) != len(c.nodes):
         out.append(Violation("acyclic", "circuit", "graph contains a cycle"))
 
     n_qubit = len(c.nodes_of_kind(QUBIT))
@@ -158,19 +191,17 @@ def validate(c: Circuit, tol: float = DEFAULT_TOL.algebraic) -> list[Violation]:
     if n_sink != c.k:
         out.append(Violation("size", "circuit",
                              f"{n_sink} sink nodes for {c.k} wires"))
-    return out
+    return out, order, ins
 
 
-def topo_order(c: Circuit) -> list[int]:
+def _topo_order(c: Circuit, ins: dict[int, list[Edge]],
+                outs: dict[int, list[Edge]]) -> list[int]:
     """Topological order: qubit nodes first, then unitaries, sinks last.
 
     Ties are broken by ascending node id, so the order is deterministic.
-    Raises CycleDetected when the graph is not a DAG.
+    The nodes on or behind a cycle are missing from it.
     """
-    indeg = {n: 0 for n in c.nodes}
-    for e in c.edges:
-        indeg[e.target] += 1
-    outs = c.out_edges()
+    indeg = {n: len(edges) for n, edges in ins.items()}
     ready = sorted((_KIND_RANK[c.nodes[n].kind], n)
                    for n, d in indeg.items() if d == 0)
     order: list[int] = []
@@ -182,53 +213,27 @@ def topo_order(c: Circuit) -> list[int]:
             indeg[e.target] -= 1
             if indeg[e.target] == 0:
                 heapq.heappush(ready, (_KIND_RANK[c.nodes[e.target].kind], e.target))
-    if len(order) != len(c.nodes):
-        raise CycleDetected("circuit graph contains a cycle")
     return order
 
 
-def wire_positions(c: Circuit) -> dict[int, tuple[int, ...]]:
-    """Positions occupied by each node's inputs, in input-label order.
-
-    Qubit nodes get the position they source (their rank among qubit nodes,
-    ascending by id). Since a gate's output j stays at the position of its
-    input j, positions propagate along edges unchanged. The result is keyed
-    in ``topo_order``.
-    """
-    qubits = c.nodes_of_kind(QUBIT)
-    pos_of_output: dict[tuple[int, int], int] = {}
-    for rank, q in enumerate(qubits, start=1):
-        pos_of_output[(q, 1)] = rank
-
-    ins = c.in_edges()
-    result: dict[int, tuple[int, ...]] = {q: (r,) for r, q in enumerate(qubits, start=1)}
-    for nid in topo_order(c):
+def _place(c: Circuit, order: list[int], ins: dict[int, list[Edge]]
+           ) -> tuple[tuple[tuple[Node, tuple[int, ...]], ...], tuple[int, ...]]:
+    """The gates and the measured wires of a valid circuit (see
+    :class:`Circuit`), read along its topological ``order``."""
+    pos_of_output = {(q, 1): rank
+                     for rank, q in enumerate(c.nodes_of_kind(QUBIT), start=1)}
+    gates: list[tuple[Node, tuple[int, ...]]] = []
+    measured: list[int] = []
+    for nid in order:
         node = c.nodes[nid]
         if node.kind == QUBIT:
             continue
         incoming = sorted(ins[nid], key=lambda e: e.t_label)
-        try:
-            positions = tuple(pos_of_output[(e.source, e.s_label)] for e in incoming)
-        except KeyError as exc:
-            raise InvalidCircuit(f"node {nid} fed by unplaced output") from exc
-        result[nid] = positions
-        for j, p in enumerate(positions, start=1):
-            pos_of_output[(nid, j)] = p
-    return result
-
-
-def placed(c: Circuit) -> tuple[list[tuple[Node, tuple[int, ...]]], tuple[int, ...]]:
-    """What a translation or a simulation reads off a circuit: its unitary
-    nodes in topological order, each with the wire positions it acts on (in
-    input-label order), and the measured wire positions, ascending.
-
-    Raises ValidationFailed when the circuit breaks a structural rule.
-    """
-    problems = validate(c)
-    if problems:
-        raise ValidationFailed(problems)
-    positions = wire_positions(c)
-    gates = [(c.nodes[n], wires) for n, wires in positions.items()
-             if c.nodes[n].kind == UNITARY]
-    measured = tuple(sorted(positions[m][0] for m in c.nodes_of_kind(MEASURE)))
-    return gates, measured
+        wires = tuple(pos_of_output[(e.source, e.s_label)] for e in incoming)
+        if node.kind == UNITARY:
+            gates.append((node, wires))
+            for j, p in enumerate(wires, start=1):
+                pos_of_output[(nid, j)] = p
+        elif node.kind == MEASURE:
+            measured.append(wires[0])
+    return tuple(gates), tuple(sorted(measured))

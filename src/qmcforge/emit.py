@@ -12,22 +12,23 @@ shortest round-trip precision and integer values without a decimal point, so
 emission is deterministic: the same chain always yields identical bytes.
 
 A matrix whose entries are all 0 or 1 (every permutation step and every
-measurement projector) has a fixed-width literal: inside the brackets, entry
-i is its digit at byte 3i, then ``,`` (``;`` at a row end) and a space, so
-an r x c literal is 3rc - 2 bytes. A map with an index form (see
+measurement projector; ``-0.0`` and ``-0j`` count as 0) has a fixed-width
+literal, since each entry is one digit: inside the brackets, entry i is its
+digit at byte 3i, then ``,`` (``;`` at a row end) and a space, so an r x c
+literal is 3rc - 2 bytes. A map with an index form (see
 :mod:`qmcforge.qmc`) whose values are all 1 is written into a copy of the
 cached all-zero literal of its width, a ``1`` at byte 1 + 3(row * d + col)
-of the bracketed text, with no dense array. Any other numeric 2-D array
-whose imaginary parts are all 0 and whose real parts are all 0 or 1 (``-0.0``
-and ``-0j`` count as 0) is written from one byte buffer. Reparse takes the
-fixed-width path only for a literal of exactly that layout and a square
-entry count, which holds exactly when ``literal.replace("1", "0")`` is the
-cached zero literal of its width; its 1s are then located by ``str.find``
-(one numpy scan reads a literal holding more than a few), and a monomial
-one becomes an index-built map, any other a dense one. Everything else
-(other values, NaN, object arrays, any literal spaced or separated
-differently) goes through the per-value path, whose bytes, arrays and
-error messages the byte paths reproduce exactly.
+of the bracketed text, with no dense array; every other matrix is written
+value by value. Reparse takes the fixed-width path only for a literal of
+exactly that layout and a square entry count, which holds exactly when
+``literal.replace("1", "0")`` is the cached zero literal of its width; its
+1s are then located by ``str.find`` (one numpy scan reads a literal holding
+more than a few), and when no row and no column holds two of them it
+becomes an index-built map. Everything else (a 0/1 literal with two 1s in a
+row or column, which no map of a trace-preserving row can be, other values,
+NaN, any literal spaced or separated differently) goes through the
+per-value path, whose bytes, arrays and error messages the byte paths
+reproduce exactly.
 
 Each pass reparse makes over a constant line is a memchr-speed search, a
 copy or a comparison, none of them Python code per byte. It splits lines
@@ -81,45 +82,21 @@ def format_number(x: complex) -> str:
 
 
 def format_matrix(m: np.ndarray) -> str:
-    """MATLAB-style literal: rows split by ``;``, entries by ``, ``."""
-    m = np.atleast_2d(m)
-    text = _format_bits(m)
-    return _format_words(m) if text is None else text
+    """MATLAB-style literal: rows split by ``;``, entries by ``, ``.
 
-
-_ZERO, _ONE, _COMMA, _SEMI, _SPACE = b"01,; "
-
-
-def _format_bits(m: np.ndarray) -> str | None:
-    """The fixed-width literal of a numeric 2-D 0/1 matrix, written into one
-    byte buffer; None for any other input."""
-    if m.dtype.kind not in "biufc" or m.ndim != 2 or not m.size:
-        return None
-    ones = m == 1
-    # every nonzero entry is a 1 (a NaN is nonzero and not 1)
-    if np.count_nonzero(m) != np.count_nonzero(ones):
-        return None
-    cols = m.shape[1]
-    buf = np.empty(3 * m.size, dtype=np.uint8)  # "[" + 3rc - 2 bytes + "]"
-    buf[1::3] = ones.reshape(-1)
-    buf[1::3] += _ZERO
-    buf[2::3] = _COMMA
-    buf[3::3] = _SPACE
-    buf[3 * cols - 1::3 * cols] = _SEMI
-    buf[0], buf[-1] = b"[]"
-    return buf.tobytes().decode("ascii")
-
-
-def _format_words(m: np.ndarray) -> str:
-    """Format each distinct value once and join the rows from those words
-    by index. ``-0.0`` and ``0.0`` share a word, which is safe because
-    :func:`format_number` prints both as ``0``; NaNs are never merged
-    (``equal_nan=False``), so each is formatted on its own.
+    Each distinct value is formatted once and the rows are joined from
+    those words by index. ``-0.0`` and ``0.0`` share a word, which is safe
+    because :func:`format_number` prints both as ``0``; NaNs are never
+    merged (``equal_nan=False``), so each is formatted on its own.
     """
+    m = np.atleast_2d(m)
     values, inverse = np.unique(m.reshape(-1), return_inverse=True, equal_nan=False)
     words = np.array([format_number(v) for v in values], dtype=object)
     rows = words[inverse].reshape(m.shape).tolist()
     return "[" + "; ".join(", ".join(row) for row in rows) + "]"
+
+
+_ONE = ord("1")
 
 
 @lru_cache(maxsize=8)
@@ -241,8 +218,8 @@ def _parse_entry(token: str, where: str) -> complex:
 
 
 def _parse_matrix(literal: str, where: str) -> Superoperator:
-    """The map of a square literal: read as bytes when it has the
-    fixed-width 0/1 layout, else token by token."""
+    """The map of a square literal: read as bytes when it is a fixed-width
+    0/1 literal of a monomial map, else token by token."""
     so = _parse_bits(literal)
     if so is None:
         return Superoperator(_parse_tokens(literal, where))
@@ -258,9 +235,9 @@ _FIND_ONES = 16
 
 
 def _parse_bits(literal: str) -> Superoperator | None:
-    """The map of a fixed-width 0/1 literal: built from its index form when
-    no row and no column holds two 1s, else from a dense array; None unless
-    ``literal`` has exactly that layout and a square entry count.
+    """The index-built map of a fixed-width 0/1 literal; None unless
+    ``literal`` has exactly that layout, a square entry count and no row or
+    column holding two 1s.
 
     The layout holds exactly when every digit is a 0 or a 1 and every other
     byte is the zero literal's: one comparison with the cached zero digits.
@@ -287,15 +264,13 @@ def _parse_bits(literal: str) -> Superoperator | None:
         rows, cols = np.divmod(flat, width)
         monomial = (np.bincount(rows, minlength=width).max() <= 1
                     and np.bincount(cols, minlength=width).max() <= 1)
-    if monomial:
-        # row-major positions: the canonical index form, rows ascending
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        ones = np.ones(len(flat), dtype=np.complex128)
-        rows.flags.writeable = cols.flags.writeable = ones.flags.writeable = False
-        return Superoperator._indexed(width, rows, cols, ones)
-    m = np.zeros(count, dtype=np.complex128)
-    m[flat] = 1
-    return Superoperator(m.reshape(width, width))
+    if not monomial:
+        return None
+    # row-major positions: the canonical index form, rows ascending
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    ones = np.ones(len(flat), dtype=np.complex128)
+    rows.flags.writeable = cols.flags.writeable = ones.flags.writeable = False
+    return Superoperator._indexed(width, rows, cols, ones)
 
 
 def _parse_tokens(literal: str, where: str) -> np.ndarray:

@@ -74,10 +74,6 @@ class ValidationFailed(QmcForgeError):
         super().__init__(f"circuit validation failed: {lines}")
 
 
-class CycleDetected(QmcForgeError):
-    """The circuit graph is not acyclic."""
-
-
 class InvalidCircuit(QmcForgeError):
     """An operation was asked to process a structurally broken circuit."""
 

@@ -2,14 +2,14 @@
 
 The circuit side walks the DAG directly, applying each gate to its wires by
 tensor contraction; it reads nothing the normalizer made, so it serves as
-an independent oracle for the compiled chain. Each reader places the
-circuit once, and one walk carries a whole block of input kets, one per
-column, so all final states and all Born probabilities of a battery
-come from a single pass over the DAG; ``simulate_circuit`` and
-``outcome_probability`` are that walk on a block of one. On the chain side,
-``run_qmc`` propagates one density matrix through the superoperators.
-``check_equivalence`` carries the same block of input kets through the
-chain's step matrices and compares the two semantics along every clause
+an independent oracle for the compiled chain. It reads the placement the
+circuit recorded when it was built (``Circuit.gates``), and one walk
+carries a whole block of input kets, one per column, so all final states
+and all Born probabilities of a battery come from a single pass over the
+DAG; ``simulate_circuit`` and ``outcome_probability`` are that walk on a
+block of one. On the chain side, ``run_qmc`` propagates one density
+matrix through the superoperators. ``check_equivalence`` carries the same
+block of input kets through the chain's step matrices and compares the two semantics along every clause
 that the translation promises to preserve; a NaN deviation counts as a
 failure. Every chain map is one matrix, so the density of a propagated ket
 is its outer product and no density is formed. A map with an index form
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, placed
+from .circuit import Circuit
 from .config import DEFAULT_TOL, check_tolerance
 from .errors import BadInitialState, BitLengthMismatch, DimensionMismatch
 from .normalize import SnfCircuit
@@ -56,7 +56,7 @@ def _apply_gate(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.n
 
 def _walk(k: int, gates, lead: tuple[int, ...],
           kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``placed`` gates on a block of kets, one per column (2^k x N).
+    """Run ``Circuit.gates`` on a block of kets, one per column (2^k x N).
 
     Returns the final states (2^k x N), the wires of ``lead`` moved in that
     order to the most significant bits and the rest after them ascending,
@@ -80,7 +80,7 @@ def simulate_circuit(c: Circuit, psi) -> np.ndarray:
     """Run the circuit on a ket, returning the register state just before
     the measure/terminate sinks (wire 1 is the most significant bit).
     """
-    final, _ = _walk(c.k, placed(c)[0], (), _as_ket(psi, c.k)[:, None])
+    final, _ = _walk(c.k, c.gates, (), _as_ket(psi, c.k)[:, None])
     return final[:, 0]
 
 
@@ -96,8 +96,7 @@ def outcome_probability(c: Circuit, psi, bits) -> float:
 
     Bit j belongs to the j-th measured wire in ascending wire order.
     """
-    gates, measured = placed(c)
-    _, born = _walk(c.k, gates, measured, _as_ket(psi, c.k)[:, None])
+    _, born = _walk(c.k, c.gates, c.measured, _as_ket(psi, c.k)[:, None])
     values = _normalize_bits(bits, born.shape[0].bit_length() - 1)
     return float(born[int("".join(map(str, values)) or "0", 2), 0])
 
@@ -349,9 +348,8 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
     """
     check_tolerance(tol, "tol")
     check_tolerance(support_tol, "support_tol")
-    gates, measured = placed(c)
-    k, h = c.k, len(measured)
-    dim = 2 ** k
+    k, measured = c.k, c.measured
+    h, dim = len(measured), 2 ** k
     if q.h != h:
         raise BitLengthMismatch(f"chain has {2 ** q.h} outcomes, circuit has {2 ** h}")
     if q.k != k:
@@ -367,7 +365,7 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
         raise BadInitialState(f"input {bad[0]} is not a unit ket "
                               f"(squared norm {mass[bad[0]]:.6g})")
 
-    finals, born = _walk(k, gates, measured, taus)
+    finals, born = _walk(k, c.gates, measured, taus)
     kets, first = _chain_run(q, taus)
 
     # clause: product form agrees with the DAG walk, measured wires first

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Node, placed
+from .circuit import Circuit, Node
 from .linalg import (_permutation_matrix, _permute_indices, binary_swap,
                      dagger, swap_decomposition, tensor)
 
@@ -79,7 +79,7 @@ def _route_perm(wires: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _grouped_payloads(gates: list[tuple[Node, tuple[int, ...]]]
+def _grouped_payloads(gates: tuple[tuple[Node, tuple[int, ...]], ...]
                       ) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
     """Split the gate sequence into maximal runs on pairwise-disjoint wires.
 
@@ -105,7 +105,7 @@ def translate(c: Circuit, strategy: str = "composed",
     """Rewrite a circuit into <k, [U1..Un], h> plus its swap bill.
 
     Args:
-        c: the circuit; ValidationFailed if it breaks a structural rule.
+        c: the circuit, read through its placement (``c.gates``, ``c.measured``).
         strategy: how routing permutations are billed: "composed"
             (selection-sort binary swaps), "direct" (zero swap cost), or
             "naive-adjacent" (adjacent transpositions only). Fused step
@@ -120,14 +120,13 @@ def translate(c: Circuit, strategy: str = "composed",
         (SnfCircuit, SwapAccount). The account has one entry per step, plus
         a final entry when the measured wires had to be realigned.
     """
-    gates, measured = placed(c)
-    k, h = c.k, len(measured)
+    k, h = c.k, len(c.measured)
 
     unitaries: list[np.ndarray] = []
     counts: list[int] = []
     # identical steps share one array: a swap chain repeats few matrices
     made: dict[tuple, np.ndarray] = {}
-    for group in _grouped_payloads(gates):
+    for group in _grouped_payloads(c.gates):
         wires = tuple(w for _, gw in group for w in gw)
         bases = tuple(base for base, _ in group)
         # U x I: the run's matrix on the leading wires of the register
@@ -151,8 +150,8 @@ def translate(c: Circuit, strategy: str = "composed",
             unitaries.append(padded[np.ix_(idx, idx)])
 
     wire_map = tuple(range(1, k + 1))
-    if measured != tuple(range(1, h + 1)):
-        wire_map = _route_perm(measured, k)
+    if c.measured != tuple(range(1, h + 1)):
+        wire_map = _route_perm(c.measured, k)
         swaps = swap_decomposition(wire_map, strategy)
         counts.append(len(swaps))
         if emit_swaps_as_gates:

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from io import StringIO
 
-from .circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit, Edge, Node,
-                      placed, validate)
+from .circuit import MEASURE, QUBIT, TERMINATE, UNITARY, Circuit, Edge, Node
 from .config import MAX_QUBITS
 from .errors import (ECHO_CHARS, ArityMismatch, CircuitSyntaxError, InvalidCircuit,
-                     SizeOutOfRange, ValidationFailed, WireOutOfRange, echo)
+                     SizeOutOfRange, WireOutOfRange, echo)
 from .gates import gate_matrix
 
 __all__ = ["parse_circuit", "emit_circuit_text"]
@@ -103,7 +102,7 @@ class _Builder:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse circuit text into a validated Circuit.
+    """Parse circuit text into a Circuit, which checks itself when built.
 
     Raises CircuitSyntaxError (with the offending line), SizeOutOfRange (a
     register wider than ``MAX_QUBITS``), UnknownGate, ArityMismatch,
@@ -161,11 +160,7 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError(lineno, f"unknown statement {echo(head)}")
     if builder is None:
         raise CircuitSyntaxError(1, "empty input: missing qubits declaration")
-    circuit = builder.finish()
-    problems = validate(circuit)
-    if problems:
-        raise ValidationFailed(problems)
-    return circuit
+    return builder.finish()
 
 
 def emit_circuit_text(c: Circuit) -> str:
@@ -174,16 +169,14 @@ def emit_circuit_text(c: Circuit) -> str:
     Only works for circuits whose unitary nodes carry their source spelling
     (as produced by parse_circuit); reparsing the output yields the same
     circuit up to node renumbering. Measure lines come last, in ascending
-    wire order. Raises ValidationFailed when the circuit breaks a structural
-    rule.
+    wire order.
     """
-    gates, measured = placed(c)
     out = StringIO()
     out.write(f"qubits {c.k}\n")
-    for node, wires in gates:
+    for node, wires in c.gates:
         if not node.label:
             raise InvalidCircuit(f"gate on wires {wires} carries no gate spelling")
         out.write(f"gate {node.label} {' '.join(map(str, wires))}\n")
-    for w in measured:
+    for w in c.measured:
         out.write(f"measure {w}\n")
     return out.getvalue()

@@ -329,15 +329,17 @@ def _diagonal_mass(maps) -> np.ndarray | None:
     """diag(sum of M^dagger M) over ``maps``, each matrix's column norms
     squared, when every map has an index form (``Superoperator.monomial``);
     the sum is then exactly diagonal. Otherwise None, and the caller forms
-    the grams."""
-    mass = np.zeros(maps[0].dim)
+    the grams. One ``bincount`` over all the forms' columns adds each
+    column's weights in map order, as a loop over the maps would."""
+    forms = []
     for so in maps:
         form = so.monomial
         if form is None:
             return None
-        _, cols, values = form
-        mass[cols] += (values.conj() * values).real
-    return mass
+        forms.append(form)
+    values = np.concatenate([values for _, _, values in forms])
+    return np.bincount(np.concatenate([cols for _, cols, _ in forms]),
+                       weights=(values.conj() * values).real, minlength=maps[0].dim)
 
 
 # a NaN step and a gram or column norm that overflows to inf are violations, not warnings

@@ -473,25 +473,28 @@ _BIT_ENTRIES = {
 }
 
 
+def _fixed_width(m: np.ndarray) -> str:
+    """The fixed-width literal of a 0/1 matrix, byte by byte: entry i is
+    its digit at byte 3i inside the brackets, then ``,`` (``;`` at a row
+    end) and a space."""
+    out = ["["]
+    for i, v in enumerate(m.reshape(-1), start=1):
+        out.append("1" if v == 1 else "0")
+        if i < m.size:
+            out.append("; " if i % m.shape[1] == 0 else ", ")
+    return "".join(out) + "]"
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_format_matrix_bit_path_matches_word_path(data):
+    # the fixed-width layout built byte by byte against format_matrix's words
     dtype = data.draw(st.sampled_from(sorted(_BIT_ENTRIES)))
     m = data.draw(arrays(np.dtype(dtype), array_shapes(min_dims=2, max_dims=2, max_side=9),
                          elements=st.sampled_from(_BIT_ENTRIES[dtype])))
-    text = emit._format_bits(m)
-    assert text is not None
+    text = format_matrix(m)
     assert len(text) == 3 * m.size  # brackets around 3rc - 2 bytes
-    assert text == emit._format_words(m) == format_matrix(m)
-
-
-@pytest.mark.parametrize("m", [
-    np.array([[1, 2]]), np.array([[1, np.nan]]), np.array([[0, 1j]]),
-    np.array([[complex(1, 1e-300)]]), np.array([[1, 0]], dtype=object),
-    np.zeros((2, 2, 2)), np.zeros((0, 0)),
-], ids=["two", "nan", "imaginary-unit", "tiny-imaginary", "object", "3-d", "empty"])
-def test_format_bits_declines_other_matrices(m):
-    assert emit._format_bits(m) is None
+    assert text == _fixed_width(m)
 
 
 def _parse_outcome(parse, literal):
@@ -514,7 +517,8 @@ def _edited_bit_literal(draw):
         cols = rows
     m = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.0, 1.0])))
     literal = format_matrix(m)[1:-1]
-    assert emit._parse_bits(literal) is not None or rows != cols
+    monomial = rows == cols and (m.sum(axis=0) <= 1).all() and (m.sum(axis=1) <= 1).all()
+    assert (emit._parse_bits(literal) is not None) == monomial
     kind = draw(st.sampled_from(["keep", "flip", "splice", "truncate", "respace"]))
     if kind == "flip":
         for _ in range(draw(st.integers(1, 2))):
@@ -563,7 +567,7 @@ def test_swaps_as_gates_model_is_unchanged_by_the_bit_path(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "77ead1087d3a91519f94c02473c9d9ce317240ecd4a3c52a7eab56ef78784c7e"
     fast = reparse_model(text)
-    monkeypatch.setattr(emit, "_format_bits", lambda m: None)
+    monkeypatch.setattr(emit, "_map_literal", lambda so, form: format_matrix(so.matrix))
     monkeypatch.setattr(emit, "_parse_bits", lambda literal: None)
     assert emit_qpmc(q) == text
     slow = reparse_model(text)
@@ -649,7 +653,7 @@ def test_index_literal_matches_the_byte_path(form):
     width, rows, cols = form
     so = Superoperator.from_index(width, rows, cols, np.ones(rows.size))
     literal = emit._map_literal(so, so.monomial)
-    assert literal == emit._format_bits(so.matrix) == format_matrix(so.matrix)
+    assert literal == _fixed_width(so.matrix) == format_matrix(so.matrix)
     # a dense monomial array is written from its scan the same way
     dense = Superoperator(so.matrix.conj())  # -0j in every imaginary part
     assert emit._map_literal(dense, dense.monomial) == literal
@@ -658,7 +662,7 @@ def test_index_literal_matches_the_byte_path(form):
 @st.composite
 def _square_bits(draw):
     """A square 0/1 literal: a monomial one, or one with a second 1 in some
-    row or column, which stays dense."""
+    row or column, which the token path reads."""
     width, rows, cols = draw(_monomial_bits(st.sampled_from([1, 2, 4, 8])))
     m = np.zeros((width, width))
     m[rows, cols] = 1
@@ -675,13 +679,13 @@ def test_parse_bits_index_form_densifies_to_the_token_path(case):
     so = emit._parse_bits(literal)
     monomial = (np.count_nonzero(m, axis=0).max() <= 1
                 and np.count_nonzero(m, axis=1).max() <= 1)
-    form = so.monomial
-    assert (form is not None) == monomial
+    assert (so is not None) == monomial
     if monomial:
-        rows, cols, values = form
+        rows, cols, values = so.monomial
         assert np.array_equal(m[rows, cols], values) and np.count_nonzero(m) == rows.size
     tokens = emit._parse_tokens(literal, "line 7")
-    assert so.matrix.dtype == tokens.dtype and np.array_equal(so.matrix, tokens)
+    parsed = emit._parse_matrix(literal, "line 7").matrix
+    assert parsed.dtype == tokens.dtype and parsed.tobytes() == tokens.tobytes()
 
 
 def test_identity_step_and_unmeasured_branch_share_one_constant():

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from helpers import (DOUBLE, PARAM, SINGLE, basis_state, nan_step_chain,
                      random_circuit)
-from qmcforge.circuit import UNITARY, placed, topo_order, wire_positions
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
 from qmcforge import evaluate
 from qmcforge.emit import emit_qpmc, reparse_model
 from qmcforge.errors import (BadInitialState, BitLengthMismatch,
-                             DimensionMismatch, QmcForgeError, ValidationFailed)
+                             DimensionMismatch, QmcForgeError)
 from qmcforge.evaluate import (_chain_run, _product_rows, _walk, _worst,
                                check_equivalence, global_phase_distance,
                                outcome_probability, random_kets, run_qmc,
@@ -291,12 +290,13 @@ def test_check_equivalence_rejects_bad_circuits_and_kets():
     q = build_qmc(s)
     with pytest.raises(DimensionMismatch):
         check_equivalence(c, s, q, [np.ones(3) / np.sqrt(3)])
-    broken = parse_circuit(BELL)
-    broken.edges = broken.edges[:-1]
-    with pytest.raises(ValidationFailed):
-        check_equivalence(broken, s, q)
-    with pytest.raises(ValidationFailed):
-        simulate_circuit(broken, basis_state(2, 0))
+    # a circuit this chain was not compiled from: other width, other h
+    wider = parse_circuit("qubits 3\ngate H 1\nmeasure 1\nmeasure 2\n")
+    with pytest.raises(DimensionMismatch, match="^chain acts on 2 wires, circuit has 3$"):
+        check_equivalence(wider, s, q)
+    fewer = parse_circuit("qubits 2\ngate H 1\nmeasure 1\n")
+    with pytest.raises(BitLengthMismatch, match="^chain has 4 outcomes, circuit has 2$"):
+        check_equivalence(fewer, s, q)
 
 
 # --- the batched oracle against a per-ket definition ----------------------
@@ -349,15 +349,13 @@ def _full_matrix(u: np.ndarray, wires: tuple[int, ...], k: int) -> np.ndarray:
 @given(text=_circuit_text(), count=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_oracle_matches_per_ket_definition(text, count, seed):
     c = parse_circuit(text)
-    k, (placement, wires) = c.k, placed(c)
+    k, wires = c.k, c.measured
     h = len(wires)
     kets = random_kets(k, count, np.random.default_rng(seed))
-    positions = wire_positions(c)
-    gates = [_full_matrix(c.nodes[n].matrix, positions[n], k)
-             for n in topo_order(c) if c.nodes[n].kind == UNITARY]
+    gates = [_full_matrix(node.matrix, positions, k) for node, positions in c.gates]
 
-    finals, _ = _walk(k, placement, (), np.array(kets).T)
-    lead, born = _walk(k, placement, wires, np.array(kets).T)
+    finals, _ = _walk(k, c.gates, (), np.array(kets).T)
+    lead, born = _walk(k, c.gates, wires, np.array(kets).T)
     assert finals.shape == lead.shape == (2 ** k, count) and born.shape == (2 ** h, count)
     # lead holds basis state i at the index whose bits are i's measured
     # bits followed by its other bits, each in ascending wire order
@@ -410,9 +408,8 @@ def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
     dim = 2 ** k
     taus = [np.asarray(psi, dtype=np.complex128).reshape(-1) for psi in inputs]
     columns = np.array(taus, dtype=np.complex128).reshape(-1, dim).T
-    gates, measured = placed(c)
-    finals, _ = _walk(k, gates, (), columns)
-    _, born = _walk(k, gates, measured, columns)
+    finals, _ = _walk(k, c.gates, (), columns)
+    _, born = _walk(k, c.gates, c.measured, columns)
     reordered = finals[np.argsort(_permute_indices(k, s.wire_map))]
     seen = {"state": {}, "chain": {}, "prob": {}, "support": {}}
     failures = []
@@ -742,9 +739,8 @@ def _same_report(a, b) -> bool:
 @given(case=_branch_set())
 def test_gathered_branch_read_equals_one_branch_at_a_time(case):
     c, q, kets = case
-    _, measured = placed(c)
     block = np.array(kets).T
-    _, born = _walk(c.k, placed(c)[0], measured, block)
+    _, born = _walk(c.k, c.gates, c.measured, block)
     v, first = _chain_run(q, block)
     finite = bool((first == q.n).all())
     got = evaluate._branch_deviations(q.branches, v, born, finite)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit, random_circuit_text
-from qmcforge.circuit import placed
 from qmcforge.evaluate import _walk
 from qmcforge.gates import gate_matrix
 from qmcforge.linalg import tensor
@@ -77,7 +76,7 @@ def test_snf_product_matches_dag_semantics(seed, strategy, swaps_as_gates):
     product = np.eye(dim, dtype=np.complex128)
     for u in s.unitaries:
         product = u @ product
-    finals, _ = _walk(c.k, placed(c)[0], (), np.eye(dim, dtype=np.complex128))
+    finals, _ = _walk(c.k, c.gates, (), np.eye(dim, dtype=np.complex128))
     expected = np.empty_like(finals)
     expected[[_relabel(i, s.wire_map, s.k) for i in range(dim)]] = finals
     assert np.abs(product - expected).max() <= 1e-9

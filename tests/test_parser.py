@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmcforge.circuit import MEASURE, UNITARY, validate, wire_positions
+from qmcforge.circuit import MEASURE, UNITARY
 from qmcforge.config import MAX_QUBITS
 from qmcforge.errors import (ArityMismatch, CircuitSyntaxError, QmcForgeError,
                              SizeOutOfRange, UnknownGate, WireOutOfRange)
@@ -18,7 +18,7 @@ def test_parse_minimal():
     assert c.k == 1
     (gid,) = c.nodes_of_kind(UNITARY)
     assert np.allclose(c.nodes[gid].matrix, gate_matrix("H"))
-    assert validate(c) == []
+    assert [wires for _, wires in c.gates] == [(1,)] and c.measured == (1,)
 
 
 def test_parse_comments_and_blank_lines():
@@ -50,7 +50,7 @@ def test_parse_cgate_sugar():
     (ga,) = a.nodes_of_kind(UNITARY)
     (gb,) = b.nodes_of_kind(UNITARY)
     assert np.array_equal(a.nodes[ga].matrix, b.nodes[gb].matrix)
-    assert wire_positions(a)[ga] == wire_positions(b)[gb]
+    assert [wires for _, wires in a.gates] == [wires for _, wires in b.gates]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -145,11 +145,8 @@ measure 3
     assert c1.k == c2.k
     assert len(c1.nodes) == len(c2.nodes)
     # same gates on the same wires in the same order
-    from qmcforge.circuit import topo_order
-    g1 = [(c1.nodes[n].label, wire_positions(c1)[n])
-          for n in topo_order(c1) if c1.nodes[n].kind == UNITARY]
-    g2 = [(c2.nodes[n].label, wire_positions(c2)[n])
-          for n in topo_order(c2) if c2.nodes[n].kind == UNITARY]
+    g1 = [(node.label, wires) for node, wires in c1.gates]
+    g2 = [(node.label, wires) for node, wires in c2.gates]
     assert g1 == g2
 
 

@@ -612,6 +612,22 @@ def test_diagonal_mass_of_index_forms_equals_the_gram(row):
     assert all(so.monomial is so.monomial for so in maps)
 
 
+def _diagonal_mass_by_map(maps) -> np.ndarray:
+    """The reference for _diagonal_mass: one accumulation per map."""
+    mass = np.zeros(maps[0].dim)
+    for so in maps:
+        _, cols, values = so.monomial
+        mass[cols] += (values.conj() * values).real
+    return mass
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=_index_row())
+def test_diagonal_mass_equals_a_per_map_loop_bit_for_bit(row):
+    for maps in row:
+        assert _diagonal_mass(maps).tobytes() == _diagonal_mass_by_map(maps).tobytes()
+
+
 def test_build_and_reparse_log_their_maps(caplog):
     s, _ = translate(parse_circuit("qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"))
     with caplog.at_level("DEBUG", logger="qmcforge"):

@@ -11,10 +11,10 @@ from qmcforge.circuit import (MEASURE, QUBIT, TERMINATE, UNITARY, Circuit,
                               Edge, Node, Violation)
 from qmcforge.emit import emit_qpmc, reparse_model
 from qmcforge.errors import ValidationFailed
-from qmcforge.evaluate import check_equivalence
+from qmcforge.evaluate import check_equivalence, simulate_circuit
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import translate
-from qmcforge.parser import parse_circuit
+from qmcforge.parser import emit_circuit_text, parse_circuit
 from qmcforge.qmc import build_qmc
 
 DEUTSCH = """\
@@ -134,6 +134,23 @@ def test_placed_reads_gates_in_order_and_measured_wires_ascending():
 
 
 BELL = "qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"
+
+
+@pytest.mark.parametrize("reader", [
+    lambda c, s, q: translate(c),
+    lambda c, s, q: check_equivalence(c, s, q),
+    lambda c, s, q: simulate_circuit(c, np.eye(4)[0]),
+    lambda c, s, q: emit_circuit_text(c),
+], ids=["translate", "check_equivalence", "simulate_circuit",
+        "emit_circuit_text"])
+def test_every_circuit_reader_refuses_a_dropped_edge(reader):
+    # the Bell circuit without its last edge leaves the second measure
+    # node unfed; the reader is never handed it, because building it fails
+    c = parse_circuit(BELL)
+    s, _ = translate(c)
+    q = build_qmc(s)
+    with pytest.raises(ValidationFailed):
+        reader(dataclasses.replace(c, edges=c.edges[:-1]), s, q)
 
 
 def test_replacing_edges_checks_the_new_circuit():

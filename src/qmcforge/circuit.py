@@ -16,6 +16,11 @@ A ``Circuit`` is checked against these rules when it is built and cannot
 change afterwards, so every circuit that exists is valid and carries its
 placement: the gates in topological order with the wires each acts on, and
 the measured wires.
+
+``Node`` and ``Circuit`` compare and hash by identity: a field-wise
+comparison would have to compare gate matrices, whose ``==`` is an array
+with no single truth value, so a circuit equals only itself and can key a
+dict or join a set.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ TERMINATE = "terminate"
 _KIND_RANK = {QUBIT: 0, UNITARY: 1, MEASURE: 2, TERMINATE: 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
     """One circuit node. ``dim``/``matrix`` are meaningful for unitaries only:
     a unitary acts on ``dim`` wires through its 2^dim x 2^dim ``matrix``.
+    Equality and hashing are by identity (see the module docstring).
     """
 
     kind: str
@@ -65,7 +71,7 @@ class Edge:
     t_label: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """A circuit graph on ``k`` wires, valid by construction.
 
@@ -84,14 +90,14 @@ class Circuit:
     A wire's position is the rank of its qubit node among the qubit nodes,
     ascending by id; a gate's output j stays at the position of its input j.
     ``dataclasses.replace`` builds a new circuit and checks it the same way.
+    Equality and hashing are by identity (see the module docstring).
     """
 
     k: int
     nodes: Mapping[int, Node] = field(default_factory=dict)
     edges: tuple[Edge, ...] = ()
-    gates: tuple[tuple[Node, tuple[int, ...]], ...] = field(init=False, repr=False,
-                                                            compare=False)
-    measured: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    gates: tuple[tuple[Node, tuple[int, ...]], ...] = field(init=False, repr=False)
+    measured: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = {nid: _frozen(node) for nid, node in self.nodes.items()}

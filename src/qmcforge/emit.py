@@ -18,8 +18,11 @@ digit at byte 3i, then ``,`` (``;`` at a row end) and a space, so an r x c
 literal is 3rc - 2 bytes. A map with an index form (see
 :mod:`qmcforge.qmc`) whose values are all 1 is written into a copy of the
 cached all-zero literal of its width, a ``1`` at byte 1 + 3(row * d + col)
-of the bracketed text, with no dense array; every other matrix is written
-value by value. Reparse takes the fixed-width path only for a literal of
+of the bracketed text, with no dense array. A map with an index form of
+other values (phases, -1) is written word by word from the form, each
+distinct value formatted once and every other entry ``0``, again with no
+dense array; only a map without an index form is formatted from its dense
+matrix. Reparse takes the fixed-width path only for a literal of
 exactly that layout and a square entry count, which holds exactly when
 ``literal.replace("1", "0")`` is the cached zero literal of its width; its
 1s are then located by ``str.find`` (one numpy scan reads a literal holding
@@ -40,10 +43,11 @@ with ``str.split("\\n")`` unless the text holds another line boundary of
 
 Constants are named once per distinct matrix: two maps share a constant
 exactly when their dense arrays have equal bytes, signed zeros included
-(a ``-0j`` undo step of a routing swap keeps its own constant). The key is
-the index form's bytes for an index-built map and for a dense monomial
-array with no signed zero among its zero entries, and the dense bytes
-otherwise; it is computed once per map object.
+(a ``-0j`` undo step of a routing swap keeps its own constant). The key of
+a map with an index form is the form's bytes, then the signs of its zero
+entries, which are formed only when two maps' forms have equal bytes; the
+key of any other map is its dense bytes. It is computed once per map
+object.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QmcForgeError, ReparseError, echo
+from .errors import DimensionMismatch, QmcForgeError, ReparseError, echo
 from .linalg import check_finite
 from .qmc import Qmc, Superoperator, _log_maps, verify_row_stochasticity
 
@@ -87,13 +91,24 @@ def format_matrix(m: np.ndarray) -> str:
     Each distinct value is formatted once and the rows are joined from
     those words by index. ``-0.0`` and ``0.0`` share a word, which is safe
     because :func:`format_number` prints both as ``0``; NaNs are never
-    merged (``equal_nan=False``), so each is formatted on its own.
+    merged (``equal_nan=False``), so each is formatted on its own. An
+    array of more than two dimensions raises DimensionMismatch.
     """
     m = np.atleast_2d(m)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"a matrix literal needs at most 2 dimensions, got shape {m.shape}")
     values, inverse = np.unique(m.reshape(-1), return_inverse=True, equal_nan=False)
-    words = np.array([format_number(v) for v in values], dtype=object)
-    rows = words[inverse].reshape(m.shape).tolist()
-    return "[" + "; ".join(", ".join(row) for row in rows) + "]"
+    return _joined(_words(values)[inverse].reshape(m.shape))
+
+
+def _words(values: np.ndarray) -> np.ndarray:
+    """:func:`format_number` of each value, as an object array."""
+    return np.array([format_number(v) for v in values], dtype=object)
+
+
+def _joined(words: np.ndarray) -> str:
+    """The literal of a 2-D object array of entry words."""
+    return "[" + "; ".join(", ".join(row) for row in words.tolist()) + "]"
 
 
 _ONE = ord("1")
@@ -115,15 +130,24 @@ def _zero_literal(width: int) -> str:
 
 
 def _map_literal(so: Superoperator, form) -> str:
-    """The literal of a map whose ``monomial`` form is ``form``: a monomial
-    0/1 matrix is written into a copy of the zero literal, a 1 at byte
-    1 + 3(row * d + col) for each entry, with no dense array; any other
-    matrix goes through :func:`format_matrix`."""
-    if form is None or not (form[2] == 1).all():
+    """The literal of a map whose ``monomial`` form is ``form``, the bytes
+    :func:`format_matrix` gives for its dense matrix. A monomial 0/1 matrix
+    is written into a copy of the zero literal, a 1 at byte
+    1 + 3(row * d + col) for each entry; any other monomial matrix word by
+    word from its form, every entry off the form ``0``; neither forms a
+    dense array. A matrix without a form goes through
+    :func:`format_matrix`."""
+    if form is None:
         return format_matrix(so.matrix)
-    rows, cols, _ = form
-    buf = bytearray(_zero_literal(so.dim), "ascii")
-    np.frombuffer(buf, dtype=np.uint8)[1 + 3 * (rows * so.dim + cols)] = _ONE
+    rows, cols, values = form
+    d = so.dim
+    if not (values == 1).all():
+        unique, inverse = np.unique(values, return_inverse=True)
+        words = np.full(d * d, "0", dtype=object)
+        words[rows * d + cols] = _words(unique)[inverse]
+        return _joined(words.reshape(d, d))
+    buf = bytearray(_zero_literal(d), "ascii")
+    np.frombuffer(buf, dtype=np.uint8)[1 + 3 * (rows * d + cols)] = _ONE
     return buf.decode("ascii")
 
 

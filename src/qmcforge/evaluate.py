@@ -243,14 +243,17 @@ def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the final kets V = M_n ... M_1 taus (d x N) and, for every input
     j, the index of the first step t whose ket (column j of V_t) has a
-    non-finite entry, or n if there is none (see check_equivalence).
+    non-finite entry, or n if there is none (see check_equivalence). A
+    form that covers every row has the rows 0..d-1 in order, so its gather
+    is the next block as it stands; only a form missing rows is scattered
+    into a zero block.
     """
     v = taus
     n = len(q.steps)
     first = np.full(taus.shape[1], n)
     for t, so in enumerate(q.steps):
         rows, mv = _product_rows(so, v, (first == n).all())
-        if rows is None:
+        if rows is None or rows.size == len(v):
             v = mv
         else:
             v = np.zeros_like(v)

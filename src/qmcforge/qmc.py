@@ -16,29 +16,34 @@ keyed by ``(source, target)`` and the labeling are read-only views derived
 from the two tuples.
 
 A map whose matrix is monomial, at most one nonzero per row and per
-column, has an index form (rows, cols, values). ``build_qmc`` builds the
-2^h projectors from index ranges and forms none of them dense; reparse
-builds every monomial 0/1 constant the same way. ``Superoperator.matrix``
-materializes the dense array on first read and keeps it, and from then on
-that array is the only truth: ``monomial`` derives the form by one scan of
-it on every read and caches nothing, so a write into ``matrix`` in place
-reaches every reader, the row check included.
+column, has an index form (rows, cols, values). ``translate`` builds every
+permutation, routing and phase step that way, ``build_qmc`` passes the
+steps through and builds the 2^h projectors from index ranges, and
+reparse builds every monomial 0/1 constant the same way; none of them is
+formed dense. ``Superoperator.matrix`` materializes the dense array on
+first read and keeps it, and from then on that array is the only truth:
+``monomial`` derives the form by one scan of it on every read and caches
+nothing, so a write into ``matrix`` in place reaches every reader, the row
+check included.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import DEFAULT_TOL, check_tolerance
 from .errors import DimensionMismatch, OutcomeOutOfRange
 from .linalg import check_finite
-from .normalize import SnfCircuit
+
+if TYPE_CHECKING:
+    from .normalize import SnfCircuit
 
 __all__ = ["Superoperator", "Qmc", "RowViolation", "measurement_matrix",
            "build_qmc", "qmc_from_matrices", "verify_row_stochasticity"]
@@ -60,12 +65,19 @@ class Superoperator:
     the index form to the readers that can use it (the row check, emit and
     the equivalence check).
 
+    An index form holds no zero entries, so it cannot say that the dense
+    array a step of ``translate`` stands for holds a signed zero somewhere
+    (an undo step's ``conj`` writes ``-0j`` into every entry; -1 times a
+    zero of the identity is -0). Such a map carries a function that forms
+    its exact dense array; ``matrix`` calls it, and the constant pool calls
+    it only to tell apart two maps of equal forms (see :meth:`_bytes_key`).
+
     Construction rejects input that is not a non-empty square 2-D matrix of
     finite entries; whether the map is physical is left to
     :func:`verify_row_stochasticity`.
     """
 
-    __slots__ = ("_dense", "_index", "_dim")
+    __slots__ = ("_dense", "_index", "_dim", "_exact")
 
     def __init__(self, matrix: np.ndarray):
         try:
@@ -76,7 +88,7 @@ class Superoperator:
             raise DimensionMismatch(
                 f"superoperator needs a non-empty square matrix, got shape {m.shape}")
         check_finite(m, "superoperator matrix")
-        self._dense, self._index, self._dim = m, None, m.shape[0]
+        self._dense, self._index, self._dim, self._exact = m, None, m.shape[0], None
 
     @classmethod
     def from_index(cls, d: int, rows, cols, values) -> Superoperator:
@@ -116,23 +128,34 @@ class Superoperator:
         return cls._indexed(int(d), rows, cols, values)
 
     @classmethod
-    def _indexed(cls, d: int, rows: np.ndarray, cols: np.ndarray,
-                 values: np.ndarray) -> Superoperator:
+    def _indexed(cls, d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                 exact: Callable[[], np.ndarray] | None = None) -> Superoperator:
         """A map of an index form that is canonical already (checked by
-        :meth:`from_index`, or built so by the caller), stored as given."""
+        :meth:`from_index`, or built so by the caller), stored as given.
+        ``exact``, when given, forms the map's dense array with its signed
+        zeros; without it every zero entry is +0."""
         so = cls.__new__(cls)
-        so._dense, so._index, so._dim = None, (rows, cols, values), d
+        so._dense, so._index, so._dim, so._exact = None, (rows, cols, values), d, exact
         return so
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense matrix, formed from the index form on first read."""
         if self._dense is None:
-            rows, cols, values = self._index
-            m = np.zeros((self._dim, self._dim), dtype=np.complex128)
-            m[rows, cols] = values
-            self._dense, self._index = m, None
+            self._dense = self._form()
+            self._index = self._exact = None
         return self._dense
+
+    def _form(self) -> np.ndarray:
+        """The dense matrix: the one kept, else formed afresh and not kept."""
+        if self._dense is not None:
+            return self._dense
+        if self._exact is not None:
+            return self._exact()
+        rows, cols, values = self._index
+        m = np.zeros((self._dim, self._dim), dtype=np.complex128)
+        m[rows, cols] = values
+        return m
 
     @property
     def monomial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -159,20 +182,26 @@ class Superoperator:
     def _bytes_key(self) -> tuple[tuple, tuple | None]:
         """(key, ``monomial``): two maps get equal keys exactly when their
         dense arrays have equal ``tobytes()``, signed zeros included, and an
-        index-built map is not densified. The key is the index form's bytes
-        for an index-built map and for a dense monomial array none of whose
-        zero entries has its sign bit set, whose zeros are then +0 as a
-        densified index form's are; it is the dense bytes otherwise."""
+        index-built map is not densified. A monomial map's key is its index
+        form's bytes and then its :class:`_ZeroSigns`, which a dict compares
+        only after the form's bytes matched; any other map's key is its
+        dense bytes."""
         form = self.monomial
-        m = self._dense
-        exact = form is not None
-        if exact and m is not None:
-            # the parts one by one: a dagger view cannot be read as float pairs
-            signed = np.signbit(m.real) | np.signbit(m.imag)
-            signed[form[0], form[1]] = False
-            exact = not signed.any()
-        key = ("index", *(a.tobytes() for a in form)) if exact else ("dense", m.tobytes())
-        return key, form
+        if form is None:
+            return ("dense", self._dense.tobytes()), None
+        return ("index", *(a.tobytes() for a in form), _ZeroSigns(self)), form
+
+    def _zero_signs(self) -> bytes | None:
+        """The sign bits of the dense matrix's zero entries, packed; None
+        when no zero entry has one set. An index-built map without an
+        exact-form function has none and forms nothing."""
+        if self._dense is None and self._exact is None:
+            return None
+        # the parts one by one: a dagger view cannot be read as float pairs
+        m = self._form()
+        zero = m == 0
+        signs = np.stack((np.signbit(m.real) & zero, np.signbit(m.imag) & zero))
+        return np.packbits(signs).tobytes() if signs.any() else None
 
     @property
     def kraus(self) -> tuple[np.ndarray]:
@@ -191,6 +220,31 @@ class Superoperator:
     def gram(self) -> np.ndarray:
         """M^dagger M."""
         return self.matrix.conj().T @ self.matrix
+
+
+class _ZeroSigns:
+    """The last element of a monomial map's pool key: the sign bits of its
+    zero entries, the one part of the dense bytes that an index form does
+    not hold. It hashes as a constant, so a dict compares it only when the
+    form's bytes matched already, and it forms the bits (see
+    :meth:`Superoperator._zero_signs`) only then, once."""
+
+    __slots__ = ("_so", "_bits")
+    _UNSET = object()
+
+    def __init__(self, so: Superoperator):
+        self._so, self._bits = so, self._UNSET
+
+    def bits(self) -> bytes | None:
+        if self._bits is self._UNSET:
+            self._bits = self._so._zero_signs()
+        return self._bits
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _ZeroSigns) and self.bits() == other.bits()
+
+    def __hash__(self) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -285,15 +339,11 @@ def build_qmc(s: SnfCircuit) -> Qmc:
     """Compile a strong-normal-form tuple into its Markov chain.
 
     One internal state per chain position, 2^h terminals. Internal
-    transitions carry the unitary superoperators, one map per distinct step
-    array, shared by every position that applies it; the final internal
-    state fans out through the measurement projectors, built from their
-    index ranges with no dense matrix; terminals self-loop with the identity.
+    transitions carry the step maps of ``s`` as they are, a map shared by
+    several positions staying one object; the final internal state fans
+    out through the measurement projectors, built from their index ranges
+    with no dense matrix; terminals self-loop with the identity.
     """
-    maps: dict[int, Superoperator] = {}
-    for m in s.unitaries:
-        if id(m) not in maps:
-            maps[id(m)] = Superoperator(m)
     d, block = 2 ** s.k, 2 ** (s.k - s.h)
     # projector i keeps the block of rows i * block .. (i + 1) * block - 1;
     # read-only arrays, shared as views
@@ -301,19 +351,24 @@ def build_qmc(s: SnfCircuit) -> Qmc:
     index.flags.writeable = ones.flags.writeable = False
     branches = tuple(Superoperator._indexed(d, span, span, ones)
                      for span in index.reshape(-1, block))
-    q = Qmc(s.k, s.h, tuple(maps[id(m)] for m in s.unitaries), branches)
+    q = Qmc(s.k, s.h, s.unitaries, branches)
     _log_maps("build_qmc", q)
     return q
 
 
+def _map_census(maps) -> str:
+    """How many distinct maps ``maps`` holds, and how many of them are
+    index-built and how many dense."""
+    distinct = {id(so): so for so in maps}.values()
+    index = sum(so._dense is None for so in distinct)
+    return f"{len(distinct)} distinct map(s): {index} index-built, {len(distinct) - index} dense"
+
+
 def _log_maps(stage: str, q: Qmc) -> None:
-    """One debug line: the chain's sizes and how many of its distinct maps
-    are index-built and how many dense."""
+    """One debug line: the chain's sizes and its :func:`_map_census`."""
     if log.isEnabledFor(logging.DEBUG):
-        distinct = {id(so): so for so in q.steps + q.branches}.values()
-        index = sum(so._dense is None for so in distinct)
-        log.debug("%s: k=%d, h=%d, %d step(s), %d distinct map(s): %d index-built, %d dense",
-                  stage, q.k, q.h, q.n, len(distinct), index, len(distinct) - index)
+        log.debug("%s: k=%d, h=%d, %d step(s), %s",
+                  stage, q.k, q.h, q.n, _map_census(q.steps + q.branches))
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,7 @@ def test_criterion_6_swap_accounting(bench_chains):
             composed, _ = translate(gen_test_circuit(k), strategy="composed")
             direct, _ = translate(gen_test_circuit(k), strategy="direct")
             for a, b, c_ in zip(s.unitaries, composed.unitaries, direct.unitaries):
+                a, b, c_ = a.matrix, b.matrix, c_.matrix
                 assert np.max(np.abs(a - b)) <= 1e-12
                 assert np.max(np.abs(b - c_)) <= 1e-12
         ok = True

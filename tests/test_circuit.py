@@ -199,3 +199,14 @@ def test_a_compile_and_verify_checks_and_sorts_the_circuit_once(monkeypatch):
     q = reparse_model(emit_qpmc(build_qmc(s)))
     assert check_equivalence(c, s, q).passed
     assert calls == {"_check": 1, "_topo_order": 1}
+
+
+def test_circuits_and_nodes_compare_and_hash_by_identity():
+    a, b = parse_circuit(DEUTSCH), parse_circuit(DEUTSCH)
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2 and {a: 1}[a] == 1
+    node, _ = a.gates[0]
+    twin = dataclasses.replace(node)
+    assert node == node and node != twin
+    assert len({node, twin}) == 2
+    assert a.gates[0][0] == a.gates[0][0] and a.gates != b.gates

@@ -109,9 +109,30 @@ def test_format_matrix_formats_each_nan_on_its_own(monkeypatch):
     assert format_matrix(m).count("(1+nanj)") == 1
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 1), (2, 1, 3, 1)])
+def test_format_matrix_refuses_more_than_two_dimensions(shape):
+    with pytest.raises(DimensionMismatch, match="at most 2 dimensions"):
+        format_matrix(np.zeros(shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([1, 2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1),
+       values=st.lists(st.sampled_from([v for v in _POOL if v != 0]), min_size=1, max_size=3))
+def test_map_literal_of_a_form_equals_the_dense_literal(dim, seed, values):
+    # a monomial map of any values is written from its form, as format_matrix
+    # writes its dense matrix
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, dim + 1))
+    so = Superoperator.from_index(dim, rng.choice(dim, count, replace=False),
+                                  rng.choice(dim, count, replace=False),
+                                  rng.choice(np.array(values, dtype=np.complex128), count))
+    form = so.monomial
+    assert emit._map_literal(so, form) == format_matrix(so.matrix)
+
+
 def test_golden_single_gate_model():
     h = gate_matrix("H")
-    q = build_qmc(SnfCircuit(k=1, unitaries=(h,), h=1, wire_map=(1,)))
+    q = build_qmc(SnfCircuit(k=1, unitaries=(Superoperator(h),), h=1, wire_map=(1,)))
     expected = (GOLDEN / "single_h.qpmc").read_text()
     assert emit_qpmc(q, name="single_h") == expected
 
@@ -152,7 +173,7 @@ def test_shared_step_arrays_emit_as_copies_do(seed, strategy, swaps_as_gates):
     c = random_circuit(np.random.default_rng(seed))
     s, _ = translate(c, strategy=strategy, emit_swaps_as_gates=swaps_as_gates)
     q = build_qmc(s)
-    copies = qmc_from_matrices(s.k, s.h, [u.copy() for u in s.unitaries],
+    copies = qmc_from_matrices(s.k, s.h, [u.matrix.copy() for u in s.unitaries],
                                [so.matrix.copy() for so in q.branches])
     assert emit_qpmc(q) == emit_qpmc(copies)
     assert verify_row_stochasticity(q) == verify_row_stochasticity(copies)
@@ -171,7 +192,8 @@ def test_float64_step_re_emits_byte_stably():
 
 @pytest.mark.parametrize("name", ["", "m\nendmodule", "1m", "a b", "m-x", "mod\u00e9"])
 def test_emit_rejects_non_identifier_names(name):
-    q = build_qmc(SnfCircuit(k=1, unitaries=(gate_matrix("H"),), h=1, wire_map=(1,)))
+    q = build_qmc(SnfCircuit(k=1, unitaries=(Superoperator(gate_matrix("H")),), h=1,
+                                wire_map=(1,)))
     with pytest.raises(QmcForgeError, match="identifier"):
         emit_qpmc(q, name=name)
     assert "module _m1\n" in emit_qpmc(q, name="_m1")
@@ -196,7 +218,7 @@ def test_reparse_round_trip_random_circuits(seed):
 
 def test_reparse_rejects_malformed_models():
     h = gate_matrix("H")
-    q = build_qmc(SnfCircuit(k=1, unitaries=(h,), h=1, wire_map=(1,)))
+    q = build_qmc(SnfCircuit(k=1, unitaries=(Superoperator(h),), h=1, wire_map=(1,)))
     good = emit_qpmc(q)
 
     with pytest.raises(ReparseError):
@@ -330,7 +352,7 @@ def test_reparse_rejects_non_finite_entries():
 
 def test_reparse_rejects_non_stochastic_model():
     h = gate_matrix("H")
-    q = build_qmc(SnfCircuit(k=1, unitaries=(h,), h=1, wire_map=(1,)))
+    q = build_qmc(SnfCircuit(k=1, unitaries=(Superoperator(h),), h=1, wire_map=(1,)))
     # scale a branch so the measurement no longer resolves the identity
     bad = emit_qpmc(q).replace("[0, 0; 0, 1]", "[0, 0; 0, 2]", 1)
     with pytest.raises(ReparseError):
@@ -445,7 +467,8 @@ _BAD_TOKENS = ["x", "1x", "0..5", "1+", "1e", "1j", "0.5ii", "--1", "1-+2i", "+-
 @given(data=st.data())
 def test_bad_token_in_valid_literal_names_line_and_token(data):
     h = gate_matrix("H")
-    q = build_qmc(SnfCircuit(k=2, unitaries=(np.kron(h, h),), h=1, wire_map=(1, 2)))
+    q = build_qmc(SnfCircuit(k=2, unitaries=(Superoperator(np.kron(h, h)),), h=1,
+                                wire_map=(1, 2)))
     lines = emit_qpmc(q).splitlines()
     index = next(i for i, line in enumerate(lines) if line.startswith("const matrix U1 = ["))
     head, literal = lines[index].split("[", 1)
@@ -691,8 +714,9 @@ def test_parse_bits_index_form_densifies_to_the_token_path(case):
 def test_identity_step_and_unmeasured_branch_share_one_constant():
     # the h=0 branch is the index-built identity; an identity step is a
     # dense array with equal bytes, so both are U1
-    cnot = gate_matrix("CNOT")
-    for steps in ((np.eye(4, dtype=np.complex128), cnot), (cnot, np.eye(4, dtype=np.complex128))):
+    cnot = Superoperator(gate_matrix("CNOT"))
+    eye = Superoperator(np.eye(4, dtype=np.complex128))
+    for steps in ((eye, cnot), (cnot, eye)):
         model = emit_qpmc(build_qmc(SnfCircuit(k=2, unitaries=steps, h=0, wire_map=(1, 2))))
         assert model.count("\nconst matrix ") == 2
         assert "const matrix M0" not in model

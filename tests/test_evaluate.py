@@ -104,7 +104,7 @@ def test_run_qmc_accumulated_product():
     report = run_qmc(q, np.outer(tau, tau.conj()))
     product = np.eye(4, dtype=np.complex128)
     for u in s.unitaries:
-        product = u @ product
+        product = u.matrix @ product
     assert np.allclose(report.accumulated, product, atol=1e-12)
     assert len(report.densities) == s.n + 1
 
@@ -231,7 +231,7 @@ def test_check_equivalence_refuses_a_consistent_wire_map_lie():
     # swap in its wire map: the oracle derives the order itself
     c = parse_circuit("qubits 3\ngate X 2\nmeasure 1\n")
     s, _ = translate(c)
-    lied = SnfCircuit(k=3, unitaries=(*s.unitaries, binary_swap(3, 2, 3)), h=s.h,
+    lied = SnfCircuit(k=3, unitaries=(*s.unitaries, Superoperator(binary_swap(3, 2, 3))), h=s.h,
                       wire_map=(1, 3, 2))
     q = build_qmc(lied)
     for claim in (lied, None):
@@ -611,6 +611,58 @@ def test_gather_readers_equal_the_matmul(case):
         full = np.zeros_like(v)
         full[rows] = w
         assert np.array_equal(full, m @ v)
+
+
+def _chain_run_scattered(q, taus):
+    """The reference for _chain_run: every gathered step scattered into a
+    zero block, whether or not its form covers every row."""
+    v, n = taus, len(q.steps)
+    first = np.full(taus.shape[1], n)
+    for t, so in enumerate(q.steps):
+        rows, mv = _product_rows(so, v, (first == n).all())
+        if rows is None:
+            v = mv
+        else:
+            v = np.zeros_like(v)
+            v[rows] = mv
+        first[(first == n) & ~np.isfinite(v).all(axis=0)] = t
+    return v, first
+
+
+@st.composite
+def _mixed_chain(draw):
+    """A chain on k <= 3 wires whose steps have full index forms (a
+    permutation times phases), partial ones (some rows missing), empty ones
+    (the zero map), or none (a dense identity with a NaN written in), and a
+    block of random kets."""
+    k = draw(st.integers(0, 3))
+    dim = 2 ** k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["full", "partial", "empty", "nan"]))
+        count = {"full": dim, "partial": int(rng.integers(0, dim + 1)), "empty": 0}.get(kind)
+        if count is None:
+            so = Superoperator(np.eye(dim, dtype=np.complex128))
+            so.matrix[tuple(rng.integers(0, dim, 2))] = np.nan
+        else:
+            so = Superoperator.from_index(dim, rng.choice(dim, count, replace=False),
+                                          rng.choice(dim, count, replace=False),
+                                          np.exp(2j * np.pi * rng.random(count)))
+        steps.append(so)
+    branch = Superoperator.from_index(dim, np.arange(dim), np.arange(dim), np.ones(dim))
+    q = Qmc(k, 0, tuple(steps), (branch,))
+    return q, np.array(random_kets(k, draw(st.integers(1, 3)), rng)).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mixed_chain())
+def test_chain_run_skips_the_scatter_of_full_forms_bit_for_bit(case):
+    q, kets = case
+    v, first = _chain_run(q, kets)
+    want_v, want_first = _chain_run_scattered(q, kets)
+    assert v.tobytes() == want_v.tobytes()
+    assert first.tolist() == want_first.tolist()
 
 
 _PERMUTING = ["X", "CNOT", "SWAP", "CCNOT", "Z", "S"]

@@ -74,7 +74,7 @@ def _strategy_matrix(perm, strategy):
     swaps = linalg.swap_decomposition(perm, strategy)
     acc = np.eye(2 ** k, dtype=np.complex128)
     for step in _routing_steps(tuple(perm), swaps, k):
-        acc = step @ acc
+        acc = step.matrix @ acc
     return acc, len(swaps)
 
 

@@ -23,7 +23,7 @@ H = gate_matrix("H")
 
 
 def _single_h_chain():
-    return build_qmc(SnfCircuit(k=1, unitaries=(H,), h=1, wire_map=(1,)))
+    return build_qmc(SnfCircuit(k=1, unitaries=(Superoperator(H),), h=1, wire_map=(1,)))
 
 
 def _one_step_chain(step):
@@ -331,7 +331,7 @@ def test_chain_labeling_and_ap():
 
 
 def test_chain_without_measurements():
-    s = SnfCircuit(k=2, unitaries=(np.kron(H, H),), h=0, wire_map=(1, 2))
+    s = SnfCircuit(k=2, unitaries=(Superoperator(np.kron(H, H)),), h=0, wire_map=(1, 2))
     q = build_qmc(s)
     assert q.h == 0
     assert q.terminal_states() == ["t0"]
@@ -437,7 +437,7 @@ def test_chain_fields_are_the_two_tuples():
     with pytest.raises(dataclasses.FrozenInstanceError):
         q.steps = ()
     # every terminal self-loops through the same identity superoperator
-    q = build_qmc(SnfCircuit(k=2, unitaries=(np.eye(4),), h=2, wire_map=(1, 2)))
+    q = build_qmc(SnfCircuit(k=2, unitaries=(Superoperator(np.eye(4)),), h=2, wire_map=(1, 2)))
     loops = {id(q.transitions[(t, t)]) for t in q.terminal_states()}
     assert len(loops) == 1
 
@@ -541,7 +541,8 @@ def test_from_index_rejects_forms_that_are_not_monomial(args, match):
 
 
 def test_build_qmc_forms_no_dense_projector(monkeypatch):
-    s = SnfCircuit(k=3, unitaries=(np.eye(8, dtype=np.complex128),), h=2, wire_map=(1, 2, 3))
+    s = SnfCircuit(k=3, unitaries=(Superoperator(np.eye(8, dtype=np.complex128)),), h=2,
+                    wire_map=(1, 2, 3))
 
     def no_kron(*args):
         raise AssertionError("build_qmc formed a Kronecker product")
@@ -563,7 +564,7 @@ def test_build_qmc_builds_one_map_per_distinct_step_array():
     q = build_qmc(s)
     assert len({id(so) for so in q.steps}) == len({id(m) for m in s.unitaries})
     for so, m in zip(q.steps, s.unitaries):
-        assert so.matrix is m
+        assert so is m
 
 
 def test_write_into_a_reparsed_index_built_branch_is_caught():
@@ -629,12 +630,16 @@ def test_diagonal_mass_equals_a_per_map_loop_bit_for_bit(row):
 
 
 def test_build_and_reparse_log_their_maps(caplog):
-    s, _ = translate(parse_circuit("qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"))
+    c = parse_circuit("qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n")
     with caplog.at_level("DEBUG", logger="qmcforge"):
+        s, _ = translate(c)
         q = build_qmc(s)
         reparse_model(emit_qpmc(q))
-    lines = [r.getMessage() for r in caplog.records if r.name == "qmcforge.qmc"]
+    lines = [r.getMessage() for r in caplog.records
+             if r.name in ("qmcforge.normalize", "qmcforge.qmc")]
     assert lines == [
-        "build_qmc: k=2, h=2, 2 step(s), 6 distinct map(s): 4 index-built, 2 dense",
+        "translate: k=2, h=2, 2 step(s), 2 distinct map(s): 1 index-built, 1 dense; "
+        "0 binary swap(s) under composed",
+        "build_qmc: k=2, h=2, 2 step(s), 6 distinct map(s): 5 index-built, 1 dense",
         "reparse_model: k=2, h=2, 2 step(s), 6 distinct map(s): 5 index-built, 1 dense",
     ]

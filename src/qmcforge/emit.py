@@ -292,9 +292,7 @@ def _parse_bits(literal: str) -> Superoperator | None:
         return None
     # row-major positions: the canonical index form, rows ascending
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    ones = np.ones(len(flat), dtype=np.complex128)
-    rows.flags.writeable = cols.flags.writeable = ones.flags.writeable = False
-    return Superoperator._indexed(width, rows, cols, ones)
+    return Superoperator._indexed(width, rows, cols, np.ones(len(flat), dtype=np.complex128))
 
 
 def _parse_tokens(literal: str, where: str) -> np.ndarray:

@@ -81,10 +81,6 @@ class InvalidCircuit(QmcForgeError):
 # --- qmc / emitter ----------------------------------------------------------
 
 
-class OutcomeOutOfRange(QmcForgeError):
-    """Measurement outcome index outside 0..2^h - 1."""
-
-
 class ReparseError(QmcForgeError):
     """Emitted model text could not be parsed back."""
 

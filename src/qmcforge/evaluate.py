@@ -37,7 +37,7 @@ from .qmc import Qmc, Superoperator
 
 __all__ = ["EvalReport", "OutcomeRecord", "EquivalenceReport",
            "simulate_circuit", "outcome_probability", "run_qmc",
-           "check_equivalence", "global_phase_distance", "random_kets"]
+           "check_equivalence", "random_kets"]
 
 
 def _as_ket(psi, k: int) -> np.ndarray:
@@ -162,29 +162,20 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
                       densities=tuple(densities))
 
 
+# a non-finite column's distance is returned as NaN, not warned about
+@np.errstate(invalid="ignore", over="ignore")
 def _phase_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column by column, min over theta of the 2-norm distance between a
-    column of a and e^{i theta} times the same column of b."""
-    overlap = np.einsum("ij,ij->j", b.conj(), a)
-    size = np.abs(overlap)
-    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 1e-300)
-    return np.linalg.norm(a - phase * b, axis=0)
-
-
-# a non-finite entry's distance is returned as NaN, not warned about
-@np.errstate(invalid="ignore", over="ignore")
-def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over theta of the 2-norm distance between a and e^{i theta} b.
+    column of a and e^{i theta} times the same column of b.
 
     The minimizing phase aligns b with a; subtracting the aligned vectors
     directly stays accurate when the two states agree to machine precision,
     where the closed-form norm expression loses half its digits.
     """
-    va = np.asarray(a, dtype=np.complex128).reshape(-1)
-    vb = np.asarray(b, dtype=np.complex128).reshape(-1)
-    if va.shape != vb.shape:
-        raise DimensionMismatch(f"cannot compare shapes {va.shape} and {vb.shape}")
-    return float(_phase_distances(va[:, None], vb[:, None])[0])
+    overlap = np.einsum("ij,ij->j", b.conj(), a)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 1e-300)
+    return np.linalg.norm(a - phase * b, axis=0)
 
 
 def random_kets(k: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -18,15 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import DimensionMismatch, NonSquare, NotAPermutation, WireOutOfRange
+from .errors import DimensionMismatch, NonSquare, NotAPermutation
 
 __all__ = [
     "tensor",
     "dagger",
     "is_unitary",
-    "binary_swap",
     "swap_decomposition",
-    "basis_ket",
     "require_square",
     "check_finite",
 ]
@@ -50,15 +48,6 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise DimensionMismatch(f"{what} contains non-finite entries")
     return m
-
-
-def basis_ket(index: int, dim: int) -> np.ndarray:
-    """Computational basis ket |index> in a ``dim``-dimensional space."""
-    if not 0 <= index < dim:
-        raise DimensionMismatch(f"basis index {index} outside 0..{dim - 1}")
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
@@ -89,40 +78,12 @@ def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL.algebraic) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
 
 
-def _check_wire(k: int, w: int) -> None:
-    if not 1 <= w <= k:
-        raise WireOutOfRange(f"wire {w} outside 1..{k}")
-
-
 def _permute_indices(k: int, perm: Sequence[int]) -> np.ndarray:
     """For each basis index, the index after moving wire i's bit to perm[i-1]."""
     idx = np.arange(2 ** k, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for wire in range(1, k + 1):
-        src_shift = k - wire
-        dst_shift = k - perm[wire - 1]
-        out |= ((idx >> src_shift) & 1) << dst_shift
-    return out
-
-
-def _permutation_matrix(k: int, perm: Sequence[int]) -> np.ndarray:
-    """0/1 matrix sending basis ket |j> to |_permute_indices(k, perm)[j]>."""
-    dim = 2 ** k
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[_permute_indices(k, perm), np.arange(dim)] = 1.0
-    return mat
-
-
-def binary_swap(k: int, i: int, j: int) -> np.ndarray:
-    """2^k x 2^k permutation matrix exchanging wires i and j.
-
-    Self-inverse and equal to its own dagger.
-    """
-    _check_wire(k, i)
-    _check_wire(k, j)
-    perm = list(range(1, k + 1))
-    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    return _permutation_matrix(k, perm)
+    shifts = k - np.arange(1, k + 1, dtype=np.int64)
+    # row j holds index j's bits, wire 1 first; each lands at its wire's new place
+    return ((idx[:, None] >> shifts) & 1) @ (1 << (k - np.asarray(perm, dtype=np.int64)))
 
 
 def swap_decomposition(perm: Sequence[int], strategy: str = "composed") -> list[tuple[int, int]]:

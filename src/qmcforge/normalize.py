@@ -24,6 +24,9 @@ index-built step, with no 2^k x 2^k array formed:
 * a routing swap or permutation is its basis-index map, and its undo (the
   dagger) is (cols, rows, conj(values)).
 
+Each form is handed to :meth:`Superoperator._indexed
+<qmcforge.qmc.Superoperator._indexed>`, which puts it in row order.
+
 Only a run holding a gate with two nonzeros in a row or column (H, RX, RY)
 is formed dense, as ``tensor`` gathered by permuted basis indices.
 
@@ -190,17 +193,6 @@ def _once(made: dict, key: tuple, build, *args) -> Superoperator:
     return made[key]
 
 
-def _indexed(d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-             exact=None) -> Superoperator:
-    """The index-built map of a form with distinct rows and distinct
-    columns and nonzero finite values, put in row order."""
-    order = np.argsort(rows)
-    rows, cols, values = rows[order], cols[order], values[order]
-    for a in (rows, cols, values):
-        a.flags.writeable = False
-    return Superoperator._indexed(d, rows, cols, values, exact)
-
-
 def _gate_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The index form of a gate matrix, rows ascending; None when a row or
     a column holds two nonzeros."""
@@ -235,7 +227,7 @@ def _padded(bases: tuple[np.ndarray, ...], k: int) -> Superoperator:
     # such entries, and then every zero of the dense array is +0; otherwise
     # some zero may be signed
     plain = not any(np.signbit(b.real).any() or b.imag.any() for b in bases)
-    return _indexed(2 ** k, rows, cols, values, None if plain else dense)
+    return Superoperator._indexed(2 ** k, rows, cols, values, None if plain else dense)
 
 
 def _gather(padded: Superoperator, k: int, perm: tuple[int, ...]) -> Superoperator:
@@ -248,7 +240,7 @@ def _gather(padded: Superoperator, k: int, perm: tuple[int, ...]) -> Superoperat
     inv = np.argsort(idx)
     rows, cols, values = padded.monomial
     exact = padded._exact and (lambda: padded._form()[np.ix_(idx, idx)])
-    return _indexed(2 ** k, inv[rows], inv[cols], values, exact)
+    return Superoperator._indexed(2 ** k, inv[rows], inv[cols], values, exact)
 
 
 def _realigned(last: Superoperator | None, k: int,
@@ -262,21 +254,22 @@ def _realigned(last: Superoperator | None, k: int,
         return Superoperator(last.matrix[np.argsort(idx)])
     rows, cols, values = last.monomial
     exact = last._exact and (lambda: last._form()[np.argsort(idx)])
-    return _indexed(2 ** k, idx[rows], cols, values, exact)
+    return Superoperator._indexed(2 ** k, idx[rows], cols, values, exact)
 
 
 def _permutation(k: int, perm: tuple[int, ...]) -> Superoperator:
     """The 0/1 map sending basis ket |j> to |idx[j]>, idx the basis-index
     map of the wire permutation ``perm``."""
     idx = _permute_indices(k, perm)
-    return _indexed(2 ** k, idx, np.arange(2 ** k), np.ones(2 ** k, dtype=np.complex128))
+    ones = np.ones(2 ** k, dtype=np.complex128)
+    return Superoperator._indexed(2 ** k, idx, np.arange(2 ** k), ones)
 
 
 def _undo(step: Superoperator) -> Superoperator:
     """The dagger of an index-built routing step: (cols, rows, conj(values)).
     Its dense array, the conj().T of the step's, holds -0j in every entry."""
     rows, cols, values = step.monomial
-    return _indexed(step.dim, cols, rows, values.conj(), lambda: dagger(step._form()))
+    return Superoperator._indexed(step.dim, cols, rows, values.conj(), lambda: dagger(step._form()))
 
 
 def _routing_steps(perm: tuple[int, ...], swaps: list[tuple[int, int]],

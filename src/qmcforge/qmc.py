@@ -20,8 +20,11 @@ column, has an index form (rows, cols, values). ``translate`` builds every
 permutation, routing and phase step that way, ``build_qmc`` passes the
 steps through and builds the 2^h projectors from index ranges, and
 reparse builds every monomial 0/1 constant the same way; none of them is
-formed dense. ``Superoperator.matrix`` materializes the dense array on
-first read and keeps it, and from then on that array is the only truth:
+formed dense. Each of them, and ``Superoperator.from_index`` after its
+checks, stores the form through one constructor,
+``Superoperator._indexed``, which puts it in row order and marks it
+read-only. ``Superoperator.matrix`` materializes the dense array on first
+read and keeps it, and from then on that array is the only truth:
 ``monomial`` derives the form by one scan of it on every read and caches
 nothing, so a write into ``matrix`` in place reaches every reader, the row
 check included.
@@ -39,14 +42,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import DEFAULT_TOL, check_tolerance
-from .errors import DimensionMismatch, OutcomeOutOfRange
+from .errors import DimensionMismatch
 from .linalg import check_finite
 
 if TYPE_CHECKING:
     from .normalize import SnfCircuit
 
-__all__ = ["Superoperator", "Qmc", "RowViolation", "measurement_matrix",
-           "build_qmc", "qmc_from_matrices", "verify_row_stochasticity"]
+__all__ = ["Superoperator", "Qmc", "RowViolation", "build_qmc",
+           "verify_row_stochasticity"]
 
 log = logging.getLogger(__name__)
 
@@ -120,20 +123,23 @@ class Superoperator:
         if not values.all():
             keep = values != 0
             rows, cols, values = rows[keep], cols[keep], values[keep]
-        if rows.size > 1 and (rows[1:] < rows[:-1]).any():
-            order = np.argsort(rows)
-            rows, cols, values = rows[order], cols[order], values[order]
-        for a in (rows, cols, values):
-            a.flags.writeable = False
         return cls._indexed(int(d), rows, cols, values)
 
     @classmethod
     def _indexed(cls, d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
                  exact: Callable[[], np.ndarray] | None = None) -> Superoperator:
-        """A map of an index form that is canonical already (checked by
-        :meth:`from_index`, or built so by the caller), stored as given.
-        ``exact``, when given, forms the map's dense array with its signed
-        zeros; without it every zero entry is +0."""
+        """The map of an index form with distinct rows, distinct columns and
+        nonzero finite values (checked by :meth:`from_index`, or built so by
+        the caller), stored canonically: entries put in row order when they
+        are not in it already, and the three arrays marked read-only, so a
+        form may be shared between maps. Rows are distinct, so the order is
+        unique. ``exact``, when given, forms the map's dense array with its
+        signed zeros; without it every zero entry is +0."""
+        if rows.size > 1 and np.count_nonzero(rows[1:] < rows[:-1]):
+            order = np.argsort(rows)
+            rows, cols, values = rows[order], cols[order], values[order]
+        for a in (rows, cols, values):
+            a.setflags(write=False)
         so = cls.__new__(cls)
         so._dense, so._index, so._dim, so._exact = None, (rows, cols, values), d, exact
         return so
@@ -312,29 +318,6 @@ class Qmc:
         return MappingProxyType(table)
 
 
-def measurement_matrix(h: int, k: int, i: int) -> np.ndarray:
-    """Projector onto outcome ``i`` of measuring the first h of k wires.
-
-    The result is |i><i| on the measured block, identity on the rest, so a
-    2^k square matrix with ones on the diagonal positions whose leading h
-    bits spell ``i``.
-    """
-    if h < 0 or k < h:
-        raise DimensionMismatch(f"need 0 <= h <= k, got h={h} k={k}")
-    if not 0 <= i < 2 ** h:
-        raise OutcomeOutOfRange(f"outcome {i} outside 0..{2 ** h - 1}")
-    block = np.zeros((2 ** h, 2 ** h), dtype=np.complex128)
-    block[i, i] = 1.0
-    return np.kron(block, np.eye(2 ** (k - h), dtype=np.complex128))
-
-
-def qmc_from_matrices(k: int, h: int, steps: list[np.ndarray],
-                      branches: list[np.ndarray]) -> Qmc:
-    """Assemble the chain from raw step and measurement-branch matrices."""
-    return Qmc(k, h, tuple(map(Superoperator, steps)),
-               tuple(map(Superoperator, branches)))
-
-
 def build_qmc(s: SnfCircuit) -> Qmc:
     """Compile a strong-normal-form tuple into its Markov chain.
 
@@ -345,10 +328,8 @@ def build_qmc(s: SnfCircuit) -> Qmc:
     with no dense matrix; terminals self-loop with the identity.
     """
     d, block = 2 ** s.k, 2 ** (s.k - s.h)
-    # projector i keeps the block of rows i * block .. (i + 1) * block - 1;
-    # read-only arrays, shared as views
+    # projector i keeps the block of rows i * block .. (i + 1) * block - 1
     index, ones = np.arange(d), np.ones(block, dtype=np.complex128)
-    index.flags.writeable = ones.flags.writeable = False
     branches = tuple(Superoperator._indexed(d, span, span, ones)
                      for span in index.reshape(-1, block))
     q = Qmc(s.k, s.h, s.unitaries, branches)

@@ -3,7 +3,8 @@
 import numpy as np
 
 from qmcforge import parse_circuit
-from qmcforge.qmc import qmc_from_matrices
+from qmcforge.linalg import _permute_indices
+from qmcforge.qmc import Qmc, Superoperator
 
 SINGLE = ("I", "X", "Y", "Z", "H", "S", "T")
 DOUBLE = ("CNOT", "CZ", "SWAP")
@@ -52,6 +53,34 @@ def basis_state(k, index):
     return v
 
 
+def projector(h, k, i):
+    """The dense projector onto outcome ``i`` of measuring the first h of k
+    wires: |i><i| on the measured block, identity on the rest."""
+    block = np.zeros((2 ** h, 2 ** h), dtype=np.complex128)
+    block[i, i] = 1.0
+    return np.kron(block, np.eye(2 ** (k - h), dtype=np.complex128))
+
+
+def matrix_chain(k, h, steps, branches):
+    """The chain of raw step and branch matrices, each wrapped densely."""
+    return Qmc(k, h, tuple(map(Superoperator, steps)), tuple(map(Superoperator, branches)))
+
+
+def permutation_matrix(k, perm):
+    """The dense 0/1 matrix sending basis ket |j> to |idx[j]>, idx the
+    basis-index map of the wire permutation ``perm``."""
+    mat = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
+    mat[_permute_indices(k, perm), np.arange(2 ** k)] = 1.0
+    return mat
+
+
+def swap_matrix(k, i, j):
+    """The dense permutation matrix exchanging wires i and j."""
+    perm = list(range(1, k + 1))
+    perm[i - 1], perm[j - 1] = j, i
+    return permutation_matrix(k, perm)
+
+
 def nan_step_chain(q, value=np.nan, at=(0, 0)):
     """The one-wire, one-step, h=1 chain ``q`` with its step replaced by
     the identity with ``value`` written at ``at`` (by default [nan, 0; 0, 1]):
@@ -62,6 +91,6 @@ def nan_step_chain(q, value=np.nan, at=(0, 0)):
     afterwards.
     """
     branches = [so.matrix for so in q.branches]
-    chain = qmc_from_matrices(1, 1, [np.eye(2, dtype=np.complex128)], branches)
+    chain = matrix_chain(1, 1, [np.eye(2, dtype=np.complex128)], branches)
     chain.steps[0].matrix[at] = value
     return chain

@@ -17,9 +17,9 @@ from helpers import basis_state, random_circuit
 from qmcforge.cli import gen_test_circuit, main
 from qmcforge.emit import emit_qpmc, reparse_model
 from qmcforge.evaluate import check_equivalence, run_qmc
-from qmcforge.normalize import translate
+from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import build_qmc, measurement_matrix, verify_row_stochasticity
+from qmcforge.qmc import build_qmc, verify_row_stochasticity
 
 GROVER = """\
 qubits 3
@@ -128,10 +128,9 @@ def test_criterion_3_measurement_resolution():
     try:
         for k in range(1, 7):
             for h in range(0, k + 1):
-                acc = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
-                for i in range(2 ** h):
-                    m = measurement_matrix(h, k, i)
-                    acc += m.conj().T @ m
+                # the projectors the model carries, from a chain with no steps
+                q = build_qmc(SnfCircuit(k, (), h, tuple(range(1, k + 1))))
+                acc = sum(so.matrix.conj().T @ so.matrix for so in q.branches)
                 assert np.max(np.abs(acc - np.eye(2 ** k))) <= 1e-12, (k, h)
         ok = True
     finally:

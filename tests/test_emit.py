@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from helpers import nan_step_chain, random_circuit
+from helpers import matrix_chain, nan_step_chain, projector, random_circuit
 from qmcforge import emit
 from qmcforge.cli import gen_test_circuit, main
 from qmcforge.emit import emit_qpmc, format_matrix, format_number, reparse_model
@@ -19,8 +19,7 @@ from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import (Qmc, Superoperator, build_qmc, measurement_matrix,
-                          qmc_from_matrices, verify_row_stochasticity)
+from qmcforge.qmc import Qmc, Superoperator, build_qmc, verify_row_stochasticity
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -173,8 +172,8 @@ def test_shared_step_arrays_emit_as_copies_do(seed, strategy, swaps_as_gates):
     c = random_circuit(np.random.default_rng(seed))
     s, _ = translate(c, strategy=strategy, emit_swaps_as_gates=swaps_as_gates)
     q = build_qmc(s)
-    copies = qmc_from_matrices(s.k, s.h, [u.matrix.copy() for u in s.unitaries],
-                               [so.matrix.copy() for so in q.branches])
+    copies = matrix_chain(s.k, s.h, [u.matrix.copy() for u in s.unitaries],
+                          [so.matrix.copy() for so in q.branches])
     assert emit_qpmc(q) == emit_qpmc(copies)
     assert verify_row_stochasticity(q) == verify_row_stochasticity(copies)
 
@@ -183,8 +182,8 @@ def test_float64_step_re_emits_byte_stably():
     # a float64 step and its complex128 twin were once declared as U1 and U2
     # with the same literal, which reparse collapsed into one constant
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    q = qmc_from_matrices(1, 1, [x, x.astype(np.complex128), x],
-                          [measurement_matrix(1, 1, i) for i in range(2)])
+    q = matrix_chain(1, 1, [x, x.astype(np.complex128), x],
+                     [projector(1, 1, i) for i in range(2)])
     text = emit_qpmc(q)
     assert text.count("const matrix U") == 1
     assert emit_qpmc(reparse_model(text)) == text
@@ -445,7 +444,7 @@ def _chain(draw):
         if steps and draw(st.booleans()):
             steps.append(steps[-1])
     h = draw(st.integers(0, k))
-    return qmc_from_matrices(k, h, steps, [measurement_matrix(h, k, i) for i in range(2 ** h)])
+    return matrix_chain(k, h, steps, [projector(h, k, i) for i in range(2 ** h)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (DOUBLE, PARAM, SINGLE, basis_state, nan_step_chain,
-                     random_circuit)
+from helpers import (DOUBLE, PARAM, SINGLE, basis_state, matrix_chain, nan_step_chain,
+                     random_circuit, swap_matrix)
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
 from qmcforge import evaluate
@@ -19,14 +19,13 @@ from qmcforge.emit import emit_qpmc, reparse_model
 from qmcforge.errors import (BadInitialState, BitLengthMismatch,
                              DimensionMismatch, QmcForgeError)
 from qmcforge.evaluate import (_chain_run, _product_rows, _walk, _worst,
-                               check_equivalence, global_phase_distance,
-                               outcome_probability, random_kets, run_qmc,
-                               simulate_circuit)
+                               check_equivalence, outcome_probability, random_kets,
+                               run_qmc, simulate_circuit)
 from qmcforge.gates import gate_arity, gate_matrix
-from qmcforge.linalg import _permute_indices, binary_swap, tensor
+from qmcforge.linalg import _permute_indices, tensor
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import emit_circuit_text, parse_circuit
-from qmcforge.qmc import Qmc, Superoperator, build_qmc, qmc_from_matrices
+from qmcforge.qmc import Qmc, Superoperator, build_qmc
 
 BELL = "qubits 2\ngate H 1\ngate CNOT 1 2\nmeasure 1\nmeasure 2\n"
 
@@ -163,22 +162,22 @@ def test_run_qmc_refuses_nan_and_negative_tolerance():
 
 
 def test_global_phase_distance():
+    # one distance per column: the same ket, the ket times a phase, another ket
     v = np.array([1, 1j]) / np.sqrt(2)
-    assert global_phase_distance(v, v) == pytest.approx(0.0, abs=1e-15)
-    assert global_phase_distance(v, np.exp(0.7j) * v) == pytest.approx(0.0, abs=1e-15)
     w = np.array([1, -1j]) / np.sqrt(2)
-    assert global_phase_distance(v, w) > 0.5
-    with pytest.raises(DimensionMismatch):
-        global_phase_distance(v, np.ones(3))
+    dist = evaluate._phase_distances(np.array([v, v, v]).T, np.array([v, np.exp(0.7j) * v, w]).T)
+    assert dist[:2] == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert dist[2] > 0.5
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_global_phase_distance_of_a_non_finite_ket_is_nan(value):
     # inf * 0 in the aligned difference once raised RuntimeWarning under -W error
+    a = np.array([[0.0], [1.0]], dtype=np.complex128)
+    b = np.array([[value], [0.0]], dtype=np.complex128)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert math.isnan(global_phase_distance(np.array([0.0, 1.0]),
-                                                np.array([value, 0.0])))
+        assert math.isnan(evaluate._phase_distances(a, b)[0])
 
 
 def test_random_kets_are_normalized():
@@ -231,7 +230,7 @@ def test_check_equivalence_refuses_a_consistent_wire_map_lie():
     # swap in its wire map: the oracle derives the order itself
     c = parse_circuit("qubits 3\ngate X 2\nmeasure 1\n")
     s, _ = translate(c)
-    lied = SnfCircuit(k=3, unitaries=(*s.unitaries, Superoperator(binary_swap(3, 2, 3))), h=s.h,
+    lied = SnfCircuit(k=3, unitaries=(*s.unitaries, Superoperator(swap_matrix(3, 2, 3))), h=s.h,
                       wire_map=(1, 3, 2))
     q = build_qmc(lied)
     for claim in (lied, None):
@@ -422,7 +421,7 @@ def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
         # the package calls around them run unguarded
         with np.errstate(invalid="ignore", over="ignore"):
             product_state = report.accumulated @ tau
-        dev = global_phase_distance(reordered[:, idx], product_state)
+        dev = float(evaluate._phase_distances(reordered[:, idx, None], product_state[:, None])[0])
         seen["state"][idx, None] = dev
         if not dev <= tol:
             failures.append(f"state clause: input {idx} deviates by {dev:.3e}")
@@ -485,7 +484,7 @@ def _perturbed_case(draw):
              for so in q.steps]
     branches = [contraction() if draw(st.integers(0, 3)) == 0 else so.matrix
                 for so in q.branches]
-    chain = qmc_from_matrices(s.k, s.h, steps, branches)
+    chain = matrix_chain(s.k, s.h, steps, branches)
     if steps and draw(st.booleans()):
         t = draw(st.integers(0, len(steps) - 1))
         row, col = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import basis_state, permutation_matrix, swap_matrix
 from qmcforge import linalg
 from qmcforge.errors import NonSquare, NotAPermutation
 from qmcforge.normalize import _routing_steps
-
-
-def test_basis_ket():
-    v = linalg.basis_ket(2, 4)
-    assert v.shape == (4,)
-    assert v[2] == 1.0 and np.count_nonzero(v) == 1
 
 
 def test_tensor_matches_kron():
@@ -29,8 +24,7 @@ def test_tensor_wire_one_most_significant():
     # |00> -> |10>, i.e. index 0 -> index 2.
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     op = linalg.tensor(x, np.eye(2))
-    v = linalg.basis_ket(0, 4)
-    assert np.allclose(op @ v, linalg.basis_ket(2, 4))
+    assert np.allclose(op @ basis_state(2, 0), basis_state(2, 2))
 
 
 def test_dagger_inverts_unitary():
@@ -52,20 +46,28 @@ def test_require_square_rejects_rectangles():
 
 
 def test_binary_swap_two_wires():
-    # Swapping wires 1 and 2 of a 2-wire register is the textbook SWAP.
-    expected = np.array([[1, 0, 0, 0],
-                         [0, 0, 1, 0],
-                         [0, 1, 0, 0],
-                         [0, 0, 0, 1]], dtype=np.complex128)
-    assert np.array_equal(linalg.binary_swap(2, 1, 2), expected)
+    # Swapping wires 1 and 2 of a 2-wire register is the textbook SWAP:
+    # |01> and |10> trade places.
+    assert linalg._permute_indices(2, (2, 1)).tolist() == [0, 2, 1, 3]
 
 
 def test_binary_swap_action_on_kets():
-    # |b1 b2 b3> with wires 1,3 swapped: |100> -> |001>.
-    p = linalg.binary_swap(3, 1, 3)
-    assert np.array_equal(p @ linalg.basis_ket(0b100, 8),
-                          linalg.basis_ket(0b001, 8))
-    assert np.array_equal(p @ p, np.eye(8))
+    # |b1 b2 b3> with wires 1,3 swapped: |100> -> |001>, and back.
+    idx = linalg._permute_indices(3, (3, 2, 1))
+    assert idx[0b100] == 0b001
+    assert idx[idx].tolist() == list(range(8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda k: st.permutations(range(1, k + 1))))
+def test_permute_indices_moves_each_wire_bit(perm):
+    # one shift per wire and basis index: wire w's bit lands at perm[w-1]
+    k = len(perm)
+    idx = linalg._permute_indices(k, perm)
+    assert idx.dtype == np.int64 and idx.shape == (2 ** k,)
+    expected = [sum(((j >> (k - w)) & 1) << (k - perm[w - 1]) for w in range(1, k + 1))
+                for j in range(2 ** k)]
+    assert idx.tolist() == expected
 
 
 def _strategy_matrix(perm, strategy):
@@ -89,8 +91,7 @@ def test_generalized_swap_action(strategy):
         for wire, bit in zip((1, 2, 3), bits):
             out[perm[wire - 1] - 1] = bit
         target = (out[0] << 2) | (out[1] << 1) | out[2]
-        assert np.array_equal(p @ linalg.basis_ket(idx, 8),
-                              linalg.basis_ket(target, 8))
+        assert np.array_equal(p @ basis_state(3, idx), basis_state(3, target))
 
 
 def test_generalized_swap_strategies_agree():
@@ -107,7 +108,7 @@ def test_generalized_swap_strategies_agree():
                 assert count <= k - 1
             else:
                 assert count <= k * (k - 1) // 2
-        assert np.array_equal(mats["direct"], linalg._permutation_matrix(k, perm))
+        assert np.array_equal(mats["direct"], permutation_matrix(k, perm))
         assert np.array_equal(mats["composed"], mats["direct"])
         assert np.array_equal(mats["naive-adjacent"], mats["direct"])
 
@@ -124,14 +125,14 @@ def test_swap_decomposition_rebuilds_matrix(perm, strategy):
         assert all(abs(i - j) == 1 for i, j in steps)
     acc = np.eye(2 ** k, dtype=np.complex128)
     for i, j in steps:
-        acc = linalg.binary_swap(k, i, j) @ acc
-    assert np.array_equal(acc, linalg._permutation_matrix(k, perm))
+        acc = swap_matrix(k, i, j) @ acc
+    assert np.array_equal(acc, permutation_matrix(k, perm))
 
 
 def test_identity_permutation_is_free():
     for strategy in ("composed", "direct", "naive-adjacent"):
         assert linalg.swap_decomposition((1, 2, 3), strategy) == []
-    assert np.array_equal(linalg._permutation_matrix(3, (1, 2, 3)), np.eye(8))
+    assert linalg._permute_indices(3, (1, 2, 3)).tolist() == list(range(8))
 
 
 def test_swap_decomposition_rejects_bad_input():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit, random_circuit_text
+from helpers import permutation_matrix, random_circuit, random_circuit_text, swap_matrix
 from qmcforge import normalize
 from qmcforge.emit import emit_qpmc
 from qmcforge.evaluate import _walk
 from qmcforge.gates import gate_arity, gate_matrix
-from qmcforge.linalg import (_permutation_matrix, _permute_indices, binary_swap, dagger,
-                             swap_decomposition, tensor)
+from qmcforge.linalg import _permute_indices, dagger, swap_decomposition, tensor
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
 from qmcforge.qmc import Superoperator, build_qmc
@@ -169,8 +168,8 @@ def _reference_steps(c, strategy, swaps_as_gates):
 
     def route(perm, swaps):
         if swaps:
-            return [binary_swap(k, i, j) for i, j in swaps]
-        return [] if list(perm) == list(range(1, k + 1)) else [_permutation_matrix(k, perm)]
+            return [swap_matrix(k, i, j) for i, j in swaps]
+        return [] if list(perm) == list(range(1, k + 1)) else [permutation_matrix(k, perm)]
 
     steps = []
     for group in normalize._grouped_payloads(c.gates):

@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmcforge.circuit import MEASURE, UNITARY
+from helpers import random_circuit_text
+from qmcforge.circuit import MEASURE, QUBIT, TERMINATE, UNITARY, Circuit, Edge, Node
 from qmcforge.config import MAX_QUBITS
-from qmcforge.errors import (ArityMismatch, CircuitSyntaxError, QmcForgeError,
+from qmcforge.errors import (ArityMismatch, CircuitSyntaxError, InvalidCircuit, QmcForgeError,
                              SizeOutOfRange, UnknownGate, WireOutOfRange)
 from qmcforge.gates import gate_matrix
 from qmcforge.parser import emit_circuit_text, parse_circuit
@@ -157,11 +160,66 @@ def test_writer_puts_measure_lines_in_ascending_wire_order():
     assert emit_circuit_text(parse_circuit(text)) == text
 
 
-def test_writer_round_trip_random_circuits():
-    from helpers import random_circuit_text
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        text = random_circuit_text(rng)
-        c1 = parse_circuit(text)
-        c2 = parse_circuit(emit_circuit_text(c1))
-        assert emit_circuit_text(c1) == emit_circuit_text(c2)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_writer_round_trip_random_circuits(seed):
+    c1 = parse_circuit(random_circuit_text(np.random.default_rng(seed)))
+    c2 = parse_circuit(emit_circuit_text(c1))
+    assert emit_circuit_text(c1) == emit_circuit_text(c2)
+
+
+def test_writer_refuses_a_gate_without_a_spelling():
+    # a hand-built circuit whose X node carries no label has no text form
+    x = Node(UNITARY, dim=1, matrix=gate_matrix("X"), label="")
+    c = Circuit(k=1, nodes={1: Node(QUBIT), 2: x, 3: Node(TERMINATE)},
+                edges=(Edge(1, 2, 1, 1), Edge(2, 3, 1, 1)))
+    with pytest.raises(InvalidCircuit, match=r"^gate on wires \(1,\) carries no gate spelling$"):
+        emit_circuit_text(c)
+
+
+# well-formed spellings and their arities, and the malformed spellings and
+# tokens a line draws now and then; a statement names at most 4 wires, so no
+# generated gate is wider than a few wires
+_ARITY = {"H": 1, "X": 1, "S": 1, "RX(0.5)": 1, "CNOT": 2, "SWAP": 2, "controlled(X)": 2,
+          "adjoint(controlled(S))": 2, "CCNOT": 3}
+_ODD_SPELLINGS = ["RZ(nan)", "RY(inf)", "PHASE(-1e3)", "RX(", "RX()", "RX(1,2)", "H(1)",
+                  "controlled(", "FOO"]
+_ODD_TOKENS = ["0", "03", "5", "13", "-1", "1.5", "\u0662", "1" * 30, "ctrl", "#"]
+
+
+@st.composite
+def _circuit_like_text(draw):
+    """Mostly well-formed statements on distinct wires of a 1..4 wire
+    register, now and then with a malformed spelling or token, a stray
+    ``qubits`` line or a line of arbitrary text; most often after a valid
+    ``qubits`` line."""
+    k = draw(st.integers(1, 4))
+
+    def odd(common: str, rare: list[str]) -> str:
+        return draw(st.sampled_from(rare)) if draw(st.integers(0, 11)) == 0 else common
+
+    lines = [f"qubits {k}"] if draw(st.integers(0, 7)) else []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = odd(draw(st.sampled_from(["gate", "cgate", "measure"])), ["qubits", "text"])
+        if kind == "text":
+            lines.append(draw(st.text(max_size=12)))
+            continue
+        spelling = draw(st.sampled_from([name for name, arity in _ARITY.items() if arity <= k]))
+        arity = _ARITY[spelling] if kind in ("gate", "cgate") else 1
+        count = draw(st.integers(min(arity + 1, k), k)) if kind == "cgate" else arity
+        words = [odd(str(w), _ODD_TOKENS) for w in draw(st.permutations(range(1, k + 1)))[:count]]
+        if kind == "cgate":
+            words.insert(arity, "ctrl")
+        head = f"{kind} {odd(spelling, _ODD_SPELLINGS)}" if kind in ("gate", "cgate") else kind
+        lines.append(" ".join([head, *words]))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_circuit_like_text())
+def test_parse_circuit_returns_a_circuit_or_raises_a_package_error(text):
+    try:
+        c = parse_circuit(text)
+    except QmcForgeError:
+        return
+    assert isinstance(c, Circuit)

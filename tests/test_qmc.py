@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nan_step_chain, random_circuit
+from helpers import matrix_chain, nan_step_chain, projector, random_circuit
 from qmcforge.config import DEFAULT_TOL
 from qmcforge.emit import emit_qpmc, reparse_model
-from qmcforge.errors import (DimensionMismatch, OutcomeOutOfRange, QmcForgeError,
-                             ReparseError)
+from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
 from qmcforge.qmc import (Qmc, Superoperator, _diagonal_mass, build_qmc,
-                          measurement_matrix, qmc_from_matrices, verify_row_stochasticity)
+                          verify_row_stochasticity)
 
 H = gate_matrix("H")
 
@@ -29,7 +28,7 @@ def _single_h_chain():
 def _one_step_chain(step):
     """The one-wire, one-step chain of ``step`` with no measurement, whose
     fan-out row (the identity) always passes."""
-    return qmc_from_matrices(1, 0, [step], [np.eye(2)])
+    return matrix_chain(1, 0, [step], [np.eye(2)])
 
 
 def test_superoperator_validates_kraus_family():
@@ -84,9 +83,9 @@ def test_superoperator_rejects_non_finite_kraus():
             Superoperator(bad)
         k = bad.shape[0].bit_length() - 1
         with pytest.raises(QmcForgeError):
-            qmc_from_matrices(k, 0, [bad], [np.eye(2 ** k, dtype=np.complex128)])
+            matrix_chain(k, 0, [bad], [np.eye(2 ** k, dtype=np.complex128)])
         with pytest.raises(QmcForgeError):
-            qmc_from_matrices(k, 0, [], [bad])
+            matrix_chain(k, 0, [], [bad])
     # finite entries whose gram overflows make a chain; the row check reports
     # the overflow as an infinite deviation, without a numpy warning
     big = np.diag([1e200, 1]).astype(np.complex128)
@@ -105,9 +104,9 @@ def test_row_check_flags_slight_trace_increase():
     # a rank-1 projector off the axes has row sums above 1; with its
     # complement it resolves the identity, so the fan-out row passes
     v = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)], dtype=np.complex128)
-    projector = np.outer(v, v.conj())
-    assert np.abs(projector).sum(axis=1).max() > 1.2
-    q = qmc_from_matrices(1, 1, [H], [projector, np.eye(2) - projector])
+    rank1 = np.outer(v, v.conj())
+    assert np.abs(rank1).sum(axis=1).max() > 1.2
+    q = matrix_chain(1, 1, [H], [rank1, np.eye(2) - rank1])
     assert verify_row_stochasticity(q) == []
 
 
@@ -165,8 +164,8 @@ def test_reparse_refuses_exactly_the_rows_the_reference_refuses(m, h):
     k = m.shape[0].bit_length() - 1
     h = int(h and k > 0)
     eye = np.eye(2 ** k, dtype=np.complex128)
-    model = emit_qpmc(qmc_from_matrices(
-        k, h, [eye, m, eye], [measurement_matrix(h, k, i) for i in range(2 ** h)]))
+    model = emit_qpmc(matrix_chain(
+        k, h, [eye, m, eye], [projector(h, k, i) for i in range(2 ** h)]))
     if _row_reference(m) > DEFAULT_TOL.qmc_rows:
         with pytest.raises(ReparseError, match=r"^model matrices rejected: state s2: "):
             reparse_model(model)
@@ -191,8 +190,8 @@ def _shared_step_chain(draw):
     steps = draw(st.lists(st.sampled_from(pool[:draw(st.integers(2, 3))]),
                           min_size=1, max_size=6))
     h = draw(st.integers(0, k))
-    q = reparse_model(emit_qpmc(qmc_from_matrices(
-        k, h, steps, [measurement_matrix(h, k, i) for i in range(2 ** h)])))
+    q = reparse_model(emit_qpmc(matrix_chain(
+        k, h, steps, [projector(h, k, i) for i in range(2 ** h)])))
     target = draw(st.sampled_from(q.steps + q.branches))
     at = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
     target.matrix[at] = draw(st.sampled_from(_EDITS))
@@ -230,13 +229,13 @@ def _sparse_row(draw):
     if draw(st.booleans()):
         step = np.zeros((dim, dim), dtype=np.complex128)
         step[rng.permutation(dim), np.arange(dim)] = values
-        q = qmc_from_matrices(k, 0, [step], [np.eye(dim)])
+        q = matrix_chain(k, 0, [step], [np.eye(dim)])
         maps = q.steps
     else:
         h = draw(st.integers(0, k))
         owner = rng.integers(0, 2 ** h, dim)
         branches = [np.diag(np.where(owner == b, values, 0)) for b in range(2 ** h)]
-        q = qmc_from_matrices(k, h, [], branches)
+        q = matrix_chain(k, h, [], branches)
         maps = q.branches
     change = draw(st.sampled_from(["none", "off-pattern", "edit"]))
     target = maps[draw(st.integers(0, len(maps) - 1))].matrix
@@ -290,28 +289,6 @@ def test_superoperator_apply():
     so = Superoperator(H)
     out = so.apply(rho)
     assert np.allclose(out, np.full((2, 2), 0.5), atol=1e-12)
-
-
-def test_measurement_matrix_shapes_and_blocks():
-    # two measured of three wires: projector onto outcome block (x) identity
-    m = measurement_matrix(2, 3, 1)
-    expected = np.zeros((8, 8))
-    expected[2:4, 2:4] = np.eye(2)
-    assert np.array_equal(m, expected)
-    with pytest.raises(OutcomeOutOfRange):
-        measurement_matrix(2, 3, 4)
-    with pytest.raises(DimensionMismatch):
-        measurement_matrix(4, 3, 0)
-
-
-def test_measurement_matrices_resolve_identity():
-    for k in range(1, 7):
-        for h in range(0, k + 1):
-            acc = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
-            for i in range(2 ** h):
-                m = measurement_matrix(h, k, i)
-                acc += m.conj().T @ m
-            assert np.allclose(acc, np.eye(2 ** k), atol=1e-12)
 
 
 def test_chain_shape_single_gate():
@@ -403,9 +380,9 @@ def test_chains_with_multi_kraus_maps_fail_closed():
     with pytest.raises(DimensionMismatch, match=r"got shape \(2, 2, 2\)"):
         Superoperator(stack)
     with pytest.raises(DimensionMismatch, match="square matrix"):
-        qmc_from_matrices(1, 0, [stack], [np.eye(2)])
+        matrix_chain(1, 0, [stack], [np.eye(2)])
     with pytest.raises(DimensionMismatch, match="square matrix"):
-        qmc_from_matrices(1, 1, [H], [stack[0], stack])
+        matrix_chain(1, 1, [H], [stack[0], stack])
 
 
 def test_chain_checks_shape_and_branch_count():
@@ -424,9 +401,9 @@ def test_chain_checks_measured_wire_count():
     # the emitter printed and the reparser then rejected
     zero = np.zeros((2, 2), dtype=np.complex128)
     with pytest.raises(DimensionMismatch, match=r"need 0 <= h <= k, got h=2 k=1"):
-        qmc_from_matrices(1, 2, [], [zero] * 4)
+        matrix_chain(1, 2, [], [zero] * 4)
     with pytest.raises(DimensionMismatch, match=r"need 0 <= h <= k, got h=-1 k=1"):
-        qmc_from_matrices(1, -1, [], [])
+        matrix_chain(1, -1, [], [])
     with pytest.raises(DimensionMismatch, match="need 0 <= h <= k"):
         dataclasses.replace(_single_h_chain(), h=2)
 
@@ -473,7 +450,7 @@ def _random_chain(draw):
     dim = 2 ** k
     steps = [np.linalg.qr(rng.standard_normal((dim, dim))
                           + 1j * rng.standard_normal((dim, dim)))[0] for _ in range(n)]
-    branches = [measurement_matrix(h, k, i) for i in range(2 ** h)]
+    branches = [projector(h, k, i) for i in range(2 ** h)]
     return k, h, steps, branches
 
 
@@ -481,7 +458,7 @@ def _random_chain(draw):
 @given(chain=_random_chain())
 def test_derived_views_match_the_string_keyed_reference(chain):
     k, h, steps, branches = chain
-    q = qmc_from_matrices(k, h, steps, branches)
+    q = matrix_chain(k, h, steps, branches)
     states, transitions, labeling = _reference_chain(k, h, steps, branches)
     assert q.n == len(steps)
     assert q.states == states
@@ -519,6 +496,18 @@ def test_index_built_map_materializes_once_and_then_reads_its_array():
     assert so.monomial is None
 
 
+def test_indexed_puts_a_form_in_row_order_and_marks_it_read_only():
+    # rows out of order are sorted, carrying their columns and values along
+    rows, cols, values = np.array([3, 0, 2]), np.array([0, 2, 1]), np.array([1j, -1, 2.0])
+    form = Superoperator._indexed(4, rows, cols, values).monomial
+    assert [a.tolist() for a in form] == [[0, 2, 3], [2, 1, 0], [-1, 2.0, 1j]]
+    # rows in order are kept as given, and every array becomes read-only
+    rows, cols, values = np.arange(3), np.array([2, 0, 1]), np.ones(3, dtype=np.complex128)
+    kept = Superoperator._indexed(3, rows, cols, values).monomial
+    assert all(a is b for a, b in zip(kept, (rows, cols, values)))
+    assert not any(a.flags.writeable for a in (*form, *kept))
+
+
 @pytest.mark.parametrize("args, match", [
     ((2, [0], [0], [np.nan]), "non-finite"),
     ((2, [0], [0], [complex(1, np.inf)]), "non-finite"),
@@ -554,7 +543,8 @@ def test_build_qmc_forms_no_dense_projector(monkeypatch):
         rows, cols, values = so.monomial
         assert rows.tolist() == cols.tolist() == [2 * i, 2 * i + 1]
         assert values.tolist() == [1, 1]
-        assert np.array_equal(so.matrix, measurement_matrix(2, 3, i))
+        assert not (rows.flags.writeable or cols.flags.writeable or values.flags.writeable)
+        assert np.array_equal(so.matrix, projector(2, 3, i))
 
 
 def test_build_qmc_builds_one_map_per_distinct_step_array():

@@ -190,29 +190,25 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
     decls, step_names, branch_names = _constant_pool(q)
     top = n + count
 
-    lines = ["qmc", ""]
-    lines.append(f"// {name}: {q.k}-wire register, {n} chain step(s), "
-                 f"{count} measurement branch(es) (h={q.h})")
+    # one piece per literal, not a line holding a copy of it, and one join:
+    # the model text is copied once
+    parts = ["qmc\n\n",
+             f"// {name}: {q.k}-wire register, {n} chain step(s), "
+             f"{count} measurement branch(es) (h={q.h})\n"]
     for cname, literal in decls:
-        lines.append(f"const matrix {cname} = {literal};")
-    lines.append("")
-    lines.append(f"module {name}")
-    lines.append(f"  s: [0..{top}] init 0;")
-    lines.append("")
-    for i, cname in enumerate(step_names):
-        lines.append(f"  [] (s = {i}) -> <<{cname}>> : (s' = {i + 1});")
+        parts += ("const matrix ", cname, " = ", literal, ";\n")
+    parts.append(f"\nmodule {name}\n  s: [0..{top}] init 0;\n\n")
+    parts += (f"  [] (s = {i}) -> <<{cname}>> : (s' = {i + 1});\n"
+              for i, cname in enumerate(step_names))
     branch_terms = [f"<<{cname}>> : (s' = {n + 1 + i})"
                     for i, cname in enumerate(branch_names)]
-    lines.append(f"  [] (s = {n}) -> " + " + ".join(branch_terms) + ";")
-    for i in range(count):
-        lines.append(f"  [] (s = {n + 1 + i}) -> true;")
-    lines.append("endmodule")
-    lines.append("")
-    lines.append("// Property sketches (reachability of measurement outcomes):")
+    parts.append(f"  [] (s = {n}) -> " + " + ".join(branch_terms) + ";\n")
+    parts += (f"  [] (s = {n + 1 + i}) -> true;\n" for i in range(count))
+    parts.append("endmodule\n\n// Property sketches (reachability of measurement outcomes):\n")
     for i in range(count):
         props = sorted(q.labeling[f"t{i}"])
-        lines.append(f"//   qprob(Q=? [ F (s = {n + 1 + i}) ], rho0)   // {', '.join(props)}")
-    return "\n".join(lines) + "\n"
+        parts.append(f"//   qprob(Q=? [ F (s = {n + 1 + i}) ], rho0)   // {', '.join(props)}\n")
+    return "".join(parts)
 
 
 # --- reparse ---------------------------------------------------------------

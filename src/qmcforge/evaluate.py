@@ -9,18 +9,22 @@ and all Born probabilities of a battery come from a single pass over the
 DAG; ``simulate_circuit`` and ``outcome_probability`` are that walk on a
 block of one. On the chain side, ``run_qmc`` propagates one density
 matrix through the superoperators. ``check_equivalence`` carries the same
-block of input kets through the chain's step matrices and compares the two semantics along every clause
-that the translation promises to preserve; a NaN deviation counts as a
-failure. Every chain map is one matrix, so the density of a propagated ket
-is its outer product and no density is formed. A map with an index form
-(see :mod:`qmcforge.qmc`) is applied to the block as a gather,
-``out[rows] = values[:, None] * v[cols]``. The measurement branches are
-read the same way, only on the rows their forms can reach, and when every
-branch has a form and all forms are of one length (every projector block
-``build_qmc`` or reparse builds) their forms are concatenated and all 2^h
-branches are read in one gather and reduced per branch. A map without a
-form, or any ket that is no longer finite, takes the dense matmul, so NaN
-and inf deviations spread and are reported as before.
+block of input kets through the chain's step matrices and compares the
+two semantics along every clause that the translation promises to
+preserve; a NaN deviation counts as a failure. Every chain map is one
+matrix, so the density of a propagated ket is its outer product and no
+density is formed. Each distinct step map's index form (see
+:mod:`qmcforge.qmc`) is read once per check. A map with a form is applied
+to the block as a gather, ``out[rows] = values[:, None] * v[cols]``, and a
+run of permutation steps (forms that cover every row with every value 1,
+most steps of a routed chain) is folded into one integer index and
+gathered once. The measurement branches are read the same way, only on
+the rows their forms can reach, and when every branch has a form and all
+forms are of one length (every projector block ``build_qmc`` or reparse
+builds) their forms are concatenated and all 2^h branches are read in one
+gather and reduced per branch. A map without a form, or any step once a
+ket is no longer finite, takes the dense matmul, so NaN and inf
+deviations spread and are reported.
 """
 
 from __future__ import annotations
@@ -216,13 +220,14 @@ class EquivalenceReport:
 
 
 def _product_rows(so: Superoperator, v: np.ndarray,
-                  finite: bool) -> tuple[np.ndarray | None, np.ndarray]:
+                  form) -> tuple[np.ndarray | None, np.ndarray]:
     """M v for a block of kets, as (rows, P): the rows of M v that can be
-    nonzero and their values. With an index form and every ket of ``v``
-    finite that is a gather, ``P = values[:, None] * v[cols]`` at the form's
-    rows, all other rows zero. Otherwise ``(None, M v)`` by the dense matmul,
-    whose 0 * NaN spreads a non-finite entry as the clauses expect."""
-    form = so.monomial if finite else None
+    nonzero and their values. ``form`` is the map's index form as the
+    caller read it (``so.monomial``), or None; the callers pass None once a
+    ket of ``v`` is not finite. With a form that is a gather,
+    ``P = values[:, None] * v[cols]`` at the form's rows, all other rows
+    zero. With None it is ``(None, M v)`` by the dense matmul, whose
+    0 * NaN spreads a non-finite entry as the clauses expect."""
     if form is None:
         return None, so.matrix @ v
     rows, cols, values = form
@@ -234,23 +239,50 @@ def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the final kets V = M_n ... M_1 taus (d x N) and, for every input
     j, the index of the first step t whose ket (column j of V_t) has a
-    non-finite entry, or n if there is none (see check_equivalence). A
-    form that covers every row has the rows 0..d-1 in order, so its gather
-    is the next block as it stands; only a form missing rows is scattered
-    into a zero block.
+    non-finite entry, or n if there is none (see check_equivalence).
+
+    Each distinct map's index form is read once per call. While every ket
+    is finite, a step whose form covers every row with every value exactly
+    1 is a permutation, V_t = V_{t-1}[cols]. A run of them is folded into
+    one integer index, ``pending = pending[cols]``, and applied to the block
+    once, before the next other step or at the end. A permutation maps
+    finite kets to finite kets, so it needs no finiteness scan and the
+    first non-finite step is the one a step-by-step run finds. Every other
+    step goes through :func:`_product_rows`. A form that covers every row
+    has the rows 0..d-1 in order, so its gather is the next block as it
+    stands; only a form missing rows is scattered into a zero block. Once a
+    ket is not finite, every step takes the dense matmul, so NaN spreads
+    through 0 * NaN as the chain clause expects.
     """
     v = taus
-    n = len(q.steps)
+    n, dim = len(q.steps), len(taus)
     first = np.full(taus.shape[1], n)
+    finite, pending = True, None
+    read: dict[int, tuple] = {}
     for t, so in enumerate(q.steps):
-        rows, mv = _product_rows(so, v, (first == n).all())
-        if rows is None or rows.size == len(v):
+        form = None
+        if finite:
+            if id(so) not in read:
+                form = so.monomial
+                read[id(so)] = form, (form is not None and form[0].size == dim
+                                      and bool((form[2] == 1).all()))
+            form, permutation = read[id(so)]
+            if permutation:
+                pending = form[1] if pending is None else pending[form[1]]
+                continue
+            if pending is not None:
+                v, pending = v[pending], None
+        rows, mv = _product_rows(so, v, form)
+        if rows is None or rows.size == dim:
             v = mv
         else:
             v = np.zeros_like(v)
             v[rows] = mv
-        first[(first == n) & ~np.isfinite(v).all(axis=0)] = t
-    return v, first
+        bad = ~np.isfinite(v).all(axis=0)
+        if bad.any():
+            first[(first == n) & bad] = t
+            finite = False
+    return (v if pending is None else v[pending]), first
 
 
 def _branch_deviations(branches: tuple[Superoperator, ...], kets: np.ndarray,
@@ -290,7 +322,7 @@ def _branch_deviations(branches: tuple[Superoperator, ...], kets: np.ndarray,
     for b, so in enumerate(branches):
         # |W_b| on the rows it can be nonzero on; a zero row adds nothing
         # to a column's sum or maximum
-        rows, w = _product_rows(so, kets, finite)
+        rows, w = _product_rows(so, kets, forms[b] if finite else None)
         rows, w = everywhere if rows is None else rows, np.abs(w)
         sums[b] = np.sum(w ** 2, axis=0)
         if block < dim:

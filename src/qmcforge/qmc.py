@@ -388,16 +388,27 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
     measurement branches; the terminals' identity self-loops need no check.
     A row whose maps all have an index form (permutations, phases,
     diagonal projectors, with finite nonzeros) has a diagonal sum, read from
-    the column norms of the forms; every other row forms its grams. A step object shared by several positions is checked once.
+    the column norms of the forms. A row of one map whose form covers every
+    row holds each column once, so it reads them from its values alone.
+    Every other row forms its grams, and only such a row forms the
+    identity. A step object shared by several positions is checked once.
     Returns one violation per offending state; an empty list certifies the
     chain. ``tol`` must be finite and >= 0.
     """
     check_tolerance(tol, "tol")
-    eye = np.eye(2 ** q.k, dtype=np.complex128)
 
     def deviation(maps) -> float:
-        mass = _diagonal_mass(maps)
+        if len(maps) == 1:
+            form = maps[0].monomial
+            if form is not None and form[0].size == maps[0].dim:
+                # every column once, so each column's mass is one value's
+                values = form[2]
+                return float(np.max(np.abs((values.conj() * values).real - 1)))
+            mass = None if form is None else _diagonal_mass(maps)
+        else:
+            mass = _diagonal_mass(maps)
         if mass is None:
+            eye = np.eye(maps[0].dim, dtype=np.complex128)
             return float(np.max(np.abs(sum(so.gram() for so in maps) - eye)))
         return float(np.max(np.abs(mass - 1)))
 

@@ -94,3 +94,28 @@ def nan_step_chain(q, value=np.nan, at=(0, 0)):
     chain = matrix_chain(1, 1, [np.eye(2, dtype=np.complex128)], branches)
     chain.steps[0].matrix[at] = value
     return chain
+
+
+def chain_run_per_step(q, taus):
+    """The reference for ``evaluate._chain_run``: each step applied on its
+    own, a finiteness scan after every step. While every ket is finite, a
+    map with an index form is read as a gather ``values[:, None] * v[cols]``
+    (scattered into a zero block when the form misses rows); otherwise the
+    dense matmul spreads a non-finite entry. Returns the final kets and,
+    for each input, the first step whose ket is not finite (n if none)."""
+    v, n = taus, len(q.steps)
+    first = np.full(taus.shape[1], n)
+    for t, so in enumerate(q.steps):
+        form = so.monomial if (first == n).all() else None
+        if form is None:
+            v = so.matrix @ v
+        else:
+            rows, cols, values = form
+            mv = values[:, None] * v[cols]
+            if rows.size == len(v):
+                v = mv
+            else:
+                v = np.zeros_like(v)
+                v[rows] = mv
+        first[(first == n) & ~np.isfinite(v).all(axis=0)] = t
+    return v, first

@@ -3,6 +3,7 @@
 import hashlib
 import pathlib
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -11,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from helpers import matrix_chain, nan_step_chain, projector, random_circuit
+from helpers import (matrix_chain, nan_step_chain, projector, random_circuit,
+                     random_circuit_text)
 from qmcforge import emit
 from qmcforge.cli import gen_test_circuit, main
 from qmcforge.emit import emit_qpmc, format_matrix, format_number, reparse_model
 from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
+from qmcforge.evaluate import _phase_distances
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
@@ -906,3 +909,53 @@ def test_edited_model_reparses_to_a_chain_or_a_reparse_error(text):
         scan = Superoperator(tokens).monomial
         assert (form is None) == (scan is None)
         assert form is None or all(np.array_equal(a, b) for a, b in zip(form, scan))
+
+
+_CONST_LINE = re.compile(r"^const matrix (U\d+) = \[([^\]]*)\];$", re.M)
+
+
+@st.composite
+def _row_swapped_permutation(draw):
+    """A random circuit on at most 4 wires, its swaps-as-gates model under
+    a drawn strategy, and a copy in which two rows of one permutation step
+    constant trade their 1s; None when the model has no such constant."""
+    text = random_circuit_text(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), 4, 6)
+    strategy = draw(st.sampled_from(["composed", "direct", "naive-adjacent"]))
+    model = emit_qpmc(build_qmc(translate(parse_circuit(text), strategy, True)[0]))
+    permutations = []
+    for m in _CONST_LINE.finditer(model):
+        rows = m.group(2).split("; ")
+        ones = np.array([row.split(", ") for row in rows]) == "1"
+        if len(rows) > 1 and set(m.group(2)) <= set("01, ;") and \
+                (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all():
+            permutations.append((m, rows))
+    if not permutations:
+        return None
+    m, rows = draw(st.sampled_from(permutations))
+    i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+    rows[i], rows[j] = rows[j], rows[i]
+    return text, model, model[:m.start(2)] + "; ".join(rows) + model[m.end(2):]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_row_swapped_permutation())
+def test_an_edited_permutation_literal_does_not_pass(case):
+    if case is None:
+        return
+    text, model, edited = case
+
+    def finals(q):
+        out = np.eye(2 ** q.k, dtype=np.complex128)
+        for so in q.steps:
+            out = so.matrix @ out
+        return out
+
+    # the rows stay stochastic, so the model is read and checked
+    q, q2 = reparse_model(model), reparse_model(edited)
+    assert verify_row_stochasticity(q2) == []
+    changed = bool((_phase_distances(finals(q), finals(q2)) > 1e-6).any())
+    with tempfile.TemporaryDirectory() as tmp:
+        circuit, path = pathlib.Path(tmp, "c.qc"), pathlib.Path(tmp, "edited.qpmc")
+        circuit.write_text(text)
+        path.write_text(edited)
+        assert main(["verify", str(circuit), "--against", str(path)]) == (1 if changed else 0)

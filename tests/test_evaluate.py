@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (DOUBLE, PARAM, SINGLE, basis_state, matrix_chain, nan_step_chain,
-                     random_circuit, swap_matrix)
+from helpers import (DOUBLE, PARAM, SINGLE, basis_state, chain_run_per_step, matrix_chain,
+                     nan_step_chain, random_circuit, swap_matrix)
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
 from qmcforge import evaluate
@@ -606,7 +606,7 @@ def test_gather_readers_equal_the_matmul(case):
         reference = m @ reference
     assert same(v, reference) and (first == q.n).all()
     for so, m in zip(q.branches, dense[q.n:]):
-        rows, w = _product_rows(so, v, True)
+        rows, w = _product_rows(so, v, so.monomial)
         full = np.zeros_like(v)
         full[rows] = w
         assert np.array_equal(full, m @ v)
@@ -618,7 +618,7 @@ def _chain_run_scattered(q, taus):
     v, n = taus, len(q.steps)
     first = np.full(taus.shape[1], n)
     for t, so in enumerate(q.steps):
-        rows, mv = _product_rows(so, v, (first == n).all())
+        rows, mv = _product_rows(so, v, so.monomial if (first == n).all() else None)
         if rows is None:
             v = mv
         else:
@@ -662,6 +662,98 @@ def test_chain_run_skips_the_scatter_of_full_forms_bit_for_bit(case):
     want_v, want_first = _chain_run_scattered(q, kets)
     assert v.tobytes() == want_v.tobytes()
     assert first.tolist() == want_first.tolist()
+
+
+# --- folded permutation runs against the step-by-step run ----------------------
+
+@st.composite
+def _folding_chain(draw):
+    """A circuit on k <= 4 wires measuring its first h, and its compiled
+    chain (any strategy, swaps fused or as gates) with steps mixed in:
+    permutations, index-built or dense, alone or followed by their inverse
+    (which keeps the chain honest); permutations times phases; partial-row
+    forms; runs of dense H; and perhaps one step replaced by a dense map
+    with a NaN or an inf written into its matrix. Random and basis kets."""
+    k = draw(st.integers(1, 4))
+    h = draw(st.integers(0, k))
+    dim = 2 ** k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lines = [f"qubits {k}"]
+    for _ in range(draw(st.integers(1, 5))):
+        name = draw(st.sampled_from([g for g in ("H", "X", "T", "CNOT", "SWAP", "CCNOT")
+                                     if gate_arity(g) <= k]))
+        wires = draw(st.permutations(range(1, k + 1)))[:gate_arity(name)]
+        lines.append(f"gate {name} " + " ".join(map(str, wires)))
+    c = parse_circuit("\n".join(lines + [f"measure {w}" for w in range(1, h + 1)]) + "\n")
+    s, _ = translate(c, draw(st.sampled_from(["composed", "direct", "naive-adjacent"])),
+                     draw(st.booleans()))
+    q = build_qmc(s)
+    steps = list(q.steps)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["perm", "dense perm", "pair", "phases", "partial", "H"]))
+        perm, ones = rng.permutation(dim), np.ones(dim)
+        if kind == "perm":
+            extra = [Superoperator.from_index(dim, perm, np.arange(dim), ones)]
+        elif kind == "dense perm":
+            m = np.zeros((dim, dim), dtype=np.complex128)
+            m[perm, np.arange(dim)] = 1.0
+            extra = [Superoperator(m)]
+        elif kind == "pair":
+            extra = [Superoperator.from_index(dim, perm, np.arange(dim), ones),
+                     Superoperator.from_index(dim, np.arange(dim), perm, ones)]
+        elif kind == "phases":
+            extra = [Superoperator.from_index(dim, perm, np.arange(dim),
+                                              np.exp(2j * np.pi * rng.random(dim)))]
+        elif kind == "partial":
+            keep = rng.random(dim) < 0.5
+            extra = [Superoperator.from_index(dim, perm[keep], np.arange(dim)[keep], ones[keep])]
+        else:
+            wire = int(rng.integers(k))
+            hadamard = np.kron(np.kron(np.eye(2 ** wire), gate_matrix("H")),
+                               np.eye(2 ** (k - 1 - wire)))
+            extra = [Superoperator(hadamard)] * draw(st.integers(1, 3))
+        at = draw(st.integers(0, len(steps)))
+        steps[at:at] = extra
+    if steps and draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(steps) - 1))
+        so = Superoperator(steps[at].matrix.copy())
+        so.matrix[tuple(rng.integers(0, dim, 2))] = draw(st.sampled_from([np.nan, np.inf]))
+        steps[at] = so
+    kets = random_kets(k, draw(st.integers(0, 3)), rng) + \
+        [basis_state(k, draw(st.integers(0, dim - 1)))]
+    return c, Qmc(k, h, tuple(steps), q.branches), kets
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_folding_chain())
+def test_folded_permutation_runs_report_as_the_step_by_step_run(case):
+    c, q, kets = case
+    block = np.array(kets).T
+    with np.errstate(invalid="ignore", over="ignore"):
+        v, first = _chain_run(q, block)
+        want_v, want_first = chain_run_per_step(q, block)
+    # equal by ==, so a folded gather may differ from 1 * x in a zero's sign
+    assert np.array_equal(v, want_v, equal_nan=True)
+    assert first.tolist() == want_first.tolist()
+    fast = check_equivalence(c, None, q, kets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_chain_run", chain_run_per_step)
+        slow = check_equivalence(c, None, q, kets)
+    assert fast.passed == slow.passed and fast.failures == slow.failures
+    assert fast.worst_at == slow.worst_at and _same_report(fast, slow)
+
+
+def test_chain_run_reads_each_distinct_map_once(monkeypatch):
+    # long chains share few map objects; a dense map's form is a full scan
+    c = parse_circuit(emit_circuit_text(gen_test_circuit(5)))
+    q = build_qmc(translate(c, "naive-adjacent", emit_swaps_as_gates=True)[0])
+    hadamard = Superoperator(np.kron(gate_matrix("H"), np.eye(16)))
+    q = Qmc(q.k, q.h, q.steps + (hadamard,) * 3 + q.steps, q.branches)
+    reads, monomial = [], Superoperator.monomial
+    monkeypatch.setattr(Superoperator, "monomial",
+                        property(lambda so: reads.append(id(so)) or monomial.fget(so)))
+    _chain_run(q, np.eye(32, dtype=np.complex128))
+    assert sorted(reads) == sorted({id(so) for so in q.steps})
 
 
 _PERMUTING = ["X", "CNOT", "SWAP", "CCNOT", "Z", "S"]
@@ -716,7 +808,7 @@ def _per_branch_deviations(branches, kets, born, finite):
     support = np.zeros((len(branches), count))
     everywhere = np.arange(dim)
     for b, so in enumerate(branches):
-        rows, w = _product_rows(so, kets, finite)
+        rows, w = _product_rows(so, kets, so.monomial if finite else None)
         rows, w = everywhere if rows is None else rows, np.abs(w)
         prob[b] = np.abs(born[b] - np.sum(w ** 2, axis=0))
         lo, hi = b * block, (b + 1) * block

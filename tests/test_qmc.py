@@ -1,6 +1,7 @@
 """Chain construction: superoperators, branching, and row stochasticity."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -617,6 +618,40 @@ def _diagonal_mass_by_map(maps) -> np.ndarray:
 def test_diagonal_mass_equals_a_per_map_loop_bit_for_bit(row):
     for maps in row:
         assert _diagonal_mass(maps).tobytes() == _diagonal_mass_by_map(maps).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=_index_row())
+def test_row_check_of_one_map_keeps_the_bits_of_its_diagonal_mass(row):
+    # a form that covers every row holds each column once, so the row check
+    # reads its values alone; one that misses rows goes through the bincount
+    for so in row[0]:
+        k = so.dim.bit_length() - 1
+        q = Qmc(k, 0, (so,), (Superoperator(np.eye(so.dim)),))
+        expected = float(np.max(np.abs(_diagonal_mass((so,)) - 1)))
+        found = [v.deviation for v in verify_row_stochasticity(q, tol=0.0) if v.state == "s1"]
+        assert found == ([expected] if expected > 0 else [])
+
+
+def test_row_check_of_an_index_built_chain_forms_no_identity():
+    # k=10: the identity alone would take 16 MiB
+    k, h = 10, 2
+    d, block = 2 ** k, 2 ** (k - h)
+    rng = np.random.default_rng(0)
+    steps = (Superoperator.from_index(d, rng.permutation(d), np.arange(d), np.ones(d)),
+             Superoperator.from_index(d, rng.permutation(d), np.arange(d),
+                                      np.exp(2j * np.pi * rng.random(d))))
+    spans = np.arange(d).reshape(-1, block)
+    q = Qmc(k, h, steps, tuple(Superoperator.from_index(d, span, span, np.ones(block))
+                               for span in spans))
+    tracemalloc.start()
+    try:
+        found = verify_row_stochasticity(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == []
+    assert peak < 2 ** 20
 
 
 def test_build_and_reparse_log_their_maps(caplog):

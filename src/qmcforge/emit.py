@@ -34,11 +34,14 @@ per-value path, whose bytes, arrays and error messages the byte paths
 reproduce exactly.
 
 Each pass reparse makes over a constant line is a memchr-speed search, a
-copy or a comparison, none of them Python code per byte. It splits lines
-with ``str.split("\\n")`` unless the text holds another line boundary of
-``str.splitlines`` (``\\r``, ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``,
-``\\u2028``, ``\\u2029``), looks for a ``//`` comment only in a line holding a
-``/``, and knows a constant line by its ``];`` ending and a regex over its
+copy or a comparison, none of them Python code per byte. It reads the text
+one line at a time, each found by ``str.find("\\n")`` and dropped once the
+next is read, so no list of every line is held; a text holding another
+line boundary of ``str.splitlines`` (``\\r``, ``\\x0b``, ``\\x0c``,
+``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``) is split by
+``str.splitlines`` instead. It looks for a ``//`` comment only in a line
+holding a ``/``, tries the step-line regex first (no other line can match
+it), and knows a constant line by its ``];`` ending and a regex over its
 ``const matrix NAME = [`` head only.
 
 Constants are named once per distinct matrix: two maps share a constant
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -261,34 +265,34 @@ def _parse_bits(literal: str) -> Superoperator | None:
 
     The layout holds exactly when every digit is a 0 or a 1 and every other
     byte is the zero literal's: one comparison with the cached zero digits.
-    Entry i then sits at byte 3i, so the 1s of a literal holding at most
-    ``_FIND_ONES`` of them are found by ``str.find``, each search starting
-    3 bytes past the last 1; a literal holding more is read as one byte
-    buffer.
+    Entry i then sits at byte 3i and no other byte is a 1, so the 1s of a
+    literal holding at most ``_FIND_ONES`` of them are found by
+    ``str.find``, each search starting 3 bytes past the last 1; in a literal
+    holding more, one comparison of its whole byte buffer finds them.
     """
     count, rest = divmod(len(literal) + 2, 3)
     width = math.isqrt(count)
     if rest or width * width != count or literal.replace("1", "0") != _zero_digits(width):
         return None
-    flat: list[int] | np.ndarray = []
+    flat: list[int] = []
     at = literal.find("1")
     while at >= 0 and len(flat) <= _FIND_ONES:
         flat.append(at // 3)
         at = literal.find("1", at + 3)
     if at < 0:
         rows, cols = [i // width for i in flat], [i % width for i in flat]
-        monomial = len(set(rows)) == len(rows) == len(set(cols))
+        if not len(set(rows)) == len(rows) == len(set(cols)):
+            return None
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     else:
-        digits = np.frombuffer(literal.encode("ascii"), dtype=np.uint8)[0::3]
-        flat = np.flatnonzero(digits == _ONE)
-        rows, cols = np.divmod(flat, width)
-        monomial = (np.bincount(rows, minlength=width).max() <= 1
-                    and np.bincount(cols, minlength=width).max() <= 1)
-    if not monomial:
-        return None
+        ones = np.flatnonzero(np.frombuffer(literal.encode("ascii"), dtype=np.uint8) == _ONE)
+        rows, cols = np.divmod(ones // 3, width)
+        # the positions ascend, so the rows are distinct when no two
+        # neighbours are equal
+        if (rows[1:] == rows[:-1]).any() or np.bincount(cols, minlength=width).max() > 1:
+            return None
     # row-major positions: the canonical index form, rows ascending
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    return Superoperator._indexed(width, rows, cols, np.ones(len(flat), dtype=np.complex128))
+    return Superoperator._indexed(width, rows, cols, np.ones(rows.size, dtype=np.complex128))
 
 
 def _parse_tokens(literal: str, where: str) -> np.ndarray:
@@ -320,15 +324,20 @@ def _parse_tokens(literal: str, where: str) -> np.ndarray:
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _split_lines(text: str) -> list[str]:
-    """``text.splitlines()``: by ``str.split("\\n")``, which is about twice
-    as fast, when ``text`` holds no other line boundary."""
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, one at a time. When ``text``
+    holds no other line boundary than ``"\\n"``, each is found by
+    ``str.find``, which runs at memchr speed where ``str.split`` reads one
+    character at a time, and no list of every line is formed."""
     if any(ch in text for ch in _OTHER_BREAKS):
-        return text.splitlines()
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # a final "\n" ends the last line and opens no other
-    return lines
+        yield from text.splitlines()
+        return
+    start, end = 0, text.find("\n")
+    while end >= 0:
+        yield text[start:end]
+        start, end = end + 1, text.find("\n", end + 1)
+    if start < len(text):  # a final "\n" ends the last line and opens no other
+        yield text[start:]
 
 
 def _state_number(digits: str, where: str) -> int:
@@ -354,7 +363,7 @@ def reparse_model(text: str) -> Qmc:
     commands: dict[int, list[tuple[str, int]] | None] = {}
     top = None
     in_module = seen_module = seen_header = False
-    for lineno, raw in enumerate(_split_lines(text), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         # most lines hold no "/", and a one-character search is memchr fast
         line = (raw if raw.find("/") < 0 else raw.split("//", 1)[0]).strip()
         if not line:
@@ -367,6 +376,26 @@ def reparse_model(text: str) -> Qmc:
             continue
         if line == "qmc":
             raise ReparseError(f"{where}: repeated qmc header")
+        # the most common line; no other kind of line matches this regex
+        m = _STEP_RE.match(line)
+        if m and in_module:
+            guard, rhs = _state_number(m.group(1), where), m.group(2).strip()
+            if guard in commands:
+                raise ReparseError(f"{where}: duplicate guard s = {guard}")
+            if rhs == "true":
+                commands[guard] = None
+                continue
+            actions = []
+            for term in rhs.split(" + "):
+                am = _ACTION_RE.match(term.strip())
+                if not am:
+                    raise ReparseError(f"{where}: unrecognized action {echo(term)}")
+                cname, target = am.group(1), _state_number(am.group(2), where)
+                if cname not in consts:
+                    raise ReparseError(f"{where}: unknown constant {echo(cname, str)}")
+                actions.append((cname, target))
+            commands[guard] = actions
+            continue
         # a constant line is "const matrix NAME = [" + literal + "];": the
         # regex reads the head only, not the literal
         m = _CONST_HEAD_RE.match(line) if line.endswith("];") else None
@@ -396,25 +425,6 @@ def reparse_model(text: str) -> Qmc:
             if top is not None:
                 raise ReparseError(f"{where}: second state variable declaration")
             top = _state_number(m.group(1), where)
-            continue
-        m = _STEP_RE.match(line)
-        if m and in_module:
-            guard, rhs = _state_number(m.group(1), where), m.group(2).strip()
-            if guard in commands:
-                raise ReparseError(f"{where}: duplicate guard s = {guard}")
-            if rhs == "true":
-                commands[guard] = None
-                continue
-            actions = []
-            for term in rhs.split(" + "):
-                am = _ACTION_RE.match(term.strip())
-                if not am:
-                    raise ReparseError(f"{where}: unrecognized action {echo(term)}")
-                cname, target = am.group(1), _state_number(am.group(2), where)
-                if cname not in consts:
-                    raise ReparseError(f"{where}: unknown constant {echo(cname, str)}")
-                actions.append((cname, target))
-            commands[guard] = actions
             continue
         raise ReparseError(f"{where}: unrecognized line {echo(line)}")
 

@@ -4,6 +4,7 @@ import hashlib
 import pathlib
 import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -687,13 +688,18 @@ def test_index_literal_matches_the_byte_path(form):
 @st.composite
 def _square_bits(draw):
     """A square 0/1 literal: a monomial one, or one with a second 1 in some
-    row or column, which the token path reads."""
-    width, rows, cols = draw(_monomial_bits(st.sampled_from([1, 2, 4, 8])))
+    row or in some column, which the token path reads. Widths 32 and 64
+    can hold more than ``emit._FIND_ONES`` 1s, which the numpy scan finds."""
+    width, rows, cols = draw(_monomial_bits(st.sampled_from([1, 2, 4, 8, 32, 64])))
     m = np.zeros((width, width))
     m[rows, cols] = 1
-    if width > 1 and draw(st.booleans()):
+    if width > 1:
         i, j = draw(st.integers(0, width - 1)), draw(st.integers(0, width - 1))
-        m[i, j] = m[i, (j + 1) % width] = 1
+        second = draw(st.sampled_from([None, "row", "column"]))
+        if second == "row":
+            m[i, j] = m[i, (j + 1) % width] = 1
+        elif second == "column":
+            m[i, j] = m[(i + 1) % width, j] = 1
     return format_matrix(m)[1:-1], m
 
 
@@ -797,7 +803,21 @@ _LINE_CHARS = ["a", " ", "/", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d"
 @settings(max_examples=300, deadline=None)
 @given(text=st.lists(st.sampled_from(_LINE_CHARS), max_size=12).map("".join))
 def test_split_lines_splits_as_splitlines_does(text):
-    assert emit._split_lines(text) == text.splitlines()
+    assert list(emit._lines(text)) == text.splitlines()
+
+
+def test_reparse_holds_one_line_at_a_time():
+    # 14 constants of 49 KB each: a list of every line would hold the whole text
+    s, _ = translate(gen_test_circuit(7), strategy="naive-adjacent", emit_swaps_as_gates=True)
+    text = emit_qpmc(build_qmc(s))
+    assert len(text) > 600_000
+    tracemalloc.start()
+    try:
+        reparse_model(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 2
 
 
 def _with_crlf_and_comments(model: str) -> str:

@@ -7,24 +7,20 @@ circuit recorded when it was built (``Circuit.gates``), and one walk
 carries a whole block of input kets, one per column, so all final states
 and all Born probabilities of a battery come from a single pass over the
 DAG; ``simulate_circuit`` and ``outcome_probability`` are that walk on a
-block of one. On the chain side, ``run_qmc`` propagates one density
-matrix through the superoperators. ``check_equivalence`` carries the same
-block of input kets through the chain's step matrices and compares the
-two semantics along every clause that the translation promises to
-preserve; a NaN deviation counts as a failure. Every chain map is one
-matrix, so the density of a propagated ket is its outer product and no
-density is formed. Each distinct step map's index form (see
-:mod:`qmcforge.qmc`) is read once per check. A map with a form is applied
-to the block as a gather, ``out[rows] = values[:, None] * v[cols]``, and a
-run of permutation steps (forms that cover every row with every value 1,
-most steps of a routed chain) is folded into one integer index and
-gathered once. The measurement branches are read the same way, only on
-the rows their forms can reach, and when every branch has a form and all
-forms are of one length (every projector block ``build_qmc`` or reparse
-builds) their forms are concatenated and all 2^h branches are read in one
-gather and reduced per branch. A map without a form, or any step once a
-ket is no longer finite, takes the dense matmul, so NaN and inf
-deviations spread and are reported.
+block of one.
+
+The chain side carries a block of kets through the step maps
+(:func:`_chain_run`): each distinct map's index form (see
+:mod:`qmcforge.qmc`) is read once and applied as a gather, a run of
+permutation steps is folded into one index, and a map without a form, or
+any step once a ket is not finite, takes the dense matmul, so NaN and inf
+spread. Every chain map is one matrix, so the density of a propagated ket
+is its outer product. ``check_equivalence`` compares the two semantics
+along every clause that the translation promises to preserve, a NaN
+deviation counting as a failure, and forms no density; it reads all 2^h
+branches in one gather when their forms allow it. ``run_qmc`` carries the
+identity through the walk to get the chain's product A and forms one
+density, A rho0 A†.
 """
 
 from __future__ import annotations
@@ -107,38 +103,58 @@ def outcome_probability(c: Circuit, psi, bits) -> float:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One measurement branch: its outcome bits, the unnormalized
-    post-measurement density matrix, and the probability (its trace)."""
+    """One measurement branch: its bits, its probability, its map M_b and
+    ``final``, the density before the branches that all records of a run
+    share. ``density``, M_b final M_b† unnormalized, is formed on each read."""
 
     index: int
     bits: str
     probability: float
-    density: np.ndarray
+    branch: Superoperator = field(repr=False)
+    final: np.ndarray = field(repr=False)
+
+    @property
+    def density(self) -> np.ndarray:
+        return _branch_density(self.branch, self.final)
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Everything a chain run produces."""
+    """A chain run: one record per branch and the product of the steps."""
 
     outcomes: tuple[OutcomeRecord, ...]
     accumulated: np.ndarray
-    densities: tuple[np.ndarray, ...]
 
     @property
     def probabilities(self) -> tuple[float, ...]:
         return tuple(o.probability for o in self.outcomes)
 
 
+# a non-finite density's NaNs are returned, not warned about
+@np.errstate(invalid="ignore", over="ignore")
+def _branch_density(so: Superoperator, rho: np.ndarray) -> np.ndarray:
+    """M rho M†: a gather into a zero matrix when M has an index form and
+    rho is finite, else the dense product (M formed, not kept)."""
+    form = so.monomial if np.isfinite(rho).all() else None
+    if form is None:
+        m = so._form()
+        return m @ rho @ m.conj().T
+    rows, cols, values = form
+    out = np.zeros_like(rho)
+    out[np.ix_(rows, rows)] = values[:, None] * rho[np.ix_(cols, cols)] * values.conj()
+    return out
+
+
 # a non-finite step's NaNs are returned as probabilities, not warned about
 @np.errstate(invalid="ignore", over="ignore")
 def run_qmc(q: Qmc, rho0: np.ndarray,
             tol: float = DEFAULT_TOL.pipeline) -> EvalReport:
-    """Propagate a density matrix through the chain.
-
-    Returns per-outcome terminal records, the accumulated product of the
-    internal unitaries (last step leftmost), and the density after every
-    internal state. ``tol`` must be finite and >= 0.
-    """
+    """Run a density matrix through the chain: rho0 ends as A rho0 A†, A the
+    product of the steps (last leftmost), the identity carried through
+    :func:`_chain_run`. A branch's probability is read from its index form,
+    sum |values|^2 rho[cols, cols]; without a form, or for a non-finite
+    density, it is the dense trace, so NaN stays NaN. ``tol`` must be
+    finite and >= 0."""
     check_tolerance(tol, "tol")
     dim = 2 ** q.k
     rho = np.asarray(rho0, dtype=np.complex128)
@@ -148,22 +164,18 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
     if not (np.max(np.abs(rho - rho.conj().T)) <= tol and abs(np.trace(rho) - 1.0) <= tol):
         raise BadInitialState("initial state is not a unit-trace Hermitian matrix")
 
-    densities = [rho]
-    accumulated = np.eye(dim, dtype=np.complex128)
-    for so in q.steps:
-        rho = so.apply(rho)
-        densities.append(rho)
-        accumulated = so.matrix @ accumulated
-
+    accumulated, _ = _chain_run(q, np.eye(dim, dtype=np.complex128))
+    rho = accumulated @ rho @ accumulated.conj().T
+    rho.setflags(write=False)  # shared by every outcome record
+    finite = np.isfinite(rho).all()
     outcomes = []
     for i, so in enumerate(q.branches):
-        post = so.apply(rho)
-        bits = format(i, f"0{q.h}b") if q.h else ""
-        outcomes.append(OutcomeRecord(index=i, bits=bits,
-                                      probability=float(np.trace(post).real) + 0.0,
-                                      density=post))
-    return EvalReport(outcomes=tuple(outcomes), accumulated=accumulated,
-                      densities=tuple(densities))
+        form = so.monomial if finite else None
+        p = np.trace(_branch_density(so, rho)).real if form is None else \
+            (form[2].conj() * form[2]).real @ rho.diagonal().real[form[1]]
+        outcomes.append(OutcomeRecord(i, format(i, f"0{q.h}b") if q.h else "",
+                                      float(p) + 0.0, so, rho))
+    return EvalReport(outcomes=tuple(outcomes), accumulated=accumulated)
 
 
 # a non-finite column's distance is returned as NaN, not warned about
@@ -357,20 +369,16 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
 
     Only rank-1 inputs make the clause-1 comparison meaningful, so inputs
     are kets, not densities, and each must have unit norm within ``tol``.
-    The inputs form one block, a column per ket. The oracle walks the DAG
-    once over the block and yields every final state and every Born
-    probability. The chain side carries the block through the model's step
-    matrices as kets, V_t = M_t V_{t-1}. The state clause compares the
-    final kets with the measured-first DAG finals. Every map is one matrix M, so
-    the density M rho M† of rho = v v† is (M v)(M v)† exactly: the chain
-    clause checks at every step that each ket is still finite, and the
-    branch densities are w w† with w = M_b v. So the probability clause
-    reads the squared column norms of W_b = M_b V and the support clause
-    the largest |w_i| outside the outcome's block times the largest |w_j|,
-    for all branches in one gather when their index forms allow it (see
-    :func:`_branch_deviations`). A deviation fails unless it is at most its
-    tolerance, so a NaN fails and shows as the worst. ``tol`` and
-    ``support_tol`` must be finite and >= 0.
+    The inputs form one block, a column per ket, walked once through the
+    DAG and once through the chain (:func:`_chain_run`). The state clause
+    compares the final kets with the measured-first DAG finals. Every map
+    is one matrix M, so the density of rho = v v† after M is (M v)(M v)†:
+    the chain clause checks at every step that each ket is still finite,
+    the probability clause reads the squared column norms of W_b = M_b V
+    and the support clause the largest |w_i| outside the outcome's block
+    times the largest |w_j| (:func:`_branch_deviations`). A deviation fails
+    unless it is at most its tolerance, so a NaN fails and shows as the
+    worst. ``tol`` and ``support_tol`` must be finite and >= 0.
     """
     check_tolerance(tol, "tol")
     check_tolerance(support_tol, "support_tol")

@@ -60,13 +60,9 @@ class Superoperator:
 
     ``Superoperator(m)`` stores the dense matrix ``m`` as complex128 (no
     copy for complex128 input). :meth:`from_index` builds the map of a
-    monomial matrix, at most one nonzero per row and per column (a
-    permutation times phases, a diagonal projector), from its index form
-    alone. ``matrix`` materializes that dense array on first read and keeps
-    it; from then on the dense array is the only truth, so a write into
-    ``matrix`` in place is seen by every later reader. ``monomial`` gives
-    the index form to the readers that can use it (the row check, emit and
-    the equivalence check).
+    monomial matrix (a permutation times phases, a diagonal projector) from
+    its index form alone; see the module docstring for how ``matrix`` and
+    ``monomial`` then read it.
 
     An index form holds no zero entries, so it cannot say that the dense
     array a step of ``translate`` stands for holds a signed zero somewhere
@@ -218,11 +214,6 @@ class Superoperator:
     def dim(self) -> int:
         return self._dim
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"density {rho.shape} vs superoperator dim {self.dim}")
-        return self.matrix @ rho @ self.matrix.conj().T
-
     def gram(self) -> np.ndarray:
         """M^dagger M."""
         return self.matrix.conj().T @ self.matrix
@@ -262,7 +253,7 @@ class Qmc:
     Construction checks 0 <= h <= k, the branch count and that every map
     has the register's dimension. ``states``, ``transitions`` and
     ``labeling`` are read-only views of the tuples; all terminal self-loops
-    share one identity superoperator.
+    share one index-built identity superoperator.
     """
 
     k: int
@@ -302,7 +293,8 @@ class Qmc:
     def transitions(self) -> Mapping[tuple[str, str], Superoperator]:
         internal = self.internal_states()
         table = dict(zip(zip(internal, internal[1:]), self.steps))
-        loop = Superoperator(np.eye(2 ** self.k, dtype=np.complex128))
+        index = np.arange(2 ** self.k)
+        loop = Superoperator._indexed(index.size, index, index, np.ones(index.size, complex))
         for t, so in zip(self.terminal_states(), self.branches):
             table[(internal[-1], t)] = so
             table[(t, t)] = loop

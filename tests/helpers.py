@@ -119,3 +119,20 @@ def chain_run_per_step(q, taus):
                 v[rows] = mv
         first[(first == n) & ~np.isfinite(v).all(axis=0)] = t
     return v, first
+
+
+def run_qmc_per_step(q, rho0):
+    """The reference for ``evaluate.run_qmc``: the density run step by
+    step, rho -> M rho M† with every map dense, the product of the dense
+    steps, and each branch's post-measurement density and its trace.
+    Returns (probabilities, accumulated product, branch densities)."""
+    dim = 2 ** q.k
+    rho = np.asarray(rho0, dtype=np.complex128)
+    accumulated = np.eye(dim, dtype=np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for so in q.steps:
+            m = so._form()
+            rho = m @ rho @ m.conj().T
+            accumulated = m @ accumulated
+        posts = [m @ rho @ m.conj().T for m in (so._form() for so in q.branches)]
+    return [float(np.trace(p).real) + 0.0 for p in posts], accumulated, posts

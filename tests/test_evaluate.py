@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (DOUBLE, PARAM, SINGLE, basis_state, chain_run_per_step, matrix_chain,
-                     nan_step_chain, random_circuit, swap_matrix)
+                     nan_step_chain, random_circuit, random_circuit_text, run_qmc_per_step,
+                     swap_matrix)
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
 from qmcforge import evaluate
@@ -105,7 +106,6 @@ def test_run_qmc_accumulated_product():
     for u in s.unitaries:
         product = u.matrix @ product
     assert np.allclose(report.accumulated, product, atol=1e-12)
-    assert len(report.densities) == s.n + 1
 
 
 def test_run_qmc_rejects_bad_initial_state():
@@ -159,6 +159,79 @@ def test_run_qmc_refuses_nan_and_negative_tolerance():
     for tol in (math.nan, -1e-9):
         with pytest.raises(QmcForgeError, match="^tol wants a finite number >= 0"):
             run_qmc(q, np.diag([1.0, 0.0]), tol=tol)
+
+
+@st.composite
+def _run_case(draw):
+    """A compiled ``random_circuit_text`` chain on <= 4 wires, some of them
+    measured, any strategy, swaps fused or as gates; perhaps its branches
+    followed by one permutation with phases (index forms off the diagonal,
+    values not 1); perhaps one step replaced by a dense copy with a NaN or
+    an inf written in; and an initial density, one random ket's or a
+    mixture of two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = parse_circuit(random_circuit_text(rng, 4, 6))
+    s, _ = translate(c, draw(st.sampled_from(["composed", "direct", "naive-adjacent"])),
+                     draw(st.booleans()))
+    q = build_qmc(s)
+    dim = 2 ** q.k
+    if draw(st.booleans()):
+        perm, phases = rng.permutation(dim), np.exp(2j * np.pi * rng.random(dim))
+        q = Qmc(q.k, q.h, q.steps, tuple(
+            Superoperator.from_index(dim, perm[cols], cols, phases[cols])
+            for _, cols, _ in (so.monomial for so in q.branches)))
+    if q.steps and draw(st.integers(0, 2)) == 0:
+        steps = list(q.steps)
+        at = draw(st.integers(0, len(steps) - 1))
+        so = Superoperator(steps[at].matrix.copy())
+        so.matrix[tuple(rng.integers(0, dim, 2))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        steps[at] = so
+        q = Qmc(q.k, q.h, tuple(steps), q.branches)
+    kets = random_kets(q.k, 2, rng)
+    weight = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    rho0 = weight * np.outer(kets[0], kets[0].conj()) + \
+        (1 - weight) * np.outer(kets[1], kets[1].conj())
+    return q, rho0
+
+
+def _agree(got, want):
+    """NaN exactly where ``want`` has NaN, everything else within 1e-12."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.allclose(got[~nan], want[~nan], rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_run_case())
+def test_run_qmc_agrees_with_the_step_by_step_density_run(case):
+    q, rho0 = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_qmc(q, rho0)
+        densities = [o.density for o in report.outcomes]
+    probabilities, accumulated, posts = run_qmc_per_step(q, rho0)
+    _agree(report.probabilities, probabilities)
+    _agree(report.accumulated, accumulated)
+    for got, want in zip(densities, posts, strict=True):
+        _agree(got, want)
+
+
+def test_run_qmc_forms_no_per_step_density_and_densifies_no_map():
+    # 85 index-built steps on k=7: a density per step would take 22 MB
+    q = build_qmc(translate(gen_test_circuit(7), "naive-adjacent", emit_swaps_as_gates=True)[0])
+    tau = basis_state(7, 5)
+    rho0 = np.outer(tau, tau.conj())
+    tracemalloc.start()
+    try:
+        report = run_qmc(q, rho0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(so._dense is None for so in q.steps + q.branches)
+    assert peak < 4 * 2 ** 20
+    assert report.probabilities == (1.0,)
 
 
 def test_global_phase_distance():
@@ -397,8 +470,9 @@ def _worse(worst: float, dev: float) -> float:
 def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
                      support_tol=DEFAULT_TOL.algebraic):
     """The per-input check_equivalence: one run_qmc per input, the state
-    clause from the accumulated product, the other clauses from the
-    propagated densities.
+    clause from its accumulated product, the chain clause from densities
+    propagated step by step, M rho M† with every map dense, and the branch
+    clauses from its outcome records.
 
     Returns the failures, the worst deviation per clause and every
     deviation counted, keyed by clause and then by (input, outcome bits).
@@ -426,10 +500,11 @@ def _reference_check(c, s, q, inputs, tol=DEFAULT_TOL.pipeline,
         if not dev <= tol:
             failures.append(f"state clause: input {idx} deviates by {dev:.3e}")
 
-        vec = tau.copy()
+        vec, rho = tau.copy(), np.outer(tau, tau.conj())
         worst_step = 0.0
-        for step, (so, rho) in enumerate(zip(q.steps, report.densities[1:]), start=1):
+        for step, so in enumerate(q.steps, start=1):
             with np.errstate(invalid="ignore", over="ignore"):
+                rho = so.matrix @ rho @ so.matrix.conj().T
                 vec = so.matrix @ vec
                 cdev = float(np.max(np.abs(rho - np.outer(vec, vec.conj()))))
             worst_step = _worse(worst_step, cdev)

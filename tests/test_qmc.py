@@ -285,13 +285,6 @@ def test_diagonal_mass_screen_agrees_with_the_gram(row):
                 abs(v.deviation - dev) <= 8 * np.finfo(float).eps * max(1.0, dev)
 
 
-def test_superoperator_apply():
-    rho = np.diag([1.0, 0.0]).astype(np.complex128)
-    so = Superoperator(H)
-    out = so.apply(rho)
-    assert np.allclose(out, np.full((2, 2), 0.5), atol=1e-12)
-
-
 def test_chain_shape_single_gate():
     q = _single_h_chain()
     assert q.k == 1 and q.h == 1 and q.n == 1
@@ -668,3 +661,22 @@ def test_build_and_reparse_log_their_maps(caplog):
         "build_qmc: k=2, h=2, 2 step(s), 6 distinct map(s): 5 index-built, 1 dense",
         "reparse_model: k=2, h=2, 2 step(s), 6 distinct map(s): 5 index-built, 1 dense",
     ]
+
+
+def test_transitions_share_an_index_built_identity_loop():
+    # k=10: a dense identity loop would take 16 MiB
+    k = 10
+    q = build_qmc(SnfCircuit(k, (), 2, tuple(range(1, k + 1))))
+    tracemalloc.start()
+    try:
+        loops = {id(so): so for (source, target), so in q.transitions.items()
+                 if source == target}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    (loop,) = loops.values()
+    rows, cols, values = loop.monomial
+    assert loop._dense is None
+    assert np.array_equal(rows, np.arange(2 ** k)) and np.array_equal(cols, rows)
+    assert np.array_equal(values, np.ones(2 ** k))

@@ -36,13 +36,27 @@ reproduce exactly.
 Each pass reparse makes over a constant line is a memchr-speed search, a
 copy or a comparison, none of them Python code per byte. It reads the text
 one line at a time, each found by ``str.find("\\n")`` and dropped once the
-next is read, so no list of every line is held; a text holding another
-line boundary of ``str.splitlines`` (``\\r``, ``\\x0b``, ``\\x0c``,
-``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``) is split by
-``str.splitlines`` instead. It looks for a ``//`` comment only in a line
-holding a ``/``, tries the step-line regex first (no other line can match
-it), and knows a constant line by its ``];`` ending and a regex over its
-``const matrix NAME = [`` head only.
+next is read, so no list of every line is held. The lines are those of
+``str.splitlines``, which also ends a line at ``\\r``, ``\\x0b``,
+``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``.
+
+The exact lines :func:`emit_qpmc` writes are each read by one match on the
+raw line: a step, fan-out or ``-> true`` line inside the module by one
+``fullmatch`` (the fan-out's terms then by one ``findall``), a comment-only
+line by ``str.isprintable`` (no line boundary is printable), and a
+constant line by the regex over its ``const matrix NAME = [`` head, its
+``];`` ending and the fixed-width check of its literal, which is sliced
+only when its size is that of a power-of-two width. None of those
+characters is a line boundary, so such a line is known to be a line of
+``str.splitlines`` too. Every other line (any other spelling, indentation
+or trailing comment, a literal of any other width or values, and a line in
+a state where the general code raises) is screened for the other
+boundaries; the first holding one has the text re-read by
+``str.splitlines`` from its start, which cuts every earlier line as
+``str.find`` did. The line is then read by the general per-line code, which
+looks for a ``//`` comment only in a line holding a ``/``. Both paths run
+the same checks in the same order, so the chains, the error messages and
+their line numbers do not depend on which path a line took.
 
 Constants are named once per distinct matrix: two maps share a constant
 exactly when their dense arrays have equal bytes, signed zeros included
@@ -57,11 +71,12 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Generator
 from functools import lru_cache
 
 import numpy as np
 
+from .config import MAX_QUBITS
 from .errors import DimensionMismatch, QmcForgeError, ReparseError, echo
 from .linalg import check_finite
 from .qmc import Qmc, Superoperator, _log_maps, verify_row_stochasticity
@@ -221,7 +236,13 @@ _MODULE_RE = re.compile(rf"^module ({_NAME_RE.pattern})$")
 _CONST_HEAD_RE = re.compile(r"const matrix (\w+) = \[")
 _VAR_RE = re.compile(r"^s: \[0\.\.(\d+)\] init 0;$")
 _STEP_RE = re.compile(r"^\[\] \(s = (\d+)\) -> (.*);$")
-_ACTION_RE = re.compile(r"^<<(\w+)>> : \(s' = (\d+)\)$")
+_ACTION_RE = re.compile(r"<<(\w+)>> : \(s' = (\d+)\)")
+# the exact command lines emit_qpmc writes, each matched whole on the raw
+# line; none of their characters is a line boundary
+_ACTION = r"<<\w+>> : \(s' = \d+\)"
+_COMMAND_LINE = re.compile(rf"  \[\] \(s = (\d+)\) -> (true|{_ACTION}(?: \+ {_ACTION})*);")
+# the line boundaries of str.splitlines other than "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _parse_entry(token: str, where: str) -> complex:
@@ -253,9 +274,27 @@ def _parse_matrix(literal: str, where: str) -> Superoperator:
 
 
 # Up to this many 1s are located by str.find, one call per 1; a literal
-# holding more is scanned once by numpy, whose fixed cost is that of a few
-# dozen str.find calls.
-_FIND_ONES = 16
+# holding more is scanned once by numpy. Measured on 64- and 128-wide
+# literals, a find costs about 0.5 us per 1 and the scan 18-30 us flat, so
+# the scan pays from about two dozen 1s. A permutation, one 1 per row, pays
+# the finds up to this count before its scan; a projector of a block of up
+# to 8 rows (h >= k - 3) is read by finds alone.
+_FIND_ONES = 8
+
+
+@lru_cache(maxsize=8)
+def _shared_form(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """0..width-1 and width ones, read-only: the arrays that the index
+    forms of the 0/1 literals of that width are sliced from."""
+    index, ones = np.arange(width, dtype=np.intp), np.ones(width, dtype=np.complex128)
+    index.setflags(write=False)
+    ones.setflags(write=False)
+    return index, ones
+
+
+# the size of a fixed-width literal of each power-of-two width up to the
+# register limit
+_POWER_OF_TWO_BITS = frozenset(3 * 4 ** j - 2 for j in range(MAX_QUBITS + 1))
 
 
 def _parse_bits(literal: str) -> Superoperator | None:
@@ -268,31 +307,37 @@ def _parse_bits(literal: str) -> Superoperator | None:
     Entry i then sits at byte 3i and no other byte is a 1, so the 1s of a
     literal holding at most ``_FIND_ONES`` of them are found by
     ``str.find``, each search starting 3 bytes past the last 1; in a literal
-    holding more, one comparison of its whole byte buffer finds them.
+    holding more, one comparison of its whole byte buffer finds them. The
+    values are a slice of the shared ones of the width, and a one-hot
+    literal's rows and columns are slices of the shared index.
     """
     count, rest = divmod(len(literal) + 2, 3)
     width = math.isqrt(count)
     if rest or width * width != count or literal.replace("1", "0") != _zero_digits(width):
         return None
+    index, ones = _shared_form(width)
     flat: list[int] = []
     at = literal.find("1")
-    while at >= 0 and len(flat) <= _FIND_ONES:
+    while at >= 0 and len(flat) < _FIND_ONES:
         flat.append(at // 3)
         at = literal.find("1", at + 3)
-    if at < 0:
-        rows, cols = [i // width for i in flat], [i % width for i in flat]
-        if not len(set(rows)) == len(rows) == len(set(cols)):
-            return None
-        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    else:
-        ones = np.flatnonzero(np.frombuffer(literal.encode("ascii"), dtype=np.uint8) == _ONE)
-        rows, cols = np.divmod(ones // 3, width)
+    if at >= 0:
+        found = np.flatnonzero(np.frombuffer(literal.encode("ascii"), dtype=np.uint8) == _ONE)
+        rows, cols = np.divmod(found // 3, width)
         # the positions ascend, so the rows are distinct when no two
         # neighbours are equal
         if (rows[1:] == rows[:-1]).any() or np.bincount(cols, minlength=width).max() > 1:
             return None
+    elif len(flat) == 1:
+        row, col = divmod(flat[0], width)
+        rows, cols = index[row:row + 1], index[col:col + 1]
+    else:
+        rows, cols = [i // width for i in flat], [i % width for i in flat]
+        if not len(set(rows)) == len(rows) == len(set(cols)):
+            return None
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     # row-major positions: the canonical index form, rows ascending
-    return Superoperator._indexed(width, rows, cols, np.ones(rows.size, dtype=np.complex128))
+    return Superoperator._indexed(width, rows, cols, ones[:rows.size])
 
 
 def _parse_tokens(literal: str, where: str) -> np.ndarray:
@@ -320,33 +365,45 @@ def _parse_tokens(literal: str, where: str) -> np.ndarray:
     return m
 
 
-# the line boundaries of str.splitlines other than "\n"
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+def _lines(text: str) -> Generator[str, bool | None, None]:
+    """The lines of ``text``, one at a time, each found by ``str.find("\\n")``,
+    which runs at memchr speed where ``str.split`` reads one character at a
+    time; no list of every line is formed.
+
+    They are the lines of ``text.splitlines()`` up to the first line
+    holding another boundary of ``_OTHER_BREAKS``. A reader that finds one
+    in the line it was given sends True: the generator then re-reads the
+    text from that line's start with ``str.splitlines`` and yields, as the
+    reply to the send, that line as ``str.splitlines`` cuts it, then the
+    lines after it. Every line before it ended at a ``"\\n"`` with no
+    ``"\\r"`` before it, so both readers cut the text up to there alike.
+    """
+    start, size = 0, len(text)
+    while start < size:  # a final "\n" ends the last line and opens no other
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        if (yield text[start:end]):
+            yield from text[start:].splitlines()
+            return
+        start = end + 1
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, one at a time. When ``text``
-    holds no other line boundary than ``"\\n"``, each is found by
-    ``str.find``, which runs at memchr speed where ``str.split`` reads one
-    character at a time, and no list of every line is formed."""
-    if any(ch in text for ch in _OTHER_BREAKS):
-        yield from text.splitlines()
-        return
-    start, end = 0, text.find("\n")
-    while end >= 0:
-        yield text[start:end]
-        start, end = end + 1, text.find("\n", end + 1)
-    if start < len(text):  # a final "\n" ends the last line and opens no other
-        yield text[start:]
-
-
-def _state_number(digits: str, where: str) -> int:
+def _state_number(digits: str, lineno: int) -> int:
     """A state number of the model text; int() refuses one of over 4,300
     digits, which numbers no state of a chain the emitter can write."""
     try:
         return int(digits)
     except ValueError:
-        raise ReparseError(f"{where}: state number of {len(digits)} digits") from None
+        raise ReparseError(f"line {lineno}: state number of {len(digits)} digits") from None
+
+
+def _action(term: str, lineno: int) -> tuple[str, str]:
+    """The (constant, target digits) of one ``<<NAME>> : (s' = N)`` term."""
+    am = _ACTION_RE.fullmatch(term.strip())
+    if not am:
+        raise ReparseError(f"line {lineno}: unrecognized action {echo(term)}")
+    return am.groups()
 
 
 def reparse_model(text: str) -> Qmc:
@@ -363,7 +420,57 @@ def reparse_model(text: str) -> Qmc:
     commands: dict[int, list[tuple[str, int]] | None] = {}
     top = None
     in_module = seen_module = seen_header = False
-    for lineno, raw in enumerate(_lines(text), start=1):
+
+    # the per-line checks both paths share; each message names its line
+
+    def command(guard_digits: str, terms, lineno: int) -> None:
+        """Record guard -> the (constant, target digits) pairs of ``terms``,
+        or None for a self-loop, read and checked term by term."""
+        guard = _state_number(guard_digits, lineno)
+        if guard in commands:
+            raise ReparseError(f"line {lineno}: duplicate guard s = {guard}")
+        if terms is None:
+            commands[guard] = None
+            return
+        actions = []
+        for cname, digits in terms:
+            target = _state_number(digits, lineno)
+            if cname not in consts:
+                raise ReparseError(f"line {lineno}: unknown constant {echo(cname, str)}")
+            actions.append((cname, target))
+        commands[guard] = actions
+
+    def declare(name: str, lineno: int) -> None:
+        """Check that constant ``name`` may be declared at ``lineno``."""
+        if seen_module:
+            raise ReparseError(f"line {lineno}: constant {echo(name, str)} after the module line")
+        if name in consts:
+            raise ReparseError(f"line {lineno}: duplicate constant {echo(name, str)}")
+
+    lines = _lines(text)
+    for lineno, raw in enumerate(lines, start=1):
+        # the lines emit_qpmc writes, each read by one match on the raw line;
+        # a match, or a valid 0/1 literal, holds no other line boundary
+        m = _COMMAND_LINE.fullmatch(raw) if in_module else None
+        if m:
+            rhs = m.group(2)
+            command(m.group(1), None if rhs == "true" else _ACTION_RE.findall(rhs), lineno)
+            continue
+        # a literal of a power-of-two width, sliced only when its size fits
+        m = _CONST_HEAD_RE.match(raw) if seen_header and raw.endswith("];") else None
+        if m and len(raw) - m.end() - 2 in _POWER_OF_TWO_BITS:
+            so = _parse_bits(raw[m.end():-2])
+            if so is not None:
+                declare(m.group(1), lineno)
+                consts[m.group(1)] = so
+                continue
+        # no line boundary is printable
+        if raw.startswith("//") and raw.isprintable():
+            continue
+        # any other line is screened, and the first holding another boundary
+        # has the rest of the text re-read by str.splitlines
+        if any(ch in raw for ch in _OTHER_BREAKS):
+            raw = lines.send(True)
         # most lines hold no "/", and a one-character search is memchr fast
         line = (raw if raw.find("/") < 0 else raw.split("//", 1)[0]).strip()
         if not line:
@@ -376,36 +483,19 @@ def reparse_model(text: str) -> Qmc:
             continue
         if line == "qmc":
             raise ReparseError(f"{where}: repeated qmc header")
-        # the most common line; no other kind of line matches this regex
+        # no other kind of line matches this regex
         m = _STEP_RE.match(line)
         if m and in_module:
-            guard, rhs = _state_number(m.group(1), where), m.group(2).strip()
-            if guard in commands:
-                raise ReparseError(f"{where}: duplicate guard s = {guard}")
-            if rhs == "true":
-                commands[guard] = None
-                continue
-            actions = []
-            for term in rhs.split(" + "):
-                am = _ACTION_RE.match(term.strip())
-                if not am:
-                    raise ReparseError(f"{where}: unrecognized action {echo(term)}")
-                cname, target = am.group(1), _state_number(am.group(2), where)
-                if cname not in consts:
-                    raise ReparseError(f"{where}: unknown constant {echo(cname, str)}")
-                actions.append((cname, target))
-            commands[guard] = actions
+            rhs = m.group(2).strip()
+            command(m.group(1), None if rhs == "true" else
+                    (_action(term, lineno) for term in rhs.split(" + ")), lineno)
             continue
         # a constant line is "const matrix NAME = [" + literal + "];": the
         # regex reads the head only, not the literal
         m = _CONST_HEAD_RE.match(line) if line.endswith("];") else None
         if m:
-            name, literal = m.group(1), line[m.end():-2]
-            if seen_module:
-                raise ReparseError(f"{where}: constant {echo(name, str)} after the module line")
-            if name in consts:
-                raise ReparseError(f"{where}: duplicate constant {echo(name, str)}")
-            consts[name] = _parse_matrix(literal, where)
+            declare(m.group(1), lineno)
+            consts[m.group(1)] = _parse_matrix(line[m.end():-2], where)
             continue
         m = _MODULE_RE.match(line)
         if m:
@@ -424,7 +514,7 @@ def reparse_model(text: str) -> Qmc:
                 raise ReparseError(f"{where}: state variable outside the module")
             if top is not None:
                 raise ReparseError(f"{where}: second state variable declaration")
-            top = _state_number(m.group(1), where)
+            top = _state_number(m.group(1), lineno)
             continue
         raise ReparseError(f"{where}: unrecognized line {echo(line)}")
 

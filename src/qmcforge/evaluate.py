@@ -1,7 +1,8 @@
 """Dual semantics: state-vector circuit runs vs density-matrix chain runs.
 
 The circuit side walks the DAG directly, applying each gate to its wires by
-tensor contraction; it reads nothing the normalizer made, so it serves as
+one matmul over the gate's axes (moved to the front and flattened, then
+moved back); it reads nothing the normalizer made, so it serves as
 an independent oracle for the compiled chain. It reads the placement the
 circuit recorded when it was built (``Circuit.gates``), and one walk
 carries a whole block of input kets, one per column, so all final states
@@ -47,11 +48,27 @@ def _as_ket(psi, k: int) -> np.ndarray:
     return v
 
 
+def _stacked(inputs, dim: int) -> np.ndarray | None:
+    """A list of kets of ``dim`` amplitudes each as one block, a column per
+    ket, by one ``np.array`` call; None for any other input, or when that
+    call fails, so the per-ket path reads it and raises its own errors."""
+    if not isinstance(inputs, list):
+        return None
+    try:
+        block = np.array(inputs, dtype=np.complex128)
+    except (TypeError, ValueError):
+        return None
+    return block.T if block.ndim == 2 and block.shape[1] == dim else None
+
+
 def _apply_gate(state: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    d = len(axes)
-    g = u.reshape((2,) * (2 * d))
-    state = np.tensordot(g, state, axes=(tuple(range(d, 2 * d)), axes))
-    return np.moveaxis(state, tuple(range(d)), axes)
+    """``u`` on the wires ``axes`` of a (2,) * k + (N,) block: those axes
+    moved to the front and flattened to 2^d rows, one matmul, and the axes
+    moved back (a view, which the next gate's reshape copies)."""
+    order = (*axes, *(a for a in range(state.ndim) if a not in axes))
+    moved = state.transpose(order)
+    out = (u @ moved.reshape(len(u), -1)).reshape(moved.shape)
+    return out.transpose(sorted(range(len(order)), key=order.__getitem__))
 
 
 def _walk(k: int, gates, lead: tuple[int, ...],
@@ -241,7 +258,7 @@ def _product_rows(so: Superoperator, v: np.ndarray,
     zero. With None it is ``(None, M v)`` by the dense matmul, whose
     0 * NaN spreads a non-finite entry as the clauses expect."""
     if form is None:
-        return None, so.matrix @ v
+        return None, so._form() @ v
     rows, cols, values = form
     return rows, values[:, None] * v[cols]
 
@@ -390,8 +407,10 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
         raise DimensionMismatch(f"chain acts on {q.k} wires, circuit has {k}")
     if inputs is None:
         inputs = np.eye(dim, dtype=np.complex128)
-    taus = np.array([_as_ket(psi, k) for psi in inputs],
-                    dtype=np.complex128).reshape(-1, dim).T
+    taus = _stacked(inputs, dim)
+    if taus is None:
+        taus = np.array([_as_ket(psi, k) for psi in inputs],
+                        dtype=np.complex128).reshape(-1, dim).T
     # written as "not <= tol" so that a NaN amplitude fails the check
     mass = np.sum(taus.real ** 2 + taus.imag ** 2, axis=0)
     bad = np.flatnonzero(~(np.abs(mass - 1.0) <= tol))

@@ -135,7 +135,8 @@ class Superoperator:
             order = np.argsort(rows)
             rows, cols, values = rows[order], cols[order], values[order]
         for a in (rows, cols, values):
-            a.setflags(write=False)
+            if a.flags.writeable:  # a view of a read-only array is one already
+                a.setflags(write=False)
         so = cls.__new__(cls)
         so._dense, so._index, so._dim, so._exact = None, (rows, cols, values), d, exact
         return so
@@ -322,6 +323,8 @@ def build_qmc(s: SnfCircuit) -> Qmc:
     d, block = 2 ** s.k, 2 ** (s.k - s.h)
     # projector i keeps the block of rows i * block .. (i + 1) * block - 1
     index, ones = np.arange(d), np.ones(block, dtype=np.complex128)
+    index.setflags(write=False)
+    ones.setflags(write=False)
     branches = tuple(Superoperator._indexed(d, span, span, ones)
                      for span in index.reshape(-1, block))
     q = Qmc(s.k, s.h, s.unitaries, branches)
@@ -393,8 +396,11 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
         if len(maps) == 1:
             form = maps[0].monomial
             if form is not None and form[0].size == maps[0].dim:
-                # every column once, so each column's mass is one value's
+                # every column once, so each column's mass is one value's;
+                # a value of exactly 1 has mass exactly 1
                 values = form[2]
+                if (values == 1).all():
+                    return 0.0
                 return float(np.max(np.abs((values.conj() * values).real - 1)))
             mass = None if form is None else _diagonal_mass(maps)
         else:

@@ -136,3 +136,13 @@ def run_qmc_per_step(q, rho0):
             accumulated = m @ accumulated
         posts = [m @ rho @ m.conj().T for m in (so._form() for so in q.branches)]
     return [float(np.trace(p).real) + 0.0 for p in posts], accumulated, posts
+
+
+def apply_gate_tensordot(state, u, axes):
+    """The reference for ``evaluate._apply_gate``: gate ``u`` contracted
+    with the wires ``axes`` of a (2,) * k + (N,) block by ``np.tensordot``,
+    its output axes then moved back into place."""
+    d = len(axes)
+    g = u.reshape((2,) * (2 * d))
+    state = np.tensordot(g, state, axes=(tuple(range(d, 2 * d)), axes))
+    return np.moveaxis(state, tuple(range(d)), axes)

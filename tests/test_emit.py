@@ -803,7 +803,44 @@ _LINE_CHARS = ["a", " ", "/", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d"
 @settings(max_examples=300, deadline=None)
 @given(text=st.lists(st.sampled_from(_LINE_CHARS), max_size=12).map("".join))
 def test_split_lines_splits_as_splitlines_does(text):
-    assert list(emit._lines(text)) == text.splitlines()
+    # a reader that screens every line, as reparse_model screens each line
+    # no exact match has shown to be free of the other boundaries
+    lines, read = emit._lines(text), []
+    for line in lines:
+        read.append(lines.send(True) if any(ch in line for ch in emit._OTHER_BREAKS)
+                    else line)
+    assert read == text.splitlines()
+
+
+def _reparsed(text: str):
+    """What reparse_model makes of ``text``: the chain's sizes and each
+    map's index form and dense bytes, or the ReparseError message."""
+    try:
+        q = reparse_model(text)
+    except ReparseError as exc:
+        return str(exc)
+    return q.k, q.h, [(None if so.monomial is None else [a.tobytes() for a in so.monomial],
+                       so._form().tobytes()) for so in q.steps + q.branches]
+
+
+@st.composite
+def _model_and_a_break(draw):
+    """An emitted model of a random circuit on at most 3 wires, a position
+    in it and one of the line boundaries other than "\\n"."""
+    c = random_circuit(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), max_wires=3)
+    text = emit_qpmc(build_qmc(translate(c, emit_swaps_as_gates=draw(st.booleans()))[0]))
+    return text, draw(st.integers(0, len(text))), draw(st.sampled_from(emit._OTHER_BREAKS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_model_and_a_break())
+def test_any_line_boundary_reparses_as_a_newline_does(case):
+    # every line shape read by one match, every fixed-width literal and every
+    # screened line: the boundary ends the line wherever it falls
+    text, at, ch = case
+    # "\r" before a "\n" makes one boundary of the two, as "\r\n" does
+    newline = "" if ch == "\r" and text.startswith("\n", at) else "\n"
+    assert _reparsed(text[:at] + ch + text[at:]) == _reparsed(text[:at] + newline + text[at:])
 
 
 def test_reparse_holds_one_line_at_a_time():

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (DOUBLE, PARAM, SINGLE, basis_state, chain_run_per_step, matrix_chain,
-                     nan_step_chain, random_circuit, random_circuit_text, run_qmc_per_step,
-                     swap_matrix)
+from helpers import (DOUBLE, PARAM, SINGLE, apply_gate_tensordot, basis_state,
+                     chain_run_per_step, matrix_chain, nan_step_chain, random_circuit,
+                     random_circuit_text, run_qmc_per_step, swap_matrix)
 from qmcforge.cli import gen_test_circuit
 from qmcforge.config import DEFAULT_TOL
 from qmcforge import evaluate
@@ -458,6 +458,60 @@ def test_an_honest_compile_claims_the_oracles_own_wire_order(text, strategy, swa
     q = build_qmc(s)
     inputs = list(np.eye(2 ** c.k)) + random_kets(c.k, 2, np.random.default_rng(0))
     assert check_equivalence(c, None, q, inputs) == check_equivalence(c, s, q, inputs)
+
+
+@st.composite
+def _gate_circuit_text(draw):
+    """Up to 5 wires and 8 gates: H, RX and the phase gates, each plain or
+    as a ``cgate`` with up to two controls, and two-wire gates, on wires in
+    any order; any subset of wires measured."""
+    k = draw(st.integers(1, 5))
+    lines = [f"qubits {k}"]
+    for _ in range(draw(st.integers(1, 8))):
+        wires = draw(st.permutations(range(1, k + 1)))
+        if k >= 2 and draw(st.integers(0, 3)) == 0:
+            lines.append(f"gate {draw(st.sampled_from(DOUBLE))} {wires[0]} {wires[1]}")
+            continue
+        name = draw(st.sampled_from(["H", "S", "T", "Z", "RX", "RZ", "PHASE"]))
+        if name in ("RX", "RZ", "PHASE"):
+            name += f"({draw(st.floats(-math.pi, math.pi)):.6f})"
+        controls = wires[1:1 + draw(st.integers(0, min(2, k - 1)))]
+        lines.append(f"cgate {name} {wires[0]} ctrl {' '.join(map(str, controls))}"
+                     if controls else f"gate {name} {wires[0]}")
+    measured = draw(st.lists(st.integers(1, k), unique=True, max_size=k))
+    lines.extend(f"measure {w}" for w in measured)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_gate_circuit_text(), count=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_walk_is_bit_identical_to_the_tensordot_walk(text, count, seed):
+    c = parse_circuit(text)
+    kets = np.array(random_kets(c.k, count, np.random.default_rng(seed))).T
+    finals, born = _walk(c.k, c.gates, c.measured, kets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_apply_gate", apply_gate_tensordot)
+        want_finals, want_born = _walk(c.k, c.gates, c.measured, kets)
+    assert np.array_equal(finals, want_finals) and np.array_equal(born, want_born)
+
+
+def test_a_non_finite_step_densifies_no_index_built_map():
+    # the 5-wire cycle with swaps as gates compiles to index-built maps only;
+    # a dense step holding a NaN in front of them sends every later map of
+    # both runs down the dense path, which forms each map without keeping it
+    c = gen_test_circuit(5)
+    q = build_qmc(translate(c, strategy="naive-adjacent", emit_swaps_as_gates=True)[0])
+    indexed = {id(so): so for so in q.steps + q.branches}.values()
+    assert len(indexed) > 2 and all(so._dense is None for so in indexed)
+    nan = Superoperator(np.eye(2 ** q.k, dtype=np.complex128))
+    nan.matrix[0, 0] = np.nan
+    chain = Qmc(q.k, q.h, (nan, *q.steps), q.branches)
+    report = check_equivalence(c, None, chain)
+    assert not report.passed and math.isnan(report.chain)
+    rho0 = np.zeros((2 ** q.k,) * 2, dtype=np.complex128)
+    rho0[0, 0] = 1
+    assert all(math.isnan(p) for p in run_qmc(chain, rho0).probabilities)
+    assert all(so._dense is None for so in indexed)
 
 
 # --- the ket block against the per-input check ----------------------------

@@ -58,13 +58,9 @@ looks for a ``//`` comment only in a line holding a ``/``. Both paths run
 the same checks in the same order, so the chains, the error messages and
 their line numbers do not depend on which path a line took.
 
-Constants are named once per distinct matrix: two maps share a constant
-exactly when their dense arrays have equal bytes, signed zeros included
-(a ``-0j`` undo step of a routing swap keeps its own constant). The key of
-a map with an index form is the form's bytes, then the signs of its zero
-entries, which are formed only when two maps' forms have equal bytes; the
-key of any other map is its dense bytes. It is computed once per map
-object.
+Constants are named once per distinct map, keyed on the data it stores: a
+map with an index form on the form's bytes (rows, cols and values), any
+other map on its dense bytes. The key is computed once per map object.
 """
 
 from __future__ import annotations
@@ -173,8 +169,9 @@ def _map_literal(so: Superoperator, form) -> str:
 def _constant_pool(q: Qmc) -> tuple[list[tuple[str, str]], list[str], list[str]]:
     """Name every distinct matrix: U1.. for chain steps in first-use order,
     M0..M{2^h-1} for the measurement branches. Two maps share a name exactly
-    when their dense arrays have equal ``tobytes()`` (signed zeros
-    included); the key is computed once per map object. Returns the
+    when their keys (:meth:`Superoperator._bytes_key`) are equal: both have
+    an index form of equal bytes, or neither has one and their dense arrays
+    have equal bytes. The key is computed once per map object. Returns the
     declarations (name, literal) and the constant name of each step and of
     each branch."""
     names: dict[tuple, str] = {}

@@ -405,9 +405,8 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
         raise BitLengthMismatch(f"chain has {2 ** q.h} outcomes, circuit has {2 ** h}")
     if q.k != k:
         raise DimensionMismatch(f"chain acts on {q.k} wires, circuit has {k}")
-    if inputs is None:
-        inputs = np.eye(dim, dtype=np.complex128)
-    taus = _stacked(inputs, dim)
+    # the basis block is symmetric, so it is its own column-per-ket block
+    taus = np.eye(dim, dtype=np.complex128) if inputs is None else _stacked(inputs, dim)
     if taus is None:
         taus = np.array([_as_ket(psi, k) for psi in inputs],
                         dtype=np.complex128).reshape(-1, dim).T

@@ -30,12 +30,9 @@ Each form is handed to :meth:`Superoperator._indexed
 Only a run holding a gate with two nonzeros in a row or column (H, RX, RY)
 is formed dense, as ``tensor`` gathered by permuted basis indices.
 
-The dense arrays this arithmetic stands for hold signed zeros in places (an
-undo's conj writes ``-0j``; -1 times a zero of the identity is -0), which
-the emitted constant partition depends on, so such a step carries the
-function that forms its exact array (see :class:`~qmcforge.qmc.Superoperator`).
-Equal padded runs, fused steps, swaps and undos are built once per call and
-shared.
+The constant pool keys an index-built step on its form's bytes (see
+:mod:`qmcforge.qmc`). Equal padded runs, fused steps, swaps and undos are
+built once per call and shared.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Node
-from .linalg import _permute_indices, dagger, swap_decomposition, tensor
+from .linalg import _permute_indices, swap_decomposition, tensor
 from .qmc import Superoperator, _map_census
 
 __all__ = ["SnfCircuit", "SwapAccount", "translate"]
@@ -206,13 +203,9 @@ def _padded(bases: tuple[np.ndarray, ...], k: int) -> Superoperator:
     """``tensor(*bases, I)`` on the k-wire register, index-built when every
     base is monomial."""
     eye = 2 ** k // int(np.prod([b.shape[0] for b in bases]))
-
-    def dense() -> np.ndarray:
-        return tensor(*bases, np.eye(eye, dtype=np.complex128))
-
     forms = [_gate_form(b) for b in bases]
     if any(form is None for form in forms):
-        return Superoperator(dense())
+        return Superoperator(tensor(*bases, np.eye(eye, dtype=np.complex128)))
     span = np.arange(eye)
     rows, cols, values = forms[0]
     # the kron of two forms pairs every entry of the left with every entry
@@ -223,11 +216,7 @@ def _padded(bases: tuple[np.ndarray, ...], k: int) -> Superoperator:
         rows = (rows[:, None] * n + r).ravel()
         cols = (cols[:, None] * n + c).ravel()
         values = (values[:, None] * v).ravel()
-    # entries with real part >= +0 and imaginary part 0 multiply only into
-    # such entries, and then every zero of the dense array is +0; otherwise
-    # some zero may be signed
-    plain = not any(np.signbit(b.real).any() or b.imag.any() for b in bases)
-    return Superoperator._indexed(2 ** k, rows, cols, values, None if plain else dense)
+    return Superoperator._indexed(2 ** k, rows, cols, values)
 
 
 def _gather(padded: Superoperator, k: int, perm: tuple[int, ...]) -> Superoperator:
@@ -239,8 +228,7 @@ def _gather(padded: Superoperator, k: int, perm: tuple[int, ...]) -> Superoperat
         return Superoperator(padded.matrix[np.ix_(idx, idx)])
     inv = np.argsort(idx)
     rows, cols, values = padded.monomial
-    exact = padded._exact and (lambda: padded._form()[np.ix_(idx, idx)])
-    return Superoperator._indexed(2 ** k, inv[rows], inv[cols], values, exact)
+    return Superoperator._indexed(2 ** k, inv[rows], inv[cols], values)
 
 
 def _realigned(last: Superoperator | None, k: int,
@@ -253,8 +241,7 @@ def _realigned(last: Superoperator | None, k: int,
     if last._dense is not None:
         return Superoperator(last.matrix[np.argsort(idx)])
     rows, cols, values = last.monomial
-    exact = last._exact and (lambda: last._form()[np.argsort(idx)])
-    return Superoperator._indexed(2 ** k, idx[rows], cols, values, exact)
+    return Superoperator._indexed(2 ** k, idx[rows], cols, values)
 
 
 def _permutation(k: int, perm: tuple[int, ...]) -> Superoperator:
@@ -266,10 +253,9 @@ def _permutation(k: int, perm: tuple[int, ...]) -> Superoperator:
 
 
 def _undo(step: Superoperator) -> Superoperator:
-    """The dagger of an index-built routing step: (cols, rows, conj(values)).
-    Its dense array, the conj().T of the step's, holds -0j in every entry."""
+    """The dagger of an index-built routing step: (cols, rows, conj(values))."""
     rows, cols, values = step.monomial
-    return Superoperator._indexed(step.dim, cols, rows, values.conj(), lambda: dagger(step._form()))
+    return Superoperator._indexed(step.dim, cols, rows, values.conj())
 
 
 def _routing_steps(perm: tuple[int, ...], swaps: list[tuple[int, int]],

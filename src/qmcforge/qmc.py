@@ -28,12 +28,15 @@ read and keeps it, and from then on that array is the only truth:
 ``monomial`` derives the form by one scan of it on every read and caches
 nothing, so a write into ``matrix`` in place reaches every reader, the row
 check included.
+
+The constant pool keys a map on the data it stores: a monomial map on its
+index form's bytes, any other map on its dense bytes.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -64,19 +67,12 @@ class Superoperator:
     its index form alone; see the module docstring for how ``matrix`` and
     ``monomial`` then read it.
 
-    An index form holds no zero entries, so it cannot say that the dense
-    array a step of ``translate`` stands for holds a signed zero somewhere
-    (an undo step's ``conj`` writes ``-0j`` into every entry; -1 times a
-    zero of the identity is -0). Such a map carries a function that forms
-    its exact dense array; ``matrix`` calls it, and the constant pool calls
-    it only to tell apart two maps of equal forms (see :meth:`_bytes_key`).
-
     Construction rejects input that is not a non-empty square 2-D matrix of
     finite entries; whether the map is physical is left to
     :func:`verify_row_stochasticity`.
     """
 
-    __slots__ = ("_dense", "_index", "_dim", "_exact")
+    __slots__ = ("_dense", "_index", "_dim")
 
     def __init__(self, matrix: np.ndarray):
         try:
@@ -87,7 +83,7 @@ class Superoperator:
             raise DimensionMismatch(
                 f"superoperator needs a non-empty square matrix, got shape {m.shape}")
         check_finite(m, "superoperator matrix")
-        self._dense, self._index, self._dim, self._exact = m, None, m.shape[0], None
+        self._dense, self._index, self._dim = m, None, m.shape[0]
 
     @classmethod
     def from_index(cls, d: int, rows, cols, values) -> Superoperator:
@@ -122,15 +118,14 @@ class Superoperator:
         return cls._indexed(int(d), rows, cols, values)
 
     @classmethod
-    def _indexed(cls, d: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                 exact: Callable[[], np.ndarray] | None = None) -> Superoperator:
+    def _indexed(cls, d: int, rows: np.ndarray, cols: np.ndarray,
+                 values: np.ndarray) -> Superoperator:
         """The map of an index form with distinct rows, distinct columns and
         nonzero finite values (checked by :meth:`from_index`, or built so by
         the caller), stored canonically: entries put in row order when they
         are not in it already, and the three arrays marked read-only, so a
         form may be shared between maps. Rows are distinct, so the order is
-        unique. ``exact``, when given, forms the map's dense array with its
-        signed zeros; without it every zero entry is +0."""
+        unique."""
         if rows.size > 1 and np.count_nonzero(rows[1:] < rows[:-1]):
             order = np.argsort(rows)
             rows, cols, values = rows[order], cols[order], values[order]
@@ -138,7 +133,7 @@ class Superoperator:
             if a.flags.writeable:  # a view of a read-only array is one already
                 a.setflags(write=False)
         so = cls.__new__(cls)
-        so._dense, so._index, so._dim, so._exact = None, (rows, cols, values), d, exact
+        so._dense, so._index, so._dim = None, (rows, cols, values), d
         return so
 
     @property
@@ -146,15 +141,13 @@ class Superoperator:
         """The dense matrix, formed from the index form on first read."""
         if self._dense is None:
             self._dense = self._form()
-            self._index = self._exact = None
+            self._index = None
         return self._dense
 
     def _form(self) -> np.ndarray:
         """The dense matrix: the one kept, else formed afresh and not kept."""
         if self._dense is not None:
             return self._dense
-        if self._exact is not None:
-            return self._exact()
         rows, cols, values = self._index
         m = np.zeros((self._dim, self._dim), dtype=np.complex128)
         m[rows, cols] = values
@@ -183,28 +176,13 @@ class Superoperator:
         return rows, cols, values
 
     def _bytes_key(self) -> tuple[tuple, tuple | None]:
-        """(key, ``monomial``): two maps get equal keys exactly when their
-        dense arrays have equal ``tobytes()``, signed zeros included, and an
-        index-built map is not densified. A monomial map's key is its index
-        form's bytes and then its :class:`_ZeroSigns`, which a dict compares
-        only after the form's bytes matched; any other map's key is its
-        dense bytes."""
+        """(key, ``monomial``): a monomial map's key is its index form's
+        bytes (rows, cols and values), any other map's its dense bytes, so
+        an index-built map is not densified."""
         form = self.monomial
         if form is None:
             return ("dense", self._dense.tobytes()), None
-        return ("index", *(a.tobytes() for a in form), _ZeroSigns(self)), form
-
-    def _zero_signs(self) -> bytes | None:
-        """The sign bits of the dense matrix's zero entries, packed; None
-        when no zero entry has one set. An index-built map without an
-        exact-form function has none and forms nothing."""
-        if self._dense is None and self._exact is None:
-            return None
-        # the parts one by one: a dagger view cannot be read as float pairs
-        m = self._form()
-        zero = m == 0
-        signs = np.stack((np.signbit(m.real) & zero, np.signbit(m.imag) & zero))
-        return np.packbits(signs).tobytes() if signs.any() else None
+        return ("index", *(a.tobytes() for a in form)), form
 
     @property
     def kraus(self) -> tuple[np.ndarray]:
@@ -218,31 +196,6 @@ class Superoperator:
     def gram(self) -> np.ndarray:
         """M^dagger M."""
         return self.matrix.conj().T @ self.matrix
-
-
-class _ZeroSigns:
-    """The last element of a monomial map's pool key: the sign bits of its
-    zero entries, the one part of the dense bytes that an index form does
-    not hold. It hashes as a constant, so a dict compares it only when the
-    form's bytes matched already, and it forms the bits (see
-    :meth:`Superoperator._zero_signs`) only then, once."""
-
-    __slots__ = ("_so", "_bits")
-    _UNSET = object()
-
-    def __init__(self, so: Superoperator):
-        self._so, self._bits = so, self._UNSET
-
-    def bits(self) -> bytes | None:
-        if self._bits is self._UNSET:
-            self._bits = self._so._zero_signs()
-        return self._bits
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _ZeroSigns) and self.bits() == other.bits()
-
-    def __hash__(self) -> int:
-        return 0
 
 
 @dataclass(frozen=True)

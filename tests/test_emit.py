@@ -751,8 +751,8 @@ def test_swap_undo_steps_keep_their_own_constants():
 
 @st.composite
 def _pool_maps(draw):
-    """Maps of one width that the constant pool must tell apart by their
-    dense bytes: index-built forms, dense copies of them, dense copies with
+    """Maps of one width that the constant pool must tell apart by the data
+    they store: index-built forms, dense copies of them, dense copies with
     a signed zero written somewhere, transposed views and a map with two
     nonzeros in a row."""
     dim = 2 ** draw(st.integers(0, 3))
@@ -783,14 +783,29 @@ def _pool_maps(draw):
     return maps
 
 
+def _reference_pool_key(m: np.ndarray) -> tuple:
+    """A monomial matrix's (rows, cols, values) bytes, entries in row order;
+    any other matrix's dense bytes."""
+    rows, cols = np.nonzero(m)
+    if len(set(rows.tolist())) < rows.size or len(set(cols.tolist())) < cols.size:
+        return ("dense", m.tobytes())
+    return ("index", rows.tobytes(), cols.tobytes(), m[rows, cols].tobytes())
+
+
 @settings(max_examples=200, deadline=None)
 @given(maps=_pool_maps())
-def test_pool_key_is_equal_exactly_when_the_dense_bytes_are(maps):
+def test_pool_key_is_equal_exactly_when_the_stored_data_is(maps):
+    indexed = [so._dense is None for so in maps]
     keys = [so._bytes_key()[0] for so in maps]
-    dense = [so.matrix.tobytes() for so in maps]
+    # reading the keys densified no index-built map
+    assert [so._dense is None for so in maps] == indexed
+    reference = [_reference_pool_key(so.matrix) for so in maps]
+    literals = [format_matrix(so.matrix) for so in maps]
     for a in range(len(maps)):
         for b in range(len(maps)):
-            assert (keys[a] == keys[b]) == (dense[a] == dense[b])
+            assert (keys[a] == keys[b]) == (reference[a] == reference[b])
+            # maps that share a constant have one literal
+            assert keys[a] != keys[b] or literals[a] == literals[b]
 
 
 # --- model text under edits ----------------------------------------------------

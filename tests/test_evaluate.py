@@ -1025,3 +1025,19 @@ def test_gathered_branch_read_equals_one_branch_at_a_time(case):
         slow = check_equivalence(c, None, q, kets)
     assert fast.failures == slow.failures and fast.worst_at == slow.worst_at
     assert _same_report(fast, slow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_branch_set(), compiled=st.booleans())
+def test_the_default_basis_reports_as_the_basis_list_does(case, compiled):
+    c, q, _ = case
+    if compiled:
+        q = build_qmc(translate(c)[0])
+    basis = check_equivalence(c, None, q, list(np.eye(2 ** c.k, dtype=np.complex128)))
+    with pytest.MonkeyPatch.context() as mp:
+        def refuse(psi, k):
+            raise AssertionError("the default basis went through _as_ket")
+        mp.setattr(evaluate, "_as_ket", refuse)
+        default = check_equivalence(c, None, q)
+    assert default.failures == basis.failures and default.worst_at == basis.worst_at
+    assert _same_report(default, basis)

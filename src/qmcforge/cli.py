@@ -76,7 +76,9 @@ def _write_or_print(text: str, output: str | None) -> None:
 
 def _load_ket(args, k: int) -> np.ndarray:
     dim = 2 ** k
-    if args.state_file:
+    if args.state_file is not None:
+        if args.input is not None:
+            raise QmcForgeError("--input and --state-file cannot be given together")
         try:
             # amplitudes are floats: a huge integer reads as inf and fails the
             # norm check, where int() would refuse one of over 4,300 digits
@@ -95,7 +97,7 @@ def _load_ket(args, k: int) -> np.ndarray:
         if not abs(n - 1.0) <= 1e-9:
             raise QmcForgeError(f"state file norm is {n:.6f}, expected 1")
         return v
-    bits = args.input or "0" * k
+    bits = "0" * k if args.input is None else args.input
     if len(bits) != k or any(b not in "01" for b in bits):
         raise QmcForgeError(f"--input wants {k} bits, got {bits!r}")
     v = np.zeros(dim, dtype=np.complex128)

@@ -11,27 +11,31 @@ entries, complex values written ``a+bi`` / ``a-bi``. Floats are printed with
 shortest round-trip precision and integer values without a decimal point, so
 emission is deterministic: the same chain always yields identical bytes.
 
-A matrix whose entries are all 0 or 1 (every permutation step and every
-measurement projector; ``-0.0`` and ``-0j`` count as 0) has a fixed-width
-literal, since each entry is one digit: inside the brackets, entry i is its
-digit at byte 3i, then ``,`` (``;`` at a row end) and a space, so an r x c
-literal is 3rc - 2 bytes. A map with an index form (see
-:mod:`qmcforge.qmc`) whose values are all 1 is written into a copy of the
-cached all-zero literal of its width, a ``1`` at byte 1 + 3(row * d + col)
-of the bracketed text, with no dense array. A map with an index form of
-other values (phases, -1) is written word by word from the form, each
-distinct value formatted once and every other entry ``0``, again with no
-dense array; only a map without an index form is formatted from its dense
-matrix. Reparse takes the fixed-width path only for a literal of
-exactly that layout and a square entry count, which holds exactly when
-``literal.replace("1", "0")`` is the cached zero literal of its width; its
-1s are then located by ``str.find`` (one numpy scan reads a literal holding
-more than a few), and when no row and no column holds two of them it
-becomes an index-built map. Everything else (a 0/1 literal with two 1s in a
-row or column, which no map of a trace-preserving row can be, other values,
-NaN, any literal spaced or separated differently) goes through the
-per-value path, whose bytes, arrays and error messages the byte paths
-reproduce exactly.
+Every literal is written from its matrix's nonzero entries alone: their
+ascending row-major positions and values, read from a map by
+``Superoperator._nonzeros`` (no dense array for an index-built map) and
+from an array by one ``flatnonzero``. The all-zero literal of a shape is
+cached without its brackets, and in it each entry is a ``0`` followed by
+``,`` (``;`` at a row end) and a space, so entry i is the ``0`` at byte 3i.
+A literal is that zero literal with each nonzero's word in place of its
+``0``, in brackets; every zero, ``-0.0`` and ``-0j`` too, stays ``0``. When
+every nonzero is 1 (every permutation step and every measurement
+projector), each word is one byte and one numpy scatter writes them into a
+copy of the zero literal; such a fixed-width r x c literal is 3rc - 2 bytes
+inside its brackets. Any other literal (phases, -1, dense H steps) is joined
+from the zero literal's slices between the nonzeros and their words, each
+distinct value formatted once. No writer forms a word per zero.
+
+Reparse takes the fixed-width path only for a literal of exactly the 0/1
+layout and a square entry count, which holds exactly when the text inside
+its brackets, with every ``1`` replaced by ``0``, is the cached zero literal
+of its width; its 1s are then located by ``str.find`` (one numpy scan reads
+a literal holding more than a few), and when no row and no column holds
+two of them it becomes an index-built map. Everything else (a 0/1 literal with
+two 1s in a row or column, which no map of a trace-preserving row can be,
+other values, NaN, any literal spaced or separated differently) goes
+through the per-value path, whose arrays and error messages the byte path
+reproduces exactly.
 
 Each pass reparse makes over a constant line is a memchr-speed search, a
 copy or a comparison, none of them Python code per byte. It reads the text
@@ -58,9 +62,10 @@ looks for a ``//`` comment only in a line holding a ``/``. Both paths run
 the same checks in the same order, so the chains, the error messages and
 their line numbers do not depend on which path a line took.
 
-Constants are named once per distinct map, keyed on the data it stores: a
-map with an index form on the form's bytes (rows, cols and values), any
-other map on its dense bytes. The key is computed once per map object.
+Constants are named once per distinct map, keyed on its nonzeros: two maps
+share a constant exactly when their nonzero positions and values have equal
+bytes, so the sign of a zero never splits one. A map's nonzeros are read
+once, for its key and its literal.
 """
 
 from __future__ import annotations
@@ -103,76 +108,59 @@ def format_number(x: complex) -> str:
 def format_matrix(m: np.ndarray) -> str:
     """MATLAB-style literal: rows split by ``;``, entries by ``, ``.
 
-    Each distinct value is formatted once and the rows are joined from
-    those words by index. ``-0.0`` and ``0.0`` share a word, which is safe
-    because :func:`format_number` prints both as ``0``; NaNs are never
-    merged (``equal_nan=False``), so each is formatted on its own. An
-    array of more than two dimensions raises DimensionMismatch.
+    Written by :func:`_literal` from one ``flatnonzero`` of the array, so
+    every zero (``-0.0`` and ``-0j`` too) is the zero literal's ``0`` and
+    each distinct nonzero value is formatted once. An array of more than
+    two dimensions raises DimensionMismatch.
     """
     m = np.atleast_2d(m)
     if m.ndim != 2:
         raise DimensionMismatch(f"a matrix literal needs at most 2 dimensions, got shape {m.shape}")
-    values, inverse = np.unique(m.reshape(-1), return_inverse=True, equal_nan=False)
-    return _joined(_words(values)[inverse].reshape(m.shape))
-
-
-def _words(values: np.ndarray) -> np.ndarray:
-    """:func:`format_number` of each value, as an object array."""
-    return np.array([format_number(v) for v in values], dtype=object)
-
-
-def _joined(words: np.ndarray) -> str:
-    """The literal of a 2-D object array of entry words."""
-    return "[" + "; ".join(", ".join(row) for row in words.tolist()) + "]"
+    flat = np.flatnonzero(m)
+    return "[" + _literal(m.shape, flat, m.ravel()[flat]) + "]"
 
 
 _ONE = ord("1")
 
 
 @lru_cache(maxsize=8)
-def _zero_digits(width: int) -> str:
-    """The fixed-width literal of the width x width zero matrix, without
-    its brackets."""
-    row = ", ".join("0" * width)
-    return "; ".join([row] * width)
+def _zero_literal(rows: int, cols: int) -> str:
+    """The literal of the rows x cols zero matrix without its brackets:
+    entry i is the ``0`` at byte 3i."""
+    return "; ".join([", ".join("0" * cols)] * rows)
 
 
-@lru_cache(maxsize=8)
-def _zero_literal(width: int) -> str:
-    """The fixed-width literal of the width x width zero matrix, brackets
-    included."""
-    return "[" + _zero_digits(width) + "]"
-
-
-def _map_literal(so: Superoperator, form) -> str:
-    """The literal of a map whose ``monomial`` form is ``form``, the bytes
-    :func:`format_matrix` gives for its dense matrix. A monomial 0/1 matrix
-    is written into a copy of the zero literal, a 1 at byte
-    1 + 3(row * d + col) for each entry; any other monomial matrix word by
-    word from its form, every entry off the form ``0``; neither forms a
-    dense array. A matrix without a form goes through
-    :func:`format_matrix`."""
-    if form is None:
-        return format_matrix(so.matrix)
-    rows, cols, values = form
-    d = so.dim
-    if not (values == 1).all():
-        unique, inverse = np.unique(values, return_inverse=True)
-        words = np.full(d * d, "0", dtype=object)
-        words[rows * d + cols] = _words(unique)[inverse]
-        return _joined(words.reshape(d, d))
-    buf = bytearray(_zero_literal(d), "ascii")
-    np.frombuffer(buf, dtype=np.uint8)[1 + 3 * (rows * d + cols)] = _ONE
-    return buf.decode("ascii")
+def _literal(shape: tuple[int, int], flat: np.ndarray, values: np.ndarray) -> str:
+    """The literal, without its brackets, of the matrix of ``shape`` whose
+    nonzero entries are ``values`` at the ascending row-major positions
+    ``flat``: the zero literal with each value's word in place of the ``0``
+    at byte 3 * flat[i]. When every value is 1 each word is one byte, so
+    one scatter writes them into a copy of the zero literal; otherwise the
+    zero literal's slices between the nonzeros are joined with their
+    words, each distinct value formatted once (a NaN, equal to nothing,
+    on its own)."""
+    zero = _zero_literal(*shape)
+    at = 3 * flat
+    if (values == 1).all():
+        buf = bytearray(zero, "ascii")
+        np.frombuffer(buf, dtype=np.uint8)[at] = _ONE
+        return buf.decode("ascii")
+    word = lru_cache(maxsize=None)(format_number)
+    pieces, start = [], 0
+    for i, v in zip(at.tolist(), values.tolist()):
+        pieces += (zero[start:i], word(v))
+        start = i + 1
+    pieces.append(zero[start:])
+    return "".join(pieces)
 
 
 def _constant_pool(q: Qmc) -> tuple[list[tuple[str, str]], list[str], list[str]]:
     """Name every distinct matrix: U1.. for chain steps in first-use order,
     M0..M{2^h-1} for the measurement branches. Two maps share a name exactly
-    when their keys (:meth:`Superoperator._bytes_key`) are equal: both have
-    an index form of equal bytes, or neither has one and their dense arrays
-    have equal bytes. The key is computed once per map object. Returns the
-    declarations (name, literal) and the constant name of each step and of
+    when their nonzero entries (:meth:`Superoperator._nonzeros`) have equal
+    positions and equal value bytes; each map's nonzeros are read once, and
+    its literal is written from them. Returns the declarations (name,
+    literal without brackets) and the constant name of each step and of
     each branch."""
     names: dict[tuple, str] = {}
     decls: list[tuple[str, str]] = []
@@ -180,10 +168,11 @@ def _constant_pool(q: Qmc) -> tuple[list[tuple[str, str]], list[str], list[str]]
 
     def declare(so: Superoperator, cname: str) -> str:
         if id(so) not in named:
-            key, form = so._bytes_key()
+            flat, values = so._nonzeros()
+            key = flat.tobytes(), values.tobytes()
             if key not in names:
                 names[key] = cname
-                decls.append((cname, _map_literal(so, form)))
+                decls.append((cname, _literal((so.dim, so.dim), flat, values)))
             named[id(so)] = names[key]
         return named[id(so)]
 
@@ -212,7 +201,7 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
              f"// {name}: {q.k}-wire register, {n} chain step(s), "
              f"{count} measurement branch(es) (h={q.h})\n"]
     for cname, literal in decls:
-        parts += ("const matrix ", cname, " = ", literal, ";\n")
+        parts += ("const matrix ", cname, " = [", literal, "];\n")
     parts.append(f"\nmodule {name}\n  s: [0..{top}] init 0;\n\n")
     parts += (f"  [] (s = {i}) -> <<{cname}>> : (s' = {i + 1});\n"
               for i, cname in enumerate(step_names))
@@ -300,7 +289,7 @@ def _parse_bits(literal: str) -> Superoperator | None:
     column holding two 1s.
 
     The layout holds exactly when every digit is a 0 or a 1 and every other
-    byte is the zero literal's: one comparison with the cached zero digits.
+    byte is the zero literal's: one comparison with the cached zero literal.
     Entry i then sits at byte 3i and no other byte is a 1, so the 1s of a
     literal holding at most ``_FIND_ONES`` of them are found by
     ``str.find``, each search starting 3 bytes past the last 1; in a literal
@@ -310,7 +299,7 @@ def _parse_bits(literal: str) -> Superoperator | None:
     """
     count, rest = divmod(len(literal) + 2, 3)
     width = math.isqrt(count)
-    if rest or width * width != count or literal.replace("1", "0") != _zero_digits(width):
+    if rest or width * width != count or literal.replace("1", "0") != _zero_literal(width, width):
         return None
     index, ones = _shared_form(width)
     flat: list[int] = []

@@ -30,7 +30,9 @@ Each form is handed to :meth:`Superoperator._indexed
 Only a run holding a gate with two nonzeros in a row or column (H, RX, RY)
 is formed dense, as ``tensor`` gathered by permuted basis indices.
 
-The constant pool keys an index-built step on its form's bytes (see
+A gate matrix's index form comes from the same scan
+``Superoperator.monomial`` makes of a dense array. The constant pool keys a
+step on its nonzeros, which an index-built step reads from its form (see
 :mod:`qmcforge.qmc`). Equal padded runs, fused steps, swaps and undos are
 built once per call and shared.
 """
@@ -44,7 +46,7 @@ import numpy as np
 
 from .circuit import Circuit, Node
 from .linalg import _permute_indices, swap_decomposition, tensor
-from .qmc import Superoperator, _map_census
+from .qmc import Superoperator, _map_census, _monomial_form
 
 __all__ = ["SnfCircuit", "SwapAccount", "translate"]
 
@@ -190,20 +192,11 @@ def _once(made: dict, key: tuple, build, *args) -> Superoperator:
     return made[key]
 
 
-def _gate_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The index form of a gate matrix, rows ascending; None when a row or
-    a column holds two nonzeros."""
-    rows, cols = np.nonzero(m)
-    if len(set(rows.tolist())) < rows.size or len(set(cols.tolist())) < cols.size:
-        return None
-    return rows, cols, m[rows, cols]
-
-
 def _padded(bases: tuple[np.ndarray, ...], k: int) -> Superoperator:
     """``tensor(*bases, I)`` on the k-wire register, index-built when every
     base is monomial."""
     eye = 2 ** k // int(np.prod([b.shape[0] for b in bases]))
-    forms = [_gate_form(b) for b in bases]
+    forms = [_monomial_form(b) for b in bases]
     if any(form is None for form in forms):
         return Superoperator(tensor(*bases, np.eye(eye, dtype=np.complex128)))
     span = np.arange(eye)

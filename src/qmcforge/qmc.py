@@ -25,12 +25,15 @@ checks, stores the form through one constructor,
 ``Superoperator._indexed``, which puts it in row order and marks it
 read-only. ``Superoperator.matrix`` materializes the dense array on first
 read and keeps it, and from then on that array is the only truth:
-``monomial`` derives the form by one scan of it on every read and caches
-nothing, so a write into ``matrix`` in place reaches every reader, the row
-check included.
+``monomial`` derives the form by one scan of it on every read
+(``_monomial_form``, the scan ``translate`` also reads gate matrices with)
+and caches nothing, so a write into ``matrix`` in place reaches every
+reader, the row check included.
 
-The constant pool keys a map on the data it stores: a monomial map on its
-index form's bytes, any other map on its dense bytes.
+The constant pool keys a map on its nonzero entries, ``_nonzeros``: their
+row-major positions and values, from the index form while there is one and
+else from one scan of the dense array. It writes the map's literal from
+the same two arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +58,23 @@ __all__ = ["Superoperator", "Qmc", "RowViolation", "build_qmc",
            "verify_row_stochasticity"]
 
 log = logging.getLogger(__name__)
+
+
+def _monomial_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The index form (rows, cols, values), rows ascending, of a square
+    matrix with at most one nonzero per row and per column, all of them
+    finite; otherwise None."""
+    d = m.shape[0]
+    flat = np.flatnonzero(m)
+    if flat.size > d:
+        return None
+    rows, cols = np.divmod(flat, d)
+    if np.bincount(rows, minlength=d).max() > 1 or np.bincount(cols, minlength=d).max() > 1:
+        return None
+    values = m[rows, cols]
+    if not np.isfinite(values).all():
+        return None
+    return rows, cols, values
 
 
 class Superoperator:
@@ -162,27 +182,19 @@ class Superoperator:
         a write into ``matrix`` is never missed."""
         if self._dense is None:
             return self._index
-        m = self._dense
-        flat = np.flatnonzero(m != 0)
-        if flat.size > self._dim:
-            return None
-        rows, cols = np.divmod(flat, self._dim)
-        if (np.bincount(rows, minlength=self._dim).max() > 1
-                or np.bincount(cols, minlength=self._dim).max() > 1):
-            return None
-        values = m[rows, cols]
-        if not np.isfinite(values).all():
-            return None
-        return rows, cols, values
+        return _monomial_form(self._dense)
 
-    def _bytes_key(self) -> tuple[tuple, tuple | None]:
-        """(key, ``monomial``): a monomial map's key is its index form's
-        bytes (rows, cols and values), any other map's its dense bytes, so
-        an index-built map is not densified."""
-        form = self.monomial
-        if form is None:
-            return ("dense", self._dense.tobytes()), None
-        return ("index", *(a.tobytes() for a in form)), form
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, values): the ascending row-major positions and the values
+        of the nonzero entries, read from the index form while there is one
+        (``rows * d + cols``, rows being in order) and else by one scan of
+        ``matrix``; neither densifies the map. The constant pool keys a map
+        on their bytes and writes its literal from them."""
+        if self._dense is None:
+            rows, cols, values = self._index
+            return rows * self._dim + cols, values
+        flat = np.flatnonzero(self._dense)
+        return flat, self._dense.ravel()[flat]
 
     @property
     def kraus(self) -> tuple[np.ndarray]:

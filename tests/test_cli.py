@@ -301,6 +301,10 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
     # over the 4,300 digits int() converts: was exit 1 and a traceback
     (["simulate", "{circuit}", "--state-file", "{state}"],
      "[[" + "1" * 5000 + ", 0], [0, 0], [0, 0], [0, 0]]"),
+    (["simulate", "{circuit}", "--input", ""], None),
+    (["simulate", "{circuit}", "--input", "00", "--state-file", "{state}"],
+     "[[1, 0], [0, 0], [0, 0], [0, 0]]"),
+    (["simulate", "{circuit}", "--state-file", ""], None),
     (["bench", "--sizes", "x..3"], None),
     (["bench", "--sizes", "5..3"], None),
     (["bench", "--sizes", "4..13"], None),
@@ -320,7 +324,8 @@ def test_bench_size_list_spelling(tmp_path, capsys, monkeypatch):
     ([], None),
     (["frob"], None),
 ], ids=["state-triple", "state-object", "state-string", "state-nan",
-        "state-overflow", "state-too-deep", "state-5000-digits", "sizes-not-int",
+        "state-overflow", "state-too-deep", "state-5000-digits", "input-empty",
+        "input-and-state-file", "state-file-empty", "sizes-not-int",
         "sizes-empty", "sizes-past-12", "sizes-list-past-12", "runs-zero", "random-negative",
         "tol-nan", "tol-inf", "tol-negative", "seed-negative",
         "name-newline", "name-empty", "tol-not-a-number", "strategy-unknown",

@@ -75,9 +75,26 @@ _POOL = [0.0, -0.0, 0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0), 1.0, -1.0,
          complex(3.0, 1e15), 0.1, 1 / 3]
 
 
-@settings(max_examples=200, deadline=None)
-@given(m=arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=6),
-                elements=st.sampled_from(_POOL)))
+@st.composite
+def _sparse_non_monomial(draw):
+    """A mostly-zero matrix of ``_POOL`` entries with two nonzeros in one
+    row, or, as a transposed view, in one column."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(2, 12))
+    m = np.zeros((rows, cols), dtype=np.complex128)
+    for _ in range(draw(st.integers(0, 4))):
+        m[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = \
+            draw(st.sampled_from(_POOL))
+    nonzero = st.sampled_from([v for v in _POOL if v != 0])
+    row = draw(st.integers(0, rows - 1))
+    at = draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=2, unique=True))
+    m[row, at] = [draw(nonzero), draw(nonzero)]
+    return m.T if draw(st.booleans()) else m
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                          elements=st.sampled_from(_POOL)),
+                   _sparse_non_monomial()))
 def test_format_matrix_matches_per_entry_definition(m):
     assert format_matrix(m) == _format_matrix_per_entry(m)
 
@@ -103,8 +120,8 @@ def test_emit_rejects_nan_chain():
 
 
 def test_format_matrix_formats_each_nan_on_its_own(monkeypatch):
-    # np.unique's default equal_nan would fold nan+0j and 1+nanj into one
-    # word; with a formatter that tells them apart, every NaN must keep its own
+    # a NaN equals nothing, so with a formatter that tells nan+0j and 1+nanj
+    # apart, every NaN must keep its own word
     monkeypatch.setattr(emit, "format_number", lambda v: repr(complex(v)))
     m = np.array([[complex(np.nan, 0), 1, complex(1, np.nan)],
                   [complex(np.nan, 0), complex(0, np.nan), 1]])
@@ -119,18 +136,21 @@ def test_format_matrix_refuses_more_than_two_dimensions(shape):
 
 
 @settings(max_examples=150, deadline=None)
-@given(dim=st.sampled_from([1, 2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1),
+@given(dim=st.sampled_from([1, 2, 4, 8, 16, 32]), seed=st.integers(0, 2 ** 32 - 1),
        values=st.lists(st.sampled_from([v for v in _POOL if v != 0]), min_size=1, max_size=3))
 def test_map_literal_of_a_form_equals_the_dense_literal(dim, seed, values):
-    # a monomial map of any values is written from its form, as format_matrix
-    # writes its dense matrix
+    # a monomial map of any values is written from its form's nonzeros as
+    # every entry formatted on its own writes its dense matrix, and a dense
+    # copy's nonzeros give the same literal
     rng = np.random.default_rng(seed)
     count = int(rng.integers(0, dim + 1))
     so = Superoperator.from_index(dim, rng.choice(dim, count, replace=False),
                                   rng.choice(dim, count, replace=False),
                                   rng.choice(np.array(values, dtype=np.complex128), count))
-    form = so.monomial
-    assert emit._map_literal(so, form) == format_matrix(so.matrix)
+    literal = emit._literal((dim, dim), *so._nonzeros())
+    assert so._dense is None
+    assert f"[{literal}]" == _format_matrix_per_entry(so.matrix)
+    assert emit._literal((dim, dim), *Superoperator(so.matrix.copy())._nonzeros()) == literal
 
 
 def test_golden_single_gate_model():
@@ -593,7 +613,13 @@ def test_swaps_as_gates_model_is_unchanged_by_the_bit_path(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "77ead1087d3a91519f94c02473c9d9ce317240ecd4a3c52a7eab56ef78784c7e"
     fast = reparse_model(text)
-    monkeypatch.setattr(emit, "_map_literal", lambda so, form: format_matrix(so.matrix))
+
+    def per_entry(shape, flat, values):
+        m = np.zeros(shape, dtype=values.dtype)
+        m.reshape(-1)[flat] = values
+        return _format_matrix_per_entry(m)[1:-1]
+
+    monkeypatch.setattr(emit, "_literal", per_entry)
     monkeypatch.setattr(emit, "_parse_bits", lambda literal: None)
     assert emit_qpmc(q) == text
     slow = reparse_model(text)
@@ -678,11 +704,11 @@ def _monomial_bits(draw, widths=st.integers(1, 9)):
 def test_index_literal_matches_the_byte_path(form):
     width, rows, cols = form
     so = Superoperator.from_index(width, rows, cols, np.ones(rows.size))
-    literal = emit._map_literal(so, so.monomial)
-    assert literal == _fixed_width(so.matrix) == format_matrix(so.matrix)
-    # a dense monomial array is written from its scan the same way
+    literal = emit._literal((width, width), *so._nonzeros())
+    assert f"[{literal}]" == _fixed_width(so.matrix) == format_matrix(so.matrix)
+    # a dense array is written from its scan's nonzeros the same way
     dense = Superoperator(so.matrix.conj())  # -0j in every imaginary part
-    assert emit._map_literal(dense, dense.monomial) == literal
+    assert emit._literal((width, width), *dense._nonzeros()) == literal
 
 
 @st.composite
@@ -751,10 +777,11 @@ def test_swap_undo_steps_keep_their_own_constants():
 
 @st.composite
 def _pool_maps(draw):
-    """Maps of one width that the constant pool must tell apart by the data
-    they store: index-built forms, dense copies of them, dense copies with
-    a signed zero written somewhere, transposed views and a map with two
-    nonzeros in a row."""
+    """Maps of one width for the constant pool to key on their nonzeros:
+    index-built forms, dense copies of them, transposed views, maps with two
+    nonzeros in a row, any dense one possibly with a signed zero written
+    somewhere, and dense copies of the map before with a signed zero
+    written, which must share its constant."""
     dim = 2 ** draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     maps = []
@@ -766,37 +793,34 @@ def _pool_maps(draw):
                                        np.exp(1j * np.arange(count))]))
         dense = np.zeros((dim, dim), dtype=np.complex128)
         dense[rows, cols] = values
-        kind = draw(st.sampled_from(["index", "dense", "signed", "view", "two"]))
+        kind = draw(st.sampled_from(["index", "dense", "view", "two", "again"]))
         if kind == "index":
             maps.append(Superoperator.from_index(dim, rows, cols, values))
             continue
-        if kind == "signed":
-            zeros = np.argwhere(dense == 0)
-            if zeros.size:
-                dense[tuple(zeros[draw(st.integers(0, len(zeros) - 1))])] = \
-                    draw(st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0)]))
-        elif kind == "view":
-            dense = dense.T.copy().T
+        if kind == "again" and maps:
+            dense = maps[-1]._form().copy()
         elif kind == "two" and dim > 1:
             dense[0, :2] = 1
+        zeros = np.argwhere(dense == 0)
+        if zeros.size and draw(st.booleans()):
+            dense[tuple(zeros[draw(st.integers(0, len(zeros) - 1))])] = \
+                draw(st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0)]))
+        if kind == "view":
+            dense = dense.T.copy().T
         maps.append(Superoperator(dense))
     return maps
 
 
 def _reference_pool_key(m: np.ndarray) -> tuple:
-    """A monomial matrix's (rows, cols, values) bytes, entries in row order;
-    any other matrix's dense bytes."""
-    rows, cols = np.nonzero(m)
-    if len(set(rows.tolist())) < rows.size or len(set(cols.tolist())) < cols.size:
-        return ("dense", m.tobytes())
-    return ("index", rows.tobytes(), cols.tobytes(), m[rows, cols].tobytes())
+    """The (row, col, value bytes) of each nonzero entry, in row-major order."""
+    return tuple((r, c, np.complex128(v).tobytes()) for (r, c), v in np.ndenumerate(m) if v != 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(maps=_pool_maps())
-def test_pool_key_is_equal_exactly_when_the_stored_data_is(maps):
+def test_pool_key_is_equal_exactly_when_the_nonzeros_are(maps):
     indexed = [so._dense is None for so in maps]
-    keys = [so._bytes_key()[0] for so in maps]
+    keys = [tuple(a.tobytes() for a in so._nonzeros()) for so in maps]
     # reading the keys densified no index-built map
     assert [so._dense is None for so in maps] == indexed
     reference = [_reference_pool_key(so.matrix) for so in maps]
@@ -806,6 +830,9 @@ def test_pool_key_is_equal_exactly_when_the_stored_data_is(maps):
             assert (keys[a] == keys[b]) == (reference[a] == reference[b])
             # maps that share a constant have one literal
             assert keys[a] != keys[b] or literals[a] == literals[b]
+    # the pool names one constant per distinct key
+    q = Qmc(maps[0].dim.bit_length() - 1, 0, tuple(maps[:-1]), (maps[-1],))
+    assert emit_qpmc(q).count("\nconst matrix ") == len(set(keys))
 
 
 # --- model text under edits ----------------------------------------------------

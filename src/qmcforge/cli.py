@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .circuit import Circuit
-from .config import DEFAULT_TOL, MAX_QUBITS, check_tolerance
+from .config import DEFAULT_TOL, MAX_KET_AMPLITUDES, MAX_QUBITS, check_tolerance
 from .emit import emit_qpmc, reparse_model
-from .errors import QmcForgeError, SizeOutOfRange
+from .errors import QmcForgeError, SizeOutOfRange, echo
 from .evaluate import check_equivalence, random_kets, run_qmc
 from .normalize import translate
 from .parser import parse_circuit
@@ -180,6 +180,10 @@ def cmd_verify(args) -> int:
         q = reparse_model(_read_text(args.against))
     else:
         c, s, _, q = _compile(args)
+    most = MAX_KET_AMPLITUDES >> c.k
+    if args.random > most:
+        raise SizeOutOfRange(f"--random wants at most {most} kets of {c.k} wires "
+                             f"(4^{MAX_QUBITS} amplitudes), got {echo(str(args.random), str)}")
     inputs = list(np.eye(2 ** c.k, dtype=np.complex128))
     if args.random:
         rng = np.random.default_rng(args.seed)

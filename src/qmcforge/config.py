@@ -12,6 +12,7 @@ infinite one passes every check.
 ``MAX_QUBITS`` caps the register width. A chain step is a dense 2^k square
 matrix, so the parser rejects a wider ``qubits`` line before anything is
 allocated; it is a constant of the package, not a setting.
+``MAX_KET_AMPLITUDES`` bounds the random kets ``verify --random`` draws.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 MAX_QUBITS = 12
+
+# ``verify --random N`` stacks N kets of 2^k amplitudes. N * 2^k is held to
+# 4^MAX_QUBITS, the size of one dense chain step at the register cap: an
+# array the package must hold anyway, and the size of the basis block of
+# the widest register.
+MAX_KET_AMPLITUDES = 4 ** MAX_QUBITS
 
 
 def check_tolerance(tol, name: str) -> None:

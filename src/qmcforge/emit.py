@@ -26,41 +26,29 @@ inside its brackets. Any other literal (phases, -1, dense H steps) is joined
 from the zero literal's slices between the nonzeros and their words, each
 distinct value formatted once. No writer forms a word per zero.
 
-Reparse takes the fixed-width path only for a literal of exactly the 0/1
-layout and a square entry count, which holds exactly when the text inside
-its brackets, with every ``1`` replaced by ``0``, is the cached zero literal
-of its width; its 1s are then located by ``str.find`` (one numpy scan reads
-a literal holding more than a few), and when no row and no column holds
-two of them it becomes an index-built map. Everything else (a 0/1 literal with
-two 1s in a row or column, which no map of a trace-preserving row can be,
-other values, NaN, any literal spaced or separated differently) goes
-through the per-value path, whose arrays and error messages the byte path
-reproduces exactly.
+Reparse reads one dialect: the lines :func:`emit_qpmc` writes, each
+spelled as it writes them, in its order. Only ``"\\n"`` ends a line; each
+line is found by ``str.find("\\n")`` and dropped once the next is read, so
+no list of every line is held. A line may end in ``"\\r\\n"``, a trailing
+``//`` comment and trailing spaces or tabs, and blank and comment-only lines
+may stand anywhere; nothing else is cut or skipped. What is left of a line
+is then the ``qmc`` header, a constant line, ``module NAME``, the indented
+state variable, an indented command or ``endmodule``, matched whole: names
+are ASCII identifiers, state numbers ASCII digits with no leading zero.
+Any other line is a ReparseError naming it.
 
-Each pass reparse makes over a constant line is a memchr-speed search, a
-copy or a comparison, none of them Python code per byte. It reads the text
-one line at a time, each found by ``str.find("\\n")`` and dropped once the
-next is read, so no list of every line is held. The lines are those of
-``str.splitlines``, which also ends a line at ``\\r``, ``\\x0b``,
-``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``.
-
-The exact lines :func:`emit_qpmc` writes are each read by one match on the
-raw line: a step, fan-out or ``-> true`` line inside the module by one
-``fullmatch`` (the fan-out's terms then by one ``findall``), a comment-only
-line by ``str.isprintable`` (no line boundary is printable), and a
-constant line by the regex over its ``const matrix NAME = [`` head, its
-``];`` ending and the fixed-width check of its literal, which is sliced
-only when its size is that of a power-of-two width. None of those
-characters is a line boundary, so such a line is known to be a line of
-``str.splitlines`` too. Every other line (any other spelling, indentation
-or trailing comment, a literal of any other width or values, and a line in
-a state where the general code raises) is screened for the other
-boundaries; the first holding one has the text re-read by
-``str.splitlines`` from its start, which cuts every earlier line as
-``str.find`` did. The line is then read by the general per-line code, which
-looks for a ``//`` comment only in a line holding a ``/``. Both paths run
-the same checks in the same order, so the chains, the error messages and
-their line numbers do not depend on which path a line took.
+A literal of exactly the 0/1 layout and a square entry count, which holds
+exactly when the text inside its brackets, with every ``1`` replaced by
+``0``, is the cached zero literal of its width, has its 1s located by
+``str.find`` (one numpy scan reads a literal holding more than a few), and
+when no row and no column holds two of them it becomes an index-built map.
+Any other literal is split at the ``; `` and ``, `` separators and each
+distinct token is read once; a token is accepted only when
+:func:`format_number` writes its value back as the same token, so ``1.0``,
+``01``, ``+1`` or a fullwidth ``1`` is a bad numeric entry. A token that
+reads as NaN or an infinity is reported by its row and column. Each pass
+reparse makes over a constant line is a memchr-speed search, a copy or a
+comparison, none of them Python code per byte.
 
 Constants are named once per distinct map, keyed on its nonzeros: two maps
 share a constant exactly when their nonzero positions and values have equal
@@ -72,12 +60,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Generator
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
 
-from .config import MAX_QUBITS
 from .errors import DimensionMismatch, QmcForgeError, ReparseError, echo
 from .linalg import check_finite
 from .qmc import Qmc, Superoperator, _log_maps, verify_row_stochasticity
@@ -218,34 +205,40 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
 
 # --- reparse ---------------------------------------------------------------
 
-_MODULE_RE = re.compile(rf"^module ({_NAME_RE.pattern})$")
-_CONST_HEAD_RE = re.compile(r"const matrix (\w+) = \[")
-_VAR_RE = re.compile(r"^s: \[0\.\.(\d+)\] init 0;$")
-_STEP_RE = re.compile(r"^\[\] \(s = (\d+)\) -> (.*);$")
-_ACTION_RE = re.compile(r"<<(\w+)>> : \(s' = (\d+)\)")
-# the exact command lines emit_qpmc writes, each matched whole on the raw
-# line; none of their characters is a line boundary
-_ACTION = r"<<\w+>> : \(s' = \d+\)"
-_COMMAND_LINE = re.compile(rf"  \[\] \(s = (\d+)\) -> (true|{_ACTION}(?: \+ {_ACTION})*);")
-# the line boundaries of str.splitlines other than "\n"
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# the lines emit_qpmc writes: names are ASCII identifiers, state numbers
+# ASCII digits with no leading zero
+_NUMBER = r"0|[1-9][0-9]*"
+_MODULE_RE = re.compile(rf"module ({_NAME_RE.pattern})")
+_CONST_HEAD_RE = re.compile(rf"const matrix ({_NAME_RE.pattern}) = \[")
+_VAR_RE = re.compile(rf"  s: \[0\.\.({_NUMBER})\] init 0;")
+_ACTION = rf"<<({_NAME_RE.pattern})>> : \(s' = ({_NUMBER})\)"
+_ACTION_RE = re.compile(_ACTION)
+_COMMAND_RE = re.compile(rf"  \[\] \(s = ({_NUMBER})\) -> (true|{_ACTION}(?: \+ {_ACTION})*);")
 
 
 def _parse_entry(token: str, where: str) -> complex:
-    token = token.strip()
+    """The value of one literal token spelled as :func:`format_number`
+    spells it. A token that reads as NaN or an infinity, which has no
+    spelling, is returned for the caller to report by its position; any
+    other token is a bad numeric entry unless format_number writes its
+    value back as the same token."""
     try:
         if not token.endswith("i"):
-            return complex(float(token), 0.0)
-        body = token[:-1]
-        split = None
-        for idx in range(1, len(body)):
-            if body[idx] in "+-" and body[idx - 1] not in "eE":
-                split = idx
-        if split is None:
-            return complex(0.0, float(body))
-        return complex(float(body[:split]), float(body[split:]))
+            value = complex(float(token), 0.0)
+        else:
+            body = token[:-1]
+            split = None
+            for idx in range(1, len(body)):
+                if body[idx] in "+-" and body[idx - 1] not in "eE":
+                    split = idx
+            value = complex(0.0, float(body)) if split is None else \
+                complex(float(body[:split]), float(body[split:]))
     except ValueError:
-        raise ReparseError(f"{where}: bad numeric entry {echo(token)}") from None
+        value = None
+    if value is None or (math.isfinite(value.real) and math.isfinite(value.imag)
+                         and format_number(value) != token):
+        raise ReparseError(f"{where}: bad numeric entry {echo(token)}")
+    return value
 
 
 def _parse_matrix(literal: str, where: str) -> Superoperator:
@@ -276,11 +269,6 @@ def _shared_form(width: int) -> tuple[np.ndarray, np.ndarray]:
     index.setflags(write=False)
     ones.setflags(write=False)
     return index, ones
-
-
-# the size of a fixed-width literal of each power-of-two width up to the
-# register limit
-_POWER_OF_TWO_BITS = frozenset(3 * 4 ** j - 2 for j in range(MAX_QUBITS + 1))
 
 
 def _parse_bits(literal: str) -> Superoperator | None:
@@ -327,16 +315,18 @@ def _parse_bits(literal: str) -> Superoperator | None:
 
 
 def _parse_tokens(literal: str, where: str) -> np.ndarray:
-    """Parse each distinct raw token once, in row-major order of first use
-    (so the first bad token is the one reported), then build the array from
-    the cached values."""
-    rows = literal.split(";")
-    tokens = literal.replace(";", ",").split(",")
+    """The array of a literal split at the ``; `` and ``, `` separators
+    :func:`emit_qpmc` writes, each distinct token read once, in row-major
+    order of first use (so the first bad token is the one reported)."""
+    rows = literal.split("; ")
+    # neither separator's end begins the other, so this cuts where
+    # splitting each row at ", " does
+    tokens = literal.replace("; ", ", ").split(", ")
     values = dict.fromkeys(tokens)
     for token in values:
         values[token] = _parse_entry(token, where)
-    width = rows[0].count(",") + 1
-    if any(row.count(",") + 1 != width for row in rows):
+    width = rows[0].count(", ") + 1
+    if any(row.count(", ") + 1 != width for row in rows):
         raise ReparseError(f"{where}: ragged matrix rows")
     if len(rows) != width:
         raise ReparseError(f"{where}: matrix is {len(rows)}x{width}, expected square")
@@ -351,27 +341,17 @@ def _parse_tokens(literal: str, where: str) -> np.ndarray:
     return m
 
 
-def _lines(text: str) -> Generator[str, bool | None, None]:
-    """The lines of ``text``, one at a time, each found by ``str.find("\\n")``,
-    which runs at memchr speed where ``str.split`` reads one character at a
-    time; no list of every line is formed.
-
-    They are the lines of ``text.splitlines()`` up to the first line
-    holding another boundary of ``_OTHER_BREAKS``. A reader that finds one
-    in the line it was given sends True: the generator then re-reads the
-    text from that line's start with ``str.splitlines`` and yields, as the
-    reply to the send, that line as ``str.splitlines`` cuts it, then the
-    lines after it. Every line before it ended at a ``"\\n"`` with no
-    ``"\\r"`` before it, so both readers cut the text up to there alike.
-    """
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each ended by ``"\\n"`` alone, one at a time:
+    each is found by ``str.find("\\n")``, which runs at memchr speed where
+    ``str.split`` reads one character at a time, and no list of every line
+    is formed."""
     start, size = 0, len(text)
     while start < size:  # a final "\n" ends the last line and opens no other
         end = text.find("\n", start)
         if end < 0:
             end = size
-        if (yield text[start:end]):
-            yield from text[start:].splitlines()
-            return
+        yield text[start:end]
         start = end + 1
 
 
@@ -384,82 +364,49 @@ def _state_number(digits: str, lineno: int) -> int:
         raise ReparseError(f"line {lineno}: state number of {len(digits)} digits") from None
 
 
-def _action(term: str, lineno: int) -> tuple[str, str]:
-    """The (constant, target digits) of one ``<<NAME>> : (s' = N)`` term."""
-    am = _ACTION_RE.fullmatch(term.strip())
-    if not am:
-        raise ReparseError(f"line {lineno}: unrecognized action {echo(term)}")
-    return am.groups()
-
-
 def reparse_model(text: str) -> Qmc:
     """Parse emitter-produced model text back into a chain.
 
-    Accepts exactly the structure :func:`emit_qpmc` writes (the ``qmc``
-    header once, before anything else; constants before the module, each one
-    used; one module holding the state variable once; a linear chain, one
-    measurement fan-out, terminal self-loops) and raises ReparseError, with
-    the offending line or the first state :func:`verify_row_stochasticity`
-    reports, on anything else. Comments, blank lines and indentation are ignored.
+    Reads the lines :func:`emit_qpmc` writes, each spelled as it writes
+    them and in its order (the ``qmc`` header once, before anything else;
+    constants before the module, each one used; one module holding the
+    state variable once, before its commands; a linear chain, one
+    measurement fan-out, terminal self-loops). Only ``"\\n"`` ends a line;
+    a line may end in ``"\\r\\n"``, a ``//`` comment and spaces or tabs, and
+    blank and comment-only lines may stand anywhere. Any other line raises
+    ReparseError naming it. A missing or unused part, a chain of the wrong
+    shape and the first state :func:`verify_row_stochasticity` reports
+    raise it too.
     """
     consts: dict[str, Superoperator] = {}
     commands: dict[int, list[tuple[str, int]] | None] = {}
     top = None
     in_module = seen_module = seen_header = False
 
-    # the per-line checks both paths share; each message names its line
-
-    def command(guard_digits: str, terms, lineno: int) -> None:
-        """Record guard -> the (constant, target digits) pairs of ``terms``,
-        or None for a self-loop, read and checked term by term."""
-        guard = _state_number(guard_digits, lineno)
-        if guard in commands:
-            raise ReparseError(f"line {lineno}: duplicate guard s = {guard}")
-        if terms is None:
-            commands[guard] = None
-            return
-        actions = []
-        for cname, digits in terms:
-            target = _state_number(digits, lineno)
-            if cname not in consts:
-                raise ReparseError(f"line {lineno}: unknown constant {echo(cname, str)}")
-            actions.append((cname, target))
-        commands[guard] = actions
-
-    def declare(name: str, lineno: int) -> None:
-        """Check that constant ``name`` may be declared at ``lineno``."""
-        if seen_module:
-            raise ReparseError(f"line {lineno}: constant {echo(name, str)} after the module line")
-        if name in consts:
-            raise ReparseError(f"line {lineno}: duplicate constant {echo(name, str)}")
-
-    lines = _lines(text)
-    for lineno, raw in enumerate(lines, start=1):
-        # the lines emit_qpmc writes, each read by one match on the raw line;
-        # a match, or a valid 0/1 literal, holds no other line boundary
-        m = _COMMAND_LINE.fullmatch(raw) if in_module else None
-        if m:
-            rhs = m.group(2)
-            command(m.group(1), None if rhs == "true" else _ACTION_RE.findall(rhs), lineno)
-            continue
-        # a literal of a power-of-two width, sliced only when its size fits
-        m = _CONST_HEAD_RE.match(raw) if seen_header and raw.endswith("];") else None
-        if m and len(raw) - m.end() - 2 in _POWER_OF_TWO_BITS:
-            so = _parse_bits(raw[m.end():-2])
-            if so is not None:
-                declare(m.group(1), lineno)
-                consts[m.group(1)] = so
-                continue
-        # no line boundary is printable
-        if raw.startswith("//") and raw.isprintable():
-            continue
-        # any other line is screened, and the first holding another boundary
-        # has the rest of the text re-read by str.splitlines
-        if any(ch in raw for ch in _OTHER_BREAKS):
-            raw = lines.send(True)
+    for lineno, line in enumerate(_lines(text), start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
         # most lines hold no "/", and a one-character search is memchr fast
-        line = (raw if raw.find("/") < 0 else raw.split("//", 1)[0]).strip()
+        if "/" in line:
+            line = line.split("//", 1)[0]
+        line = line.rstrip(" \t")
         if not line:
+            continue
+        m = _COMMAND_RE.fullmatch(line) if in_module else None
+        if m:
+            guard = _state_number(m.group(1), lineno)
+            if guard in commands:
+                raise ReparseError(f"line {lineno}: duplicate guard s = {guard}")
+            if m.group(2) == "true":
+                commands[guard] = None
+                continue
+            actions = []
+            for cname, digits in _ACTION_RE.findall(m.group(2)):
+                target = _state_number(digits, lineno)
+                if cname not in consts:
+                    raise ReparseError(f"line {lineno}: unknown constant {echo(cname, str)}")
+                actions.append((cname, target))
+            commands[guard] = actions
             continue
         where = f"line {lineno}"
         if not seen_header:
@@ -469,21 +416,18 @@ def reparse_model(text: str) -> Qmc:
             continue
         if line == "qmc":
             raise ReparseError(f"{where}: repeated qmc header")
-        # no other kind of line matches this regex
-        m = _STEP_RE.match(line)
-        if m and in_module:
-            rhs = m.group(2).strip()
-            command(m.group(1), None if rhs == "true" else
-                    (_action(term, lineno) for term in rhs.split(" + ")), lineno)
-            continue
         # a constant line is "const matrix NAME = [" + literal + "];": the
         # regex reads the head only, not the literal
         m = _CONST_HEAD_RE.match(line) if line.endswith("];") else None
         if m:
-            declare(m.group(1), lineno)
-            consts[m.group(1)] = _parse_matrix(line[m.end():-2], where)
+            name = m.group(1)
+            if seen_module:
+                raise ReparseError(f"{where}: constant {echo(name, str)} after the module line")
+            if name in consts:
+                raise ReparseError(f"{where}: duplicate constant {echo(name, str)}")
+            consts[name] = _parse_matrix(line[m.end():-2], where)
             continue
-        m = _MODULE_RE.match(line)
+        m = _MODULE_RE.fullmatch(line)
         if m:
             if seen_module:
                 raise ReparseError(f"{where}: second module {echo(m.group(1), str)}")
@@ -494,16 +438,20 @@ def reparse_model(text: str) -> Qmc:
                 raise ReparseError(f"{where}: endmodule without an open module")
             in_module = False
             continue
-        m = _VAR_RE.match(line)
+        m = _VAR_RE.fullmatch(line)
         if m:
             if not in_module:
                 raise ReparseError(f"{where}: state variable outside the module")
             if top is not None:
                 raise ReparseError(f"{where}: second state variable declaration")
+            if commands:
+                raise ReparseError(f"{where}: state variable after a command")
             top = _state_number(m.group(1), lineno)
             continue
         raise ReparseError(f"{where}: unrecognized line {echo(line)}")
 
+    if not seen_header:
+        raise ReparseError("missing qmc header")
     if in_module:
         raise ReparseError("module is never closed")
     if top is None:

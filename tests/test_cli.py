@@ -345,6 +345,23 @@ def test_bad_arguments_exit_2(argv, state, circuit_file, tmp_path, capsys, monke
     assert captured.err.startswith("error: ")
 
 
+def test_verify_refuses_a_random_count_past_the_ket_bound(circuit_file, capsys, monkeypatch):
+    # 4^12 amplitudes hold 2^22 kets of 2 wires; a larger count once drew
+    # kets until the process was killed, and is refused before any is drawn
+    drawn = []
+    monkeypatch.setattr(cli, "random_kets", lambda k, count, rng: drawn.append(count) or [])
+    for count in (2 ** 22 + 1, 99999999999999999999):
+        assert main(["verify", circuit_file, "--random", str(count)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --random wants at most {2 ** 22} kets of 2 wires (4^12 amplitudes), "
+            f"got {count}"]
+    assert drawn == []
+    assert main(["verify", circuit_file, "--random", str(2 ** 22)]) == 0
+    assert drawn == [2 ** 22]
+
+
 # each of these options was accepted and silently ignored
 @pytest.mark.parametrize("argv", [
     ["validate", "{circuit}", "--strategy", "direct"],

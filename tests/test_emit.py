@@ -308,10 +308,12 @@ def _move_var_line(model: str, old: str, new: str) -> str:
      "line 19: state variable outside the module"),
     (lambda m: m.replace(VAR_LINE, VAR_LINE + VAR_LINE),
      "line 12: second state variable declaration"),
+    (lambda m: _move_var_line(m, "  [] (s = 1)", VAR_LINE + "  [] (s = 1)"),
+     "line 13: state variable after a command"),
     (lambda m: m.replace("qmc\n", "", 1), "line 3: missing qmc header"),
     (lambda m: m.replace("qmc\n", "qmc\nqmc\n", 1), "line 2: repeated qmc header"),
-], ids=["var-before-module", "var-after-endmodule", "var-twice", "header-missing",
-        "header-twice"])
+], ids=["var-before-module", "var-after-endmodule", "var-twice", "var-after-a-command",
+        "header-missing", "header-twice"])
 def test_reparse_requires_one_header_and_one_variable_line(edit, message):
     model = _deutsch_model()
     assert VAR_LINE in model
@@ -323,7 +325,7 @@ def test_reparse_requires_one_header_and_one_variable_line(edit, message):
 @pytest.mark.parametrize("edit, message", [
     (lambda m: m.replace("endmodule\n", "endmodule\nconst matrix Z = [1];\n", 1),
      "line 20: constant Z after the module line"),
-    (lambda m: m.replace(VAR_LINE, VAR_LINE + "  const matrix Z = [1, 0; 0, 1];\n", 1),
+    (lambda m: m.replace(VAR_LINE, VAR_LINE + "const matrix Z = [1, 0; 0, 1];\n", 1),
      "line 12: constant Z after the module line"),
     (lambda m: m.replace("\nmodule model\n", "\nconst matrix Z = [1];\nmodule model\n", 1),
      "constant Z is never used"),
@@ -420,9 +422,9 @@ def _fan_model(branches: int, step: str = "[0, 1; 1, 0]") -> str:
     terms = " + ".join(f"<<M{i % 2}>> : (s' = {i + 2})" for i in range(branches))
     lines = ["qmc", f"const matrix U1 = {step};", "const matrix M0 = [1, 0; 0, 0];",
              "const matrix M1 = [0, 0; 0, 1];", "module model",
-             f"s: [0..{branches + 1}] init 0;", "[] (s = 0) -> <<U1>> : (s' = 1);",
-             f"[] (s = 1) -> {terms};",
-             *(f"[] (s = {i + 2}) -> true;" for i in range(branches)), "endmodule"]
+             f"  s: [0..{branches + 1}] init 0;", "  [] (s = 0) -> <<U1>> : (s' = 1);",
+             f"  [] (s = 1) -> {terms};",
+             *(f"  [] (s = {i + 2}) -> true;" for i in range(branches)), "endmodule"]
     return "\n".join(lines) + "\n"
 
 
@@ -667,7 +669,7 @@ def test_reparse_rejects_trace_increasing_constant_used_twice(monkeypatch):
 # each once reparsed: the first with three numpy warnings before its error
 # line (a traceback under -W error), the second verified FAIL with exit 1
 @pytest.mark.parametrize("literal, message", [
-    ("[1e200, 0, 0, 0; 0, 1, 0, 0; 0, 0, 0, 1; 0, 0, 1, 0]",
+    ("[1e+200, 0, 0, 0; 0, 1, 0, 0; 0, 0, 0, 1; 0, 0, 1, 0]",
      "state s2: outgoing maps deviate from trace-preserving by inf"),
     ("[0.5, 0, 0, 0; 0, 0.5, 0, 0; 0, 0, 0, 0.5; 0, 0, 0.5, 0]",
      "state s2: outgoing maps deviate from trace-preserving by 7.500e-01"),
@@ -844,14 +846,13 @@ _LINE_CHARS = ["a", " ", "/", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d"
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.lists(st.sampled_from(_LINE_CHARS), max_size=12).map("".join))
-def test_split_lines_splits_as_splitlines_does(text):
-    # a reader that screens every line, as reparse_model screens each line
-    # no exact match has shown to be free of the other boundaries
-    lines, read = emit._lines(text), []
-    for line in lines:
-        read.append(lines.send(True) if any(ch in line for ch in emit._OTHER_BREAKS)
-                    else line)
-    assert read == text.splitlines()
+def test_split_lines_ends_lines_at_newlines_only(text):
+    # no other boundary str.splitlines knows ends a line, and a final "\n"
+    # opens no line after it
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    assert list(emit._lines(text)) == lines
 
 
 def _reparsed(text: str):
@@ -865,24 +866,106 @@ def _reparsed(text: str):
                        so._form().tobytes()) for so in q.steps + q.branches]
 
 
+def _random_model(draw) -> str:
+    """The emitted model of a random circuit on at most 3 wires, fused or
+    with swaps as gates."""
+    c = random_circuit(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), max_wires=3)
+    return emit_qpmc(build_qmc(translate(c, emit_swaps_as_gates=draw(st.booleans()))[0]))
+
+
+# the line boundaries of str.splitlines other than "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 @st.composite
 def _model_and_a_break(draw):
-    """An emitted model of a random circuit on at most 3 wires, a position
-    in it and one of the line boundaries other than "\\n"."""
-    c = random_circuit(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), max_wires=3)
-    text = emit_qpmc(build_qmc(translate(c, emit_swaps_as_gates=draw(st.booleans()))[0]))
-    return text, draw(st.integers(0, len(text))), draw(st.sampled_from(emit._OTHER_BREAKS))
+    """An emitted model, a position in it and one of the line boundaries
+    other than "\\n"."""
+    text = _random_model(draw)
+    return text, draw(st.integers(0, len(text))), draw(st.sampled_from(_OTHER_BREAKS))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_model_and_a_break())
-def test_any_line_boundary_reparses_as_a_newline_does(case):
-    # every line shape read by one match, every fixed-width literal and every
-    # screened line: the boundary ends the line wherever it falls
+def test_any_other_line_boundary_is_refused_naming_its_line(case):
+    # only "\n" ends a line: another boundary is part of the line it falls
+    # in, which it breaks unless it is the "\r" of a "\r\n" line end or
+    # falls inside a comment
     text, at, ch = case
-    # "\r" before a "\n" makes one boundary of the two, as "\r\n" does
-    newline = "" if ch == "\r" and text.startswith("\n", at) else "\n"
-    assert _reparsed(text[:at] + ch + text[at:]) == _reparsed(text[:at] + newline + text[at:])
+    start = text.rfind("\n", 0, at) + 1
+    end = text.find("\n", at)
+    end = len(text) if end < 0 else end
+    comment = text.find("//", start, end)
+    edited = _reparsed(text[:at] + ch + text[at:])
+    if ch == "\r" and at == end or 0 <= comment <= at - 2:
+        assert edited == _reparsed(text)
+    else:
+        lineno = text.count("\n", 0, at) + 1
+        assert isinstance(edited, str) and edited.startswith(f"line {lineno}: ")
+
+
+# each ASCII digit's fullwidth and Arabic-Indic twins, which int() and
+# float() read as that digit
+_DIGIT_TWINS = {str(d): (chr(0xFF10 + d), chr(0x0660 + d)) for d in range(10)}
+# where a number starts: a state number, the bound's digits, a literal token
+_NUMBER_START = re.compile(r"(?:(?<=[ \[])|(?<=\.\.))(?=[-0-9])")
+
+
+@st.composite
+def _model_with_one_line_respelled(draw):
+    """An emitted model and the number of one line that is neither blank
+    nor a comment, edited once: one space dropped, doubled or made a tab,
+    one digit made a twin, or one number given a leading zero."""
+    text = _random_model(draw)
+    lines = text.split("\n")
+    kind = draw(st.sampled_from(["drop", "double", "tab", "twin", "zero"]))
+    spot = {"twin": re.compile("[0-9]"), "zero": _NUMBER_START}.get(kind, re.compile(" "))
+    spots = [(i, m.start()) for i, line in enumerate(lines) if not line.startswith("//")
+             for m in spot.finditer(line)]
+    i, at = draw(st.sampled_from(spots))
+    line = lines[i]
+    if kind == "twin":
+        new = draw(st.sampled_from(_DIGIT_TWINS[line[at]]))
+    else:
+        new = {"drop": "", "double": "  ", "tab": "\t", "zero": "0" + line[at]}[kind]
+    lines[i] = line[:at] + new + line[at + 1:]
+    return "\n".join(lines), i + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_model_with_one_line_respelled())
+def test_one_respelled_token_or_space_is_refused_naming_its_line(case):
+    text, lineno = case
+    with pytest.raises(ReparseError, match=f"^line {lineno}: "):
+        reparse_model(text)
+
+
+# each of these once reparsed into the Deutsch chain
+@pytest.mark.parametrize("old, new, message", [
+    ("(s = 1) -> <<U2>> : (s' = 2)", "(s = \u0661) -> <<U2>> : (s' = \u0662)",
+     "line 14: unrecognized line "),
+    ("(s = 1) -> <<U2>>", "(s = 01) -> <<U2>>", "line 14: unrecognized line "),
+    ("s: [0..5]", "s: [0..\uff15]", "line 11: unrecognized line "),
+    ("const matrix U2 = [1, 0,", "const matrix U2 = [1.0, 0,",
+     "line 5: bad numeric entry '1.0'"),
+    ("const matrix U2 = [1, 0,", "const matrix U2 = [\uff11, 0,",
+     "line 5: bad numeric entry '\uff11'"),
+], ids=["arabic-indic-digits", "leading-zero", "fullwidth-bound", "one-point-zero",
+        "fullwidth-entry"])
+def test_reparse_refuses_other_spellings_of_a_number(old, new, message, tmp_path, capsys):
+    model = _deutsch_model()
+    assert model.count(old) == 1
+    bad = model.replace(old, new)
+    with pytest.raises(ReparseError) as err:
+        reparse_model(bad)
+    assert str(err.value).startswith(message)
+    _verify_against_exits_2(bad, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "// c\n", " \t\r\n"])
+def test_text_without_a_line_is_missing_its_header(text):
+    with pytest.raises(ReparseError, match="^missing qmc header$"):
+        reparse_model(text)
 
 
 def test_reparse_holds_one_line_at_a_time():

@@ -28,8 +28,9 @@ def _model(old: str, new: str) -> str:
     (parse_circuit, "qubits 1\ngate " + "A" * LONG + "( 1", UnknownGate, "5001 characters"),
     (parse_circuit, "qubits 1\n" + "x" * LONG, CircuitSyntaxError, "5000 characters"),
     (reparse_model, DEUTSCH_MODEL + "x" * LONG + "\n", ReparseError, "5000 characters"),
+    # the whole command line is echoed: 36 characters before the term, ";" after
     (reparse_model, _model("<<U2>> : (s' = 2)", "<<U2>> : (s' = 2) + " + "y" * LONG),
-     ReparseError, "5000 characters"),
+     ReparseError, "5037 characters"),
     (reparse_model, _model(U2, "const matrix U2 = [" + "z" * LONG + ", 0,"),
      ReparseError, "5000 characters"),
 ], ids=["wire-of-4300-digits", "negative-wire", "gate-name", "malformed-gate-spelling",

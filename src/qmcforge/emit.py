@@ -35,7 +35,9 @@ may stand anywhere; nothing else is cut or skipped. What is left of a line
 is then the ``qmc`` header, a constant line, ``module NAME``, the indented
 state variable, an indented command or ``endmodule``, matched whole: names
 are ASCII identifiers, state numbers ASCII digits with no leading zero.
-Any other line is a ReparseError naming it.
+The commands stand in state order: the i-th one read is guarded by
+``s = i``. Any other line, and a command out of that order, is a
+ReparseError naming it.
 
 A literal of exactly the 0/1 layout and a square entry count, which holds
 exactly when the text inside its brackets, with every ``1`` replaced by
@@ -370,7 +372,8 @@ def reparse_model(text: str) -> Qmc:
     Reads the lines :func:`emit_qpmc` writes, each spelled as it writes
     them and in its order (the ``qmc`` header once, before anything else;
     constants before the module, each one used; one module holding the
-    state variable once, before its commands; a linear chain, one
+    state variable once, before its commands; the commands in state
+    order, guarded by ``s = 0``, ``s = 1``, ...; a linear chain, one
     measurement fan-out, terminal self-loops). Only ``"\\n"`` ends a line;
     a line may end in ``"\\r\\n"``, a ``//`` comment and spaces or tabs, and
     blank and comment-only lines may stand anywhere. Any other line raises
@@ -379,7 +382,8 @@ def reparse_model(text: str) -> Qmc:
     raise it too.
     """
     consts: dict[str, Superoperator] = {}
-    commands: dict[int, list[tuple[str, int]] | None] = {}
+    # commands[i] is the command guarded by s = i: the actions, or None for a self-loop
+    commands: list[list[tuple[str, int]] | None] = []
     top = None
     in_module = seen_module = seen_header = False
 
@@ -395,10 +399,11 @@ def reparse_model(text: str) -> Qmc:
         m = _COMMAND_RE.fullmatch(line) if in_module else None
         if m:
             guard = _state_number(m.group(1), lineno)
-            if guard in commands:
-                raise ReparseError(f"line {lineno}: duplicate guard s = {guard}")
+            if guard != len(commands):
+                raise ReparseError(f"line {lineno}: guard s = {guard} out of order, "
+                                   f"expected s = {len(commands)}")
             if m.group(2) == "true":
-                commands[guard] = None
+                commands.append(None)
                 continue
             actions = []
             for cname, digits in _ACTION_RE.findall(m.group(2)):
@@ -406,7 +411,7 @@ def reparse_model(text: str) -> Qmc:
                 if cname not in consts:
                     raise ReparseError(f"line {lineno}: unknown constant {echo(cname, str)}")
                 actions.append((cname, target))
-            commands[guard] = actions
+            commands.append(actions)
             continue
         where = f"line {lineno}"
         if not seen_header:
@@ -456,15 +461,15 @@ def reparse_model(text: str) -> Qmc:
         raise ReparseError("module is never closed")
     if top is None:
         raise ReparseError("missing state variable declaration")
-    # the length first: a huge bound must not become a huge list
-    if len(commands) != top + 1 or sorted(commands) != list(range(top + 1)):
+    # the guards were read as 0, 1, 2, ...: they cover 0..top when there are top + 1
+    if len(commands) != top + 1:
         raise ReparseError(f"guards do not cover 0..{top} exactly once")
-    used = {cname for acts in commands.values() if acts for cname, _ in acts}
+    used = {cname for acts in commands if acts for cname, _ in acts}
     unused = [name for name in consts if name not in used]
     if unused:
         raise ReparseError(f"constant {echo(unused[0], str)} is never used")
 
-    terminals = [g for g, acts in commands.items() if acts is None]
+    terminals = [g for g, acts in enumerate(commands) if acts is None]
     if not terminals or terminals != list(range(min(terminals), top + 1)):
         raise ReparseError("terminal self-loops must occupy the trailing states")
     n = min(terminals) - 1

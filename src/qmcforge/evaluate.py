@@ -212,13 +212,16 @@ def _phase_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def random_kets(k: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Haar-ish random unit kets: normalized complex Gaussians."""
-    dim = 2 ** k
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        out.append(v / np.linalg.norm(v))
-    return out
+    """Haar-ish random unit kets: normalized complex Gaussians.
+
+    One draw holds every ket's real and then imaginary parts, in the order
+    a ket-by-ket loop draws them. Each norm is summed as ``np.linalg.norm``
+    sums one complex ket's: the dot of its real view with itself plus that
+    of its imaginary view, so each ket equals the loop's to the bit."""
+    re, im = rng.standard_normal((count, 2, 2 ** k)).transpose(1, 0, 2)
+    kets = re + 1j * im
+    norms = np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
+    return list(kets / norms[:, None])
 
 
 @dataclass(frozen=True)

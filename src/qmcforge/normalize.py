@@ -3,38 +3,41 @@
 ``translate`` turns a circuit into the tuple <k, [U1..Un], h> in one pass
 over its gates, each step a chain map (:class:`~qmcforge.qmc.Superoperator`).
 Maximal runs of gates on pairwise-disjoint wires collapse into single steps
-(their simultaneous application). Each step is the run's matrix padded to
-the full register: a gate U on wires (w1..wd) becomes P^-1 (U tensor I) P,
-where P is the permutation that routes those wires to the leading
-positions. The routing is thus fused into the step (or, behind a flag,
-emitted as standalone swap steps), and one final permutation moves the
-measured wires into the leading positions. A SwapAccount reports how many
-binary swaps each routing decomposes into under the chosen strategy; the
-strategy sets only that count, not the steps.
+(their simultaneous application). Every step has one shape, R P^-1 (U x I)
+P: the run's matrix U tensored with the identity on the other wires, P the
+permutation that routes the run's wires to the leading positions, and R
+the realignment that moves the measured wires to the leading positions
+(the identity on every step but the last). The routing is thus fused into
+the step; behind a flag it is emitted as standalone swap steps instead,
+each the identity run under R, and undone by their daggers. A SwapAccount
+reports how many binary swaps each routing decomposes into under the chosen
+strategy; the strategy sets only that count, not the fused steps.
 
-Every permutation is index arithmetic. A run whose gate matrices are all
-monomial (at most one nonzero per row and per column: X, Y, Z, S, T,
-PHASE, RZ, CNOT, CZ, SWAP, CCNOT and their combinators) becomes an
-index-built step, with no 2^k x 2^k array formed:
+Two functions build every step. ``_run`` forms U x I once per distinct
+run; it is never a map itself. ``_step`` places it between the
+permutations as one map, the only one built for that step. A run whose
+gate matrices are all monomial (at most one nonzero per row and per
+column: X, Y, Z, S, T, PHASE, RZ, CNOT, CZ, SWAP, CCNOT and their
+combinators) is an index form, with no 2^k x 2^k array formed:
 
-* U tensor I is the kron of the gates' index forms and the identity's,
-  its values multiplied in ``np.kron``'s left-fold order;
-* the fused gather P^-1 (U tensor I) P relabels rows and columns by the
-  inverse of P's basis-index map, the realignment relabels rows;
-* a routing swap or permutation is its basis-index map, and its undo (the
-  dagger) is (cols, rows, conj(values)).
+* U x I is the kron of the gates' index forms and the identity's, its
+  values multiplied in ``np.kron``'s left-fold order;
+* P^-1 (U x I) P relabels rows and columns by the inverse of P's
+  basis-index map, and R relabels rows by its own, in one pass;
+* the dagger of a routing step is (cols, rows, conj(values)) (``_undo``).
 
 Each form is handed to :meth:`Superoperator._indexed
 <qmcforge.qmc.Superoperator._indexed>`, which puts it in row order.
 
 Only a run holding a gate with two nonzeros in a row or column (H, RX, RY)
-is formed dense, as ``tensor`` gathered by permuted basis indices.
+is formed dense, as ``tensor``, and its step is one ``np.ix_`` gather of
+it by permuted basis indices.
 
 A gate matrix's index form comes from the same scan
 ``Superoperator.monomial`` makes of a dense array. The constant pool keys a
 step on its nonzeros, which an index-built step reads from its form (see
-:mod:`qmcforge.qmc`). Equal padded runs, fused steps, swaps and undos are
-built once per call and shared.
+:mod:`qmcforge.qmc`). Within one call each distinct run, step and undo is
+built once and shared, so every map built is a step of the chain.
 """
 
 from __future__ import annotations
@@ -144,39 +147,37 @@ def translate(c: Circuit, strategy: str = "composed",
         a final entry when the measured wires had to be realigned.
     """
     k, h = c.k, len(c.measured)
+    realign = c.measured != tuple(range(1, h + 1))
+    wire_map = _route_perm(c.measured, k) if realign else tuple(range(1, k + 1))
+    groups = _grouped_payloads(c.gates)
 
     unitaries: list[Superoperator] = []
     counts: list[int] = []
-    # identical steps share one map: a swap chain repeats few matrices
-    made: dict[tuple, Superoperator] = {}
-    for group in _grouped_payloads(c.gates):
-        wires = tuple(w for _, gw in group for w in gw)
+    # equal runs and equal steps are built once: a swap chain repeats few matrices
+    made: dict[tuple, object] = {}
+    for n, group in enumerate(groups, start=1):
         bases = tuple(np.asarray(base, dtype=np.complex128) for base, _ in group)
-        key = ("padded", len(wires), *(b.tobytes() for b in bases))
-        # U x I: the run's matrix on the leading wires of the register
-        padded = _once(made, key, _padded, bases, k)
-        perm = _route_perm(wires, k)
+        perm = _route_perm(tuple(w for _, gw in group for w in gw), k)
         swaps = swap_decomposition(perm, strategy)
         counts.append(len(swaps))
+        key = tuple(b.tobytes() for b in bases)
         if emit_swaps_as_gates:
             steps = _routing_steps(perm, swaps, k, made)
-            unitaries.extend(steps)
-            unitaries.append(padded)
             # every step stays alive in made, so its id is a key
-            unitaries.extend(_once(made, ("undo", id(s)), _undo, s) for s in reversed(steps))
+            unitaries += [*steps, _built(made, key, bases, k, None, None),
+                          *(_once(made, ("undo", id(s)), _undo, s) for s in reversed(steps))]
         else:
-            unitaries.append(_once(made, ("fused", key, perm), _gather, padded, k, perm))
+            # the realignment is fused into the last step
+            out = wire_map if realign and n == len(groups) else None
+            unitaries.append(_built(made, key, bases, k, perm, out))
 
-    wire_map = tuple(range(1, k + 1))
-    if c.measured != tuple(range(1, h + 1)):
-        wire_map = _route_perm(c.measured, k)
+    if realign:
         swaps = swap_decomposition(wire_map, strategy)
         counts.append(len(swaps))
         if emit_swaps_as_gates:
             unitaries.extend(_routing_steps(wire_map, swaps, k, made))
-        else:
-            # fuse R into the last step: R @ U moves row j of U to row idx[j]
-            unitaries.append(_realigned(unitaries.pop() if unitaries else None, k, wire_map))
+        elif not groups:
+            unitaries.append(_step(_run((), k), k, None, wire_map))
 
     account = SwapAccount(per_gate=tuple(counts), strategy=strategy)
     if log.isEnabledFor(logging.DEBUG):
@@ -185,64 +186,70 @@ def translate(c: Circuit, strategy: str = "composed",
     return SnfCircuit(k=k, unitaries=tuple(unitaries), h=h, wire_map=wire_map), account
 
 
-def _once(made: dict, key: tuple, build, *args) -> Superoperator:
+def _once(made: dict, key: tuple, build, *args):
     """``made[key]``, built as ``build(*args)`` on first use."""
     if key not in made:
         made[key] = build(*args)
     return made[key]
 
 
-def _padded(bases: tuple[np.ndarray, ...], k: int) -> Superoperator:
-    """``tensor(*bases, I)`` on the k-wire register, index-built when every
-    base is monomial."""
-    eye = 2 ** k // int(np.prod([b.shape[0] for b in bases]))
-    forms = [_monomial_form(b) for b in bases]
-    if any(form is None for form in forms):
-        return Superoperator(tensor(*bases, np.eye(eye, dtype=np.complex128)))
+def _built(made: dict, key: tuple, bases: tuple[np.ndarray, ...], k: int,
+           perm: tuple[int, ...] | None, out: tuple[int, ...] | None) -> Superoperator:
+    """The step of the run ``bases`` routed by ``perm`` and realigned by
+    ``out`` (:func:`_step`), kept in ``made`` under (key, perm, out) and its
+    run under ``key``, the bases' bytes; each is built on first use."""
+    step = made.get((key, perm, out))
+    if step is None:
+        step = made[key, perm, out] = _step(_once(made, key, _run, bases, k), k, perm, out)
+    return step
+
+
+def _run(bases: tuple[np.ndarray, ...], k: int):
+    """U x I, ``tensor(*bases, I)`` on the k-wire register (the identity
+    when there are no bases): its index form (rows, cols, values) when every
+    base is monomial, else the dense array."""
+    # a base on m wires is 2^m square, and the identity spans the other wires
+    eye = 2 ** k >> sum(b.shape[0].bit_length() - 1 for b in bases)
     span = np.arange(eye)
+    forms = [*map(_monomial_form, bases), (span, span, np.ones(eye, dtype=np.complex128))]
+    if any(form is None for form in forms):
+        return tensor(*bases, np.eye(eye, dtype=np.complex128))
     rows, cols, values = forms[0]
     # the kron of two forms pairs every entry of the left with every entry
     # of the right, left-major, and multiplies their values elementwise as
     # np.kron does: a broadcast of the left values over the right ones
-    for (r, c, v), n in zip([*forms[1:], (span, span, np.ones(eye, dtype=np.complex128))],
-                            [*(b.shape[0] for b in bases[1:]), eye]):
+    for (r, c, v), n in zip(forms[1:], [*(b.shape[0] for b in bases[1:]), eye]):
         rows = (rows[:, None] * n + r).ravel()
         cols = (cols[:, None] * n + c).ravel()
         values = (values[:, None] * v).ravel()
+    return rows, cols, values
+
+
+def _step(run, k: int, perm: tuple[int, ...] | None,
+          out: tuple[int, ...] | None) -> Superoperator:
+    """R P^-1 (U x I) P as one map, ``run`` being U x I (:func:`_run`), P
+    the routing by ``perm`` and R the realignment by ``out``, each None for
+    the identity.
+
+    P sends basis index j to idx[j], so entry (a, b) of P^-1 (U x I) P is
+    entry (idx[a], idx[b]) of U x I: an entry at (r, c) moves to
+    (inv[r], inv[c]), inv = argsort(idx). R then moves row j to row at[j],
+    at being the basis-index map of ``out``. An index form is relabelled
+    once and a dense array gathered by one ``np.ix_``; with neither
+    permutation the run itself is the step."""
+    if isinstance(run, np.ndarray):
+        if perm is None and out is None:
+            return Superoperator(run)
+        idx = np.arange(2 ** k) if perm is None else _permute_indices(k, perm)
+        rows = idx if out is None else idx[np.argsort(_permute_indices(k, out))]
+        return Superoperator(run[np.ix_(rows, idx)])
+    rows, cols, values = run
+    if perm is not None:
+        inv = np.argsort(_permute_indices(k, perm))
+        rows, cols = inv[rows], inv[cols]
+    if out is not None:
+        rows = _permute_indices(k, out)[rows]
     return Superoperator._indexed(2 ** k, rows, cols, values)
-
-
-def _gather(padded: Superoperator, k: int, perm: tuple[int, ...]) -> Superoperator:
-    """P^-1 (U x I) P with P sending basis index j to idx[j]: entry (a, b)
-    is entry (idx[a], idx[b]) of U x I, so an entry at (r, c) moves to
-    (inv[r], inv[c])."""
-    idx = _permute_indices(k, perm)
-    if padded._dense is not None:
-        return Superoperator(padded.matrix[np.ix_(idx, idx)])
-    inv = np.argsort(idx)
-    rows, cols, values = padded.monomial
-    return Superoperator._indexed(2 ** k, inv[rows], inv[cols], values)
-
-
-def _realigned(last: Superoperator | None, k: int,
-               wire_map: tuple[int, ...]) -> Superoperator:
-    """R @ ``last`` (the identity when None), R the realignment by
-    ``wire_map``: row j of ``last`` moves to row idx[j]."""
-    if last is None:
-        return _permutation(k, wire_map)
-    idx = _permute_indices(k, wire_map)
-    if last._dense is not None:
-        return Superoperator(last.matrix[np.argsort(idx)])
-    rows, cols, values = last.monomial
-    return Superoperator._indexed(2 ** k, idx[rows], cols, values)
-
-
-def _permutation(k: int, perm: tuple[int, ...]) -> Superoperator:
-    """The 0/1 map sending basis ket |j> to |idx[j]>, idx the basis-index
-    map of the wire permutation ``perm``."""
-    idx = _permute_indices(k, perm)
-    ones = np.ones(2 ** k, dtype=np.complex128)
-    return Superoperator._indexed(2 ** k, idx, np.arange(2 ** k), ones)
 
 
 def _undo(step: Superoperator) -> Superoperator:
@@ -256,15 +263,14 @@ def _routing_steps(perm: tuple[int, ...], swaps: list[tuple[int, int]],
     """The routing permutation as standalone unitary steps, in application
     order: one binary swap per entry of its decomposition ``swaps``; when
     that is empty, none for the identity and otherwise ("direct") the whole
-    permutation as one step. Steps already in ``made`` are reused, new
-    ones are added to it."""
+    permutation as one step. Each is the identity run realigned by its
+    permutation; steps already in ``made`` are reused, new ones are added
+    to it."""
     made = {} if made is None else made
     if swaps:
-        return [_once(made, ("swap", i, j), _permutation, k, _transposition(k, i, j))
-                for i, j in swaps]
-    if list(perm) == list(range(1, k + 1)):
-        return []
-    return [_once(made, ("perm", tuple(perm)), _permutation, k, perm)]
+        return [_built(made, (), (), k, None, _transposition(k, i, j)) for i, j in swaps]
+    identity = list(perm) == list(range(1, k + 1))
+    return [] if identity else [_built(made, (), (), k, None, tuple(perm))]
 
 
 def _transposition(k: int, i: int, j: int) -> tuple[int, ...]:

@@ -416,6 +416,34 @@ def test_reparse_refuses_huge_state_numbers(old, new, message, tmp_path, capsys)
     _verify_against_exits_2(bad, tmp_path, capsys)
 
 
+def _swap_lines(text: str, a: str, b: str) -> str:
+    lines = text.split("\n")
+    i, j = lines.index(a), lines.index(b)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+# the commands were once keyed by guard, so any order reparsed to one chain
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: _swap_lines(t, "  [] (s = 0) -> <<U1>> : (s' = 1);",
+                           "  [] (s = 1) -> <<U2>> : (s' = 2);"),
+     "^line 13: guard s = 1 out of order, expected s = 0$"),
+    (lambda t: _swap_lines(t, "  [] (s = 4) -> true;", "  [] (s = 5) -> true;"),
+     "^line 17: guard s = 5 out of order, expected s = 4$"),
+    (lambda t: t.replace("  [] (s = 2) -> <<U3>>", "  [] (s = 1) -> <<U3>>", 1),
+     "^line 15: guard s = 1 out of order, expected s = 2$"),
+    (lambda t: t.replace("  [] (s = 1) -> <<U2>> : (s' = 2);\n", "", 1),
+     "^line 14: guard s = 2 out of order, expected s = 1$"),
+], ids=["steps-swapped", "terminals-swapped", "duplicate-guard", "guard-skipped"])
+def test_reparse_refuses_commands_out_of_state_order(edit, message, tmp_path, capsys):
+    model = _deutsch_model()
+    bad = edit(model)
+    assert bad != model
+    with pytest.raises(ReparseError, match=message):
+        reparse_model(bad)
+    _verify_against_exits_2(bad, tmp_path, capsys)
+
+
 def _fan_model(branches: int, step: str = "[0, 1; 1, 0]") -> str:
     """A one-step model on the 2x2 projectors M0 and M1 whose fan-out
     applies M0, M1, M0, ... to ``branches`` terminals."""

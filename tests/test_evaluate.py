@@ -260,6 +260,27 @@ def test_random_kets_are_normalized():
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
+def _random_kets_one_at_a_time(k, count, rng):
+    # the ket-by-ket draw random_kets once made
+    out = []
+    for _ in range(count):
+        v = rng.standard_normal(2 ** k) + 1j * rng.standard_normal(2 ** k)
+        out.append(v / np.linalg.norm(v))
+    return out
+
+
+@pytest.mark.parametrize("k, count, seed", [
+    (1, 0, 0), (1, 1, 3), (2, 7, 1), (3, 5, 8), (6, 4, 2), (10, 3, 11), (2, 200, 5),
+])
+def test_random_kets_equal_a_ket_by_ket_draw_to_the_bit(k, count, seed):
+    kets = random_kets(k, count, np.random.default_rng(seed))
+    reference = _random_kets_one_at_a_time(k, count, np.random.default_rng(seed))
+    assert isinstance(kets, list) and len(kets) == count
+    for v, w in zip(kets, reference):
+        assert v.shape == w.shape == (2 ** k,)
+        assert v.tobytes() == w.tobytes()
+
+
 def test_check_equivalence_passes_for_honest_translation():
     rng = np.random.default_rng(10)
     for _ in range(15):

@@ -157,6 +157,47 @@ def test_swap_steps_share_one_array_per_matrix():
     assert len({id(u) for u in s.unitaries}) == len(distinct) < s.n
 
 
+# a routed run holding a dense gate (H) whose last step is realigned, a
+# gate-free realignment, the fully measured 6-wire cycle of perfbench's
+# `measured` workload (seed 0), and a cycle repeating one run and its swaps
+_BUILD_COUNTED = {
+    "routed-dense": "qubits 3\ngate CNOT 3 1\ngate H 2\nmeasure 3\n",
+    "gate-free": "qubits 2\nmeasure 2\n",
+    "measured-cycle": "qubits 6\n" + "".join(
+        f"gate CNOT {a} {b}\n" for a, b in [(3, 5), (2, 3), (1, 2), (6, 1), (4, 6), (5, 4)])
+    + "".join(f"measure {w}\n" for w in range(1, 7)),
+    "repeated-runs": "qubits 5\n" + "".join(
+        f"gate CNOT {a} {b}\n" for a, b in [(3, 1), (5, 3), (2, 5), (4, 2), (1, 4)])
+    + "measure 4\n",
+}
+
+
+@pytest.mark.parametrize("swaps_as_gates", [False, True], ids=["fused", "swaps-as-gates"])
+@pytest.mark.parametrize("strategy", ["composed", "direct", "naive-adjacent"])
+@pytest.mark.parametrize("name", list(_BUILD_COUNTED))
+def test_translate_builds_only_the_maps_it_returns(name, strategy, swaps_as_gates, monkeypatch):
+    # every map translate constructs is a step of the chain: no padded run,
+    # unrouted step or unrealigned last step is built and thrown away
+    built = []
+    init, indexed = Superoperator.__init__, Superoperator._indexed.__func__
+
+    def counted_init(self, matrix):
+        built.append("dense")
+        init(self, matrix)
+
+    def counted_indexed(cls, *form):
+        built.append("index")
+        return indexed(cls, *form)
+
+    monkeypatch.setattr(Superoperator, "__init__", counted_init)
+    monkeypatch.setattr(Superoperator, "_indexed", classmethod(counted_indexed))
+    s, _ = translate(parse_circuit(_BUILD_COUNTED[name]), strategy=strategy,
+                     emit_swaps_as_gates=swaps_as_gates)
+    distinct = {id(u): u for u in s.unitaries}.values()
+    assert len(built) == len(distinct)
+    assert built.count("dense") == sum(u._dense is not None for u in distinct)
+
+
 # --- index-built steps against the dense arithmetic ------------------------------
 
 def _reference_steps(c, strategy, swaps_as_gates):

@@ -93,9 +93,14 @@ def _load_ket(args, k: int) -> np.ndarray:
         if v.shape != (dim,):
             raise QmcForgeError(
                 f"state file holds {v.shape[0]} amplitudes, need {dim}")
-        n = np.linalg.norm(v)
-        if not abs(n - 1.0) <= 1e-9:
-            raise QmcForgeError(f"state file norm is {n:.6f}, expected 1")
+        # run_qmc's unit-trace check of |v><v|, whose diagonal is v * conj(v),
+        # made first with the same --tol so that the error names the norm;
+        # an infinite amplitude gives a NaN trace, refused without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            trace = (v * v.conj()).sum().real
+        if not abs(trace - 1.0) <= args.tol:
+            raise QmcForgeError(f"state file norm is {float(np.sqrt(trace))!r}, expected "
+                                f"a squared norm within --tol {args.tol!r} of 1")
         return v
     bits = "0" * k if args.input is None else args.input
     if len(bits) != k or any(b not in "01" for b in bits):

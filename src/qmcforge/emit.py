@@ -45,7 +45,9 @@ exactly when the text inside its brackets, with every ``1`` replaced by
 ``str.find`` (one numpy scan reads a literal holding more than a few), and
 when no row and no column holds two of them it becomes an index-built map.
 Any other literal is split at the ``; `` and ``, `` separators and each
-distinct token is read once; a token is accepted only when
+distinct token is read once; it becomes an index-built map when its
+matrix is monomial (phases, -1s), as the compiled step it was written from
+is, and a dense one otherwise. A token is accepted only when
 :func:`format_number` writes its value back as the same token, so ``1.0``,
 ``01``, ``+1`` or a fullwidth ``1`` is a bad numeric entry. A token that
 reads as NaN or an infinity is reported by its row and column. Each pass
@@ -69,7 +71,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, QmcForgeError, ReparseError, echo
 from .linalg import check_finite
-from .qmc import Qmc, Superoperator, _log_maps, verify_row_stochasticity
+from .qmc import (Qmc, Superoperator, _identity_form, _log_maps, _monomial_form,
+                  verify_row_stochasticity)
 
 __all__ = ["format_number", "format_matrix", "emit_qpmc", "reparse_model"]
 
@@ -245,10 +248,13 @@ def _parse_entry(token: str, where: str) -> complex:
 
 def _parse_matrix(literal: str, where: str) -> Superoperator:
     """The map of a square literal: read as bytes when it is a fixed-width
-    0/1 literal of a monomial map, else token by token."""
+    0/1 literal of a monomial map, else token by token; index-built
+    exactly when its matrix is monomial."""
     so = _parse_bits(literal)
     if so is None:
-        return Superoperator(_parse_tokens(literal, where))
+        m = _parse_tokens(literal, where)
+        form = _monomial_form(m)
+        return Superoperator(m) if form is None else Superoperator._indexed(m.shape[0], *form)
     if so.dim & (so.dim - 1):
         raise ReparseError(f"{where}: dimension {so.dim} is not a power of two")
     return so
@@ -261,16 +267,6 @@ def _parse_matrix(literal: str, where: str) -> Superoperator:
 # the finds up to this count before its scan; a projector of a block of up
 # to 8 rows (h >= k - 3) is read by finds alone.
 _FIND_ONES = 8
-
-
-@lru_cache(maxsize=8)
-def _shared_form(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """0..width-1 and width ones, read-only: the arrays that the index
-    forms of the 0/1 literals of that width are sliced from."""
-    index, ones = np.arange(width, dtype=np.intp), np.ones(width, dtype=np.complex128)
-    index.setflags(write=False)
-    ones.setflags(write=False)
-    return index, ones
 
 
 def _parse_bits(literal: str) -> Superoperator | None:
@@ -291,7 +287,7 @@ def _parse_bits(literal: str) -> Superoperator | None:
     width = math.isqrt(count)
     if rest or width * width != count or literal.replace("1", "0") != _zero_literal(width, width):
         return None
-    index, ones = _shared_form(width)
+    index, ones = _identity_form(width)
     flat: list[int] = []
     at = literal.find("1")
     while at >= 0 and len(flat) < _FIND_ONES:

@@ -154,7 +154,7 @@ def _branch_density(so: Superoperator, rho: np.ndarray) -> np.ndarray:
     rho is finite, else the dense product (M formed, not kept)."""
     form = so.monomial if np.isfinite(rho).all() else None
     if form is None:
-        m = so._form()
+        m = so.matrix
         return m @ rho @ m.conj().T
     rows, cols, values = form
     out = np.zeros_like(rho)
@@ -261,7 +261,7 @@ def _product_rows(so: Superoperator, v: np.ndarray,
     zero. With None it is ``(None, M v)`` by the dense matmul, whose
     0 * NaN spreads a non-finite entry as the clauses expect."""
     if form is None:
-        return None, so._form() @ v
+        return None, so.matrix @ v
     rows, cols, values = form
     return rows, values[:, None] * v[cols]
 

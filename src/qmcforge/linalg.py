@@ -102,31 +102,23 @@ def swap_decomposition(perm: Sequence[int], strategy: str = "composed") -> list[
     if strategy not in ("composed", "naive-adjacent"):
         raise NotAPermutation(f"unknown swap strategy {strategy!r}")
 
-    # arrangement[p-1] = wire whose bit currently sits at position p
-    arrangement = list(range(1, k + 1))
-    position = {w: w for w in arrangement}
-    swaps: list[tuple[int, int]] = []
-
-    def do_swap(p: int, q: int) -> None:
-        wp, wq = arrangement[p - 1], arrangement[q - 1]
-        arrangement[p - 1], arrangement[q - 1] = wq, wp
-        position[wp], position[wq] = q, p
-        swaps.append((p, q))
-
+    # dest[p-1] is the destination of the wire now at position p; sorting
+    # it into 1..k by transpositions realizes the permutation
+    dest, swaps = list(perm), []
     if strategy == "composed":
-        inverse = {perm[w - 1]: w for w in range(1, k + 1)}
+        # selection sort: bring the wire bound for p to p from where it sits
         for p in range(1, k + 1):
-            q = position[inverse[p]]
+            q = dest.index(p, p - 1) + 1
             if q != p:
-                do_swap(p, q)
+                dest[p - 1], dest[q - 1] = p, dest[p - 1]
+                swaps.append((p, q))
     else:
-        # one adjacent swap per inversion of the destination sequence
-        changed = True
-        while changed:
-            changed = False
-            for p in range(1, k):
-                if perm[arrangement[p - 1] - 1] > perm[arrangement[p] - 1]:
-                    do_swap(p, p + 1)
-                    changed = True
+        # bubble sort, one adjacent swap per inversion: each pass carries
+        # the largest unsorted destination to the end of its range
+        for end in range(k - 1, 0, -1):
+            for p in range(1, end + 1):
+                if dest[p - 1] > dest[p]:
+                    dest[p - 1], dest[p] = dest[p], dest[p - 1]
+                    swaps.append((p, p + 1))
     return swaps
 

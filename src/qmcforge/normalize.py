@@ -49,7 +49,7 @@ import numpy as np
 
 from .circuit import Circuit, Node
 from .linalg import _permute_indices, swap_decomposition, tensor
-from .qmc import Superoperator, _map_census, _monomial_form
+from .qmc import Superoperator, _identity_form, _map_census, _monomial_form
 
 __all__ = ["SnfCircuit", "SwapAccount", "translate"]
 
@@ -210,8 +210,8 @@ def _run(bases: tuple[np.ndarray, ...], k: int):
     base is monomial, else the dense array."""
     # a base on m wires is 2^m square, and the identity spans the other wires
     eye = 2 ** k >> sum(b.shape[0].bit_length() - 1 for b in bases)
-    span = np.arange(eye)
-    forms = [*map(_monomial_form, bases), (span, span, np.ones(eye, dtype=np.complex128))]
+    span, ones = _identity_form(eye)
+    forms = [*map(_monomial_form, bases), (span, span, ones)]
     if any(form is None for form in forms):
         return tensor(*bases, np.eye(eye, dtype=np.complex128))
     rows, cols, values = forms[0]

@@ -16,32 +16,37 @@ keyed by ``(source, target)`` and the labeling are read-only views derived
 from the two tuples.
 
 A map whose matrix is monomial, at most one nonzero per row and per
-column, has an index form (rows, cols, values). ``translate`` builds every
-permutation, routing and phase step that way, ``build_qmc`` passes the
-steps through and builds the 2^h projectors from index ranges, and
-reparse builds every monomial 0/1 constant the same way; none of them is
-formed dense. Each of them, and ``Superoperator.from_index`` after its
-checks, stores the form through one constructor,
-``Superoperator._indexed``, which puts it in row order and marks it
-read-only. ``Superoperator.matrix`` materializes the dense array on first
-read and keeps it, and from then on that array is the only truth:
-``monomial`` derives the form by one scan of it on every read
-(``_monomial_form``, the scan ``translate`` also reads gate matrices with)
-and caches nothing, so a write into ``matrix`` in place reaches every
-reader, the row check included.
+column, has an index form (rows, cols, values), and every map the
+pipeline builds is index-built exactly when its matrix is monomial:
+``translate`` builds every permutation, routing and phase step that way,
+``build_qmc`` passes the steps through and builds the 2^h projectors as
+views of one shared identity form (``_identity_form``, which the terminal
+self-loop and the identity factor of a gate run are views of too), and
+reparse builds every monomial literal the same way. Each of them, and
+``Superoperator.from_index`` after its checks, stores the form through one
+constructor, ``Superoperator._indexed``, which puts it in row order and
+marks it read-only. A map keeps the form it was built with for life:
+``matrix`` of an index-built map is a read-only array formed from the
+form, which the map never keeps (it holds only a weak reference, so
+readers that overlap share one array), and no read converts a map. A map
+built from an array keeps the caller's array, and ``monomial`` scans it
+on every read (``_monomial_form``, the scan ``translate`` also reads gate
+matrices with), so a write into it in place reaches every reader, the
+row check included.
 
 The constant pool keys a map on its nonzero entries, ``_nonzeros``: their
-row-major positions and values, from the index form while there is one and
-else from one scan of the dense array. It writes the map's literal from
-the same two arrays.
+row-major positions and values, from the index form of an index-built map
+and from one scan of the array of any other. It writes the map's literal
+from the same two arrays.
 """
 
 from __future__ import annotations
 
 import logging
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -77,6 +82,18 @@ def _monomial_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
     return rows, cols, values
 
 
+# bounded: reparse asks for widths read from model text
+@lru_cache(maxsize=16)
+def _identity_form(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """0..d-1 and d ones, read-only: the identity's index form (index,
+    index, ones), which the projectors, the terminal self-loop and the
+    identity factor of a gate run are views of."""
+    index, ones = np.arange(d, dtype=np.intp), np.ones(d, dtype=np.complex128)
+    index.setflags(write=False)
+    ones.setflags(write=False)
+    return index, ones
+
+
 class Superoperator:
     """The completely positive map rho -> M rho M^dagger of one matrix M,
     the only kind of map the model text writes.
@@ -84,15 +101,15 @@ class Superoperator:
     ``Superoperator(m)`` stores the dense matrix ``m`` as complex128 (no
     copy for complex128 input). :meth:`from_index` builds the map of a
     monomial matrix (a permutation times phases, a diagonal projector) from
-    its index form alone; see the module docstring for how ``matrix`` and
-    ``monomial`` then read it.
+    its index form alone; either keeps its form for life (see the module
+    docstring for how ``matrix`` and ``monomial`` read each).
 
     Construction rejects input that is not a non-empty square 2-D matrix of
     finite entries; whether the map is physical is left to
     :func:`verify_row_stochasticity`.
     """
 
-    __slots__ = ("_dense", "_index", "_dim")
+    __slots__ = ("_dense", "_index", "_dim", "_formed")
 
     def __init__(self, matrix: np.ndarray):
         try:
@@ -103,7 +120,7 @@ class Superoperator:
             raise DimensionMismatch(
                 f"superoperator needs a non-empty square matrix, got shape {m.shape}")
         check_finite(m, "superoperator matrix")
-        self._dense, self._index, self._dim = m, None, m.shape[0]
+        self._dense, self._index, self._dim, self._formed = m, None, m.shape[0], None
 
     @classmethod
     def from_index(cls, d: int, rows, cols, values) -> Superoperator:
@@ -153,43 +170,50 @@ class Superoperator:
             if a.flags.writeable:  # a view of a read-only array is one already
                 a.setflags(write=False)
         so = cls.__new__(cls)
-        so._dense, so._index, so._dim = None, (rows, cols, values), d
+        so._dense, so._index, so._dim, so._formed = None, (rows, cols, values), d, None
         return so
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix, formed from the index form on first read."""
-        if self._dense is None:
-            self._dense = self._form()
-            self._index = None
-        return self._dense
-
-    def _form(self) -> np.ndarray:
-        """The dense matrix: the one kept, else formed afresh and not kept."""
+        """The dense matrix: the array the map was built from, or, for an
+        index-built map, a read-only array formed from its form. The map
+        keeps only a weak reference to that array: reads that overlap share
+        it, so a caller holding every step's matrix holds one array per
+        distinct map, and a read after every holder let go forms it anew."""
         if self._dense is not None:
             return self._dense
-        rows, cols, values = self._index
-        m = np.zeros((self._dim, self._dim), dtype=np.complex128)
-        m[rows, cols] = values
+        m = None if self._formed is None else self._formed()
+        if m is None:
+            rows, cols, values = self._index
+            m = np.zeros((self._dim, self._dim), dtype=np.complex128)
+            m[rows, cols] = values
+            m.setflags(write=False)
+            self._formed = weakref.ref(m)
         return m
+
+    def __getstate__(self):
+        """The slots for pickle and copy, less the weak reference to a
+        formed array, which is not part of the map and does not pickle."""
+        return None, {"_dense": self._dense, "_index": self._index, "_dim": self._dim,
+                      "_formed": None}
 
     @property
     def monomial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The index form (rows, cols, values), entries in row order, when
         the matrix has at most one nonzero per row and per column and all
-        its nonzeros are finite; otherwise None. The stored form while no
-        dense array exists; after that one scan of ``matrix`` per read, so
-        a write into ``matrix`` is never missed."""
+        its nonzeros are finite; otherwise None. The stored form of an
+        index-built map; one scan of the array of a map built from one, on
+        every read, so a write into that array is never missed."""
         if self._dense is None:
             return self._index
         return _monomial_form(self._dense)
 
     def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat, values): the ascending row-major positions and the values
-        of the nonzero entries, read from the index form while there is one
-        (``rows * d + cols``, rows being in order) and else by one scan of
-        ``matrix``; neither densifies the map. The constant pool keys a map
-        on their bytes and writes its literal from them."""
+        of the nonzero entries, read from the index form of an index-built
+        map (``rows * d + cols``, rows being in order) and by one scan of
+        the array of any other. The constant pool keys a map on their bytes
+        and writes its literal from them."""
         if self._dense is None:
             rows, cols, values = self._index
             return rows * self._dim + cols, values
@@ -207,7 +231,8 @@ class Superoperator:
 
     def gram(self) -> np.ndarray:
         """M^dagger M."""
-        return self.matrix.conj().T @ self.matrix
+        m = self.matrix
+        return m.conj().T @ m
 
 
 @dataclass(frozen=True)
@@ -259,8 +284,8 @@ class Qmc:
     def transitions(self) -> Mapping[tuple[str, str], Superoperator]:
         internal = self.internal_states()
         table = dict(zip(zip(internal, internal[1:]), self.steps))
-        index = np.arange(2 ** self.k)
-        loop = Superoperator._indexed(index.size, index, index, np.ones(index.size, complex))
+        index, ones = _identity_form(2 ** self.k)
+        loop = Superoperator._indexed(index.size, index, index, ones)
         for t, so in zip(self.terminal_states(), self.branches):
             table[(internal[-1], t)] = so
             table[(t, t)] = loop
@@ -286,10 +311,10 @@ def build_qmc(s: SnfCircuit) -> Qmc:
     with no dense matrix; terminals self-loop with the identity.
     """
     d, block = 2 ** s.k, 2 ** (s.k - s.h)
-    # projector i keeps the block of rows i * block .. (i + 1) * block - 1
-    index, ones = np.arange(d), np.ones(block, dtype=np.complex128)
-    index.setflags(write=False)
-    ones.setflags(write=False)
+    index, ones = _identity_form(d)
+    # projector i keeps the block of rows i * block .. (i + 1) * block - 1,
+    # and every projector's values are one slice of the ones
+    ones = ones[:block]
     branches = tuple(Superoperator._indexed(d, span, span, ones)
                      for span in index.reshape(-1, block))
     q = Qmc(s.k, s.h, s.unitaries, branches)

@@ -131,10 +131,10 @@ def run_qmc_per_step(q, rho0):
     accumulated = np.eye(dim, dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore"):
         for so in q.steps:
-            m = so._form()
+            m = so.matrix
             rho = m @ rho @ m.conj().T
             accumulated = m @ accumulated
-        posts = [m @ rho @ m.conj().T for m in (so._form() for so in q.branches)]
+        posts = [m @ rho @ m.conj().T for m in (so.matrix for so in q.branches)]
     return [float(np.trace(p).real) + 0.0 for p in posts], accumulated, posts
 
 

@@ -98,6 +98,34 @@ def test_simulate_state_file(circuit_file, tmp_path, capsys):
     assert "1  1.0000000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", [None, 1e-12, 1e-8], ids=["default-tol", "tol-1e-12", "tol-1e-8"])
+@pytest.mark.parametrize("norm", [1 + 4e-10, 1 - 4e-10, 1 + 7e-10, 1 - 7e-10, 1 + 2e-9, 1 - 2e-9])
+def test_simulate_checks_a_state_file_once_under_tol(norm, tol, tmp_path, capsys):
+    # one check, run_qmc's unit trace under --tol: the file's ket either
+    # runs, or is refused by an error naming its norm; once a ket the norm
+    # check let through was refused again as "not a unit-trace Hermitian
+    # matrix", and --tol never widened the norm check's fixed 1e-9
+    circuit = tmp_path / "h.qc"
+    circuit.write_text("qubits 1\ngate H 1\nmeasure 1\n")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps([[norm, 0], [0, 0]]))
+    argv = ["simulate", str(circuit), "--state-file", str(state)]
+    if tol is not None:
+        argv += ["--tol", repr(tol)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if abs(norm * norm - 1) <= (1e-9 if tol is None else tol):
+        assert code == 0 and captured.err == ""
+        shown = [float(line.split()[1]) for line in captured.out.splitlines()[1:]]
+        assert np.allclose(shown, [norm * norm / 2] * 2, rtol=0, atol=1e-10)
+        return
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    prefix = "error: state file norm is "
+    assert line.startswith(prefix)
+    assert abs(float(line[len(prefix):].split(",")[0]) - norm) <= 1e-15
+
+
 def test_simulate_rejects_bad_bits(circuit_file, capsys):
     assert main(["simulate", circuit_file, "--input", "012"]) == 2
 

@@ -23,7 +23,7 @@ from qmcforge.evaluate import _phase_distances
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import Qmc, Superoperator, build_qmc, verify_row_stochasticity
+from qmcforge.qmc import Qmc, Superoperator, _map_census, build_qmc, verify_row_stochasticity
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -828,7 +828,7 @@ def _pool_maps(draw):
             maps.append(Superoperator.from_index(dim, rows, cols, values))
             continue
         if kind == "again" and maps:
-            dense = maps[-1]._form().copy()
+            dense = maps[-1].matrix.copy()
         elif kind == "two" and dim > 1:
             dense[0, :2] = 1
         zeros = np.argwhere(dense == 0)
@@ -891,7 +891,7 @@ def _reparsed(text: str):
     except ReparseError as exc:
         return str(exc)
     return q.k, q.h, [(None if so.monomial is None else [a.tobytes() for a in so.monomial],
-                       so._form().tobytes()) for so in q.steps + q.branches]
+                       so.matrix.tobytes()) for so in q.steps + q.branches]
 
 
 def _random_model(draw) -> str:
@@ -1169,3 +1169,116 @@ def test_an_edited_permutation_literal_does_not_pass(case):
         circuit.write_text(text)
         path.write_text(edited)
         assert main(["verify", str(circuit), "--against", str(path)]) == (1 if changed else 0)
+
+
+# --- a map keeps the form it was built with ------------------------------------
+
+def _qft_text(k: int) -> str:
+    """The fully measured k-wire QFT of H and controlled phases, as CI
+    writes it."""
+    lines = [f"qubits {k}"]
+    for j in range(1, k + 1):
+        lines.append(f"gate H {j}")
+        lines += [f"cgate PHASE({np.pi / 2 ** (m - j)!r}) {j} ctrl {m}"
+                  for m in range(j + 1, k + 1)]
+    lines += [f"measure {w}" for w in range(1, k + 1)]
+    return "\n".join(lines) + "\n"
+
+
+# perfbench's `measured` (seed 0) and `long-chain` (seed 0) circuits and
+# their flags, and the 6-wire QFT of CI
+_KEPT_FORM_CHAINS = {
+    "measured": ("qubits 6\n" + "".join(
+        f"gate CNOT {a} {b}\n" for a, b in [(3, 5), (2, 3), (1, 2), (6, 1), (4, 6), (5, 4)])
+        + "".join(f"measure {w}\n" for w in range(1, 7)), "composed", False),
+    "long-chain": (_LONG_CHAIN, "naive-adjacent", True),
+    "qft6": (_qft_text(6), "composed", False),
+}
+
+
+def _observed(q):
+    """What a read of a map must not change: the census, which maps are
+    index-built, the model bytes and the row-check report."""
+    maps = q.steps + q.branches
+    return (_map_census(maps), [so._dense is None for so in maps], emit_qpmc(q),
+            [(v.state, v.deviation) for v in verify_row_stochasticity(q)])
+
+
+@pytest.mark.parametrize("reparsed", [False, True], ids=["compiled", "reparsed"])
+@pytest.mark.parametrize("name", list(_KEPT_FORM_CHAINS))
+def test_reading_a_map_changes_nothing(name, reparsed):
+    text, strategy, swaps_as_gates = _KEPT_FORM_CHAINS[name]
+    s, _ = translate(parse_circuit(text), strategy=strategy, emit_swaps_as_gates=swaps_as_gates)
+    q = build_qmc(s)
+    if reparsed:
+        q = reparse_model(emit_qpmc(q))
+    before = _observed(q)
+    assert "index-built" in before[0] and any(before[1])
+    for so in (*q.steps, *q.branches, *q.transitions.values()):
+        m = so.matrix
+        assert so.kraus[0].tobytes() == m.tobytes()
+        assert np.array_equal(so.gram(), m.conj().T @ m)
+    assert _observed(q) == before
+
+
+@pytest.mark.parametrize("reparsed", [False, True], ids=["compiled", "reparsed"])
+def test_held_matrices_of_a_shared_map_are_one_array(reparsed):
+    # a caller holding every step's matrix of the 83-step long chain holds
+    # one array per distinct map, not one per step
+    s, _ = translate(parse_circuit(_LONG_CHAIN), strategy="naive-adjacent",
+                     emit_swaps_as_gates=True)
+    q = build_qmc(s)
+    if reparsed:
+        q = reparse_model(emit_qpmc(q))
+    held = [so.kraus[0] for so in q.steps]
+    assert len({id(m) for m in held}) == len({id(so) for so in q.steps}) < q.n
+    assert all(so._dense is None for so in q.steps)
+
+
+def _repo_circuits() -> dict[str, str]:
+    root = pathlib.Path(__file__).parent.parent / "circuits"
+    return {"qft6": _qft_text(6), **{p.name: p.read_text() for p in sorted(root.glob("*.qc"))}}
+
+
+@pytest.mark.parametrize("swaps_as_gates", [False, True], ids=["fused", "swaps-as-gates"])
+@pytest.mark.parametrize("strategy", ["composed", "direct", "naive-adjacent"])
+@pytest.mark.parametrize("name", list(_repo_circuits()))
+def test_compiled_and_reparsed_chains_hold_the_same_forms(name, strategy, swaps_as_gates):
+    s, _ = translate(parse_circuit(_repo_circuits()[name]), strategy=strategy,
+                     emit_swaps_as_gates=swaps_as_gates)
+    q = build_qmc(s)
+    q2 = reparse_model(emit_qpmc(q))
+    maps, maps2 = q.steps + q.branches, q2.steps + q2.branches
+    assert _map_census(maps2) == _map_census(maps)
+    for so, so2 in zip(maps, maps2):
+        assert (so2._dense is None) == (so._dense is None)
+        if so._dense is None:
+            assert all(np.array_equal(a, b) for a, b in zip(so.monomial, so2.monomial))
+        else:
+            assert np.array_equal(so2.matrix, so.matrix)
+
+
+@st.composite
+def _token_literal(draw):
+    """The literal of a matrix that is not 0/1, so the token path reads
+    it: a permutation times phases or -1s, maybe with a second nonzero in
+    some row or column."""
+    dim = 2 ** draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m[rng.permutation(dim), np.arange(dim)] = draw(st.sampled_from([
+        -np.ones(dim), np.exp(2j * np.pi * rng.random(dim)), 1j * np.ones(dim)]))
+    if dim > 1 and draw(st.booleans()):
+        m[0, np.flatnonzero(m[0] == 0)[0]] = 0.5
+    return format_matrix(m)[1:-1], m
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_token_literal())
+def test_a_token_read_monomial_literal_is_an_index_form(case):
+    literal, m = case
+    so = emit._parse_matrix(literal, "line 7")
+    monomial = (np.count_nonzero(m, axis=0).max() <= 1
+                and np.count_nonzero(m, axis=1).max() <= 1)
+    assert (so._dense is None) == monomial
+    assert so.matrix.tobytes() == emit._parse_tokens(literal, "line 7").tobytes()

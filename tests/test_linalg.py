@@ -1,5 +1,7 @@
 """Matrix utilities: tensor products, swaps, and permutation synthesis."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +138,48 @@ def test_identity_permutation_is_free():
 
 
 def test_swap_decomposition_rejects_bad_input():
-    with pytest.raises(NotAPermutation):
+    with pytest.raises(NotAPermutation, match=r"^\(1, 1, 2\) is not a permutation of 1\.\.3$"):
         linalg.swap_decomposition((1, 1, 2), "composed")
-    with pytest.raises(NotAPermutation):
+    with pytest.raises(NotAPermutation, match=r"^unknown swap strategy 'sorted'$"):
         linalg.swap_decomposition((1, 2, 3), "sorted")
+
+
+def _swap_decomposition_reference(perm, strategy):
+    """The earlier swap_decomposition of the two sorting strategies: it
+    tracks the wire at each position and each wire's position, and repeats
+    full bubble passes until one swaps nothing."""
+    k = len(perm)
+    arrangement = list(range(1, k + 1))
+    position = {w: w for w in arrangement}
+    swaps = []
+
+    def do_swap(p, q):
+        wp, wq = arrangement[p - 1], arrangement[q - 1]
+        arrangement[p - 1], arrangement[q - 1] = wq, wp
+        position[wp], position[wq] = q, p
+        swaps.append((p, q))
+
+    if strategy == "composed":
+        inverse = {perm[w - 1]: w for w in range(1, k + 1)}
+        for p in range(1, k + 1):
+            q = position[inverse[p]]
+            if q != p:
+                do_swap(p, q)
+    else:
+        changed = True
+        while changed:
+            changed = False
+            for p in range(1, k):
+                if perm[arrangement[p - 1] - 1] > perm[arrangement[p] - 1]:
+                    do_swap(p, p + 1)
+                    changed = True
+    return swaps
+
+
+@pytest.mark.parametrize("strategy", ["composed", "naive-adjacent"])
+def test_swap_decomposition_equals_the_reference_on_every_permutation(strategy):
+    for k in range(8):
+        for perm in itertools.permutations(range(1, k + 1)):
+            assert linalg.swap_decomposition(perm, strategy) == \
+                _swap_decomposition_reference(perm, strategy), perm
+

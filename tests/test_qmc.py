@@ -1,8 +1,11 @@
 """Chain construction: superoperators, branching, and row stochasticity."""
 
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import (Qmc, Superoperator, _diagonal_mass, build_qmc,
+from qmcforge.qmc import (Qmc, Superoperator, _diagonal_mass, _identity_form, build_qmc,
                           verify_row_stochasticity)
 
 H = gate_matrix("H")
@@ -182,9 +185,9 @@ _EDITS = [np.nan, np.inf, -np.inf, 0.0, 2.0, 1.0 + 1e-9, 1.0 + 1e-11, 1e200, 1j]
 @st.composite
 def _shared_step_chain(draw):
     """A reparsed chain whose steps reuse two or three model constants at
-    several positions, with one entry of a step (and so of every position
-    sharing its constant) written in place afterwards, as nan_step_chain
-    writes its value."""
+    several positions, with one map replaced at every position holding it
+    by one dense copy, one entry of which is written in place afterwards,
+    as nan_step_chain writes its value."""
     k = draw(st.integers(1, 2))
     dim = 2 ** k
     pool = [np.eye(dim)[::-1], np.kron(H, np.eye(dim // 2)), np.diag(np.exp(0.5j * np.arange(dim)))]
@@ -195,8 +198,16 @@ def _shared_step_chain(draw):
         k, h, steps, [projector(h, k, i) for i in range(2 ** h)])))
     target = draw(st.sampled_from(q.steps + q.branches))
     at = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
-    target.matrix[at] = draw(st.sampled_from(_EDITS))
-    return q
+    # an index-built map's matrix is read-only: the edit goes into a copy
+    # built as an array, which every position sharing the target holds
+    m = target.matrix.copy()
+    edited = Superoperator(m)
+    m[at] = draw(st.sampled_from(_EDITS))
+
+    def edit(maps):
+        return tuple(edited if so is target else so for so in maps)
+
+    return dataclasses.replace(q, steps=edit(q.steps), branches=edit(q.branches))
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,10 +480,11 @@ def test_derived_views_match_the_string_keyed_reference(chain):
 
 # --- the index form ------------------------------------------------------------
 
-def test_index_built_map_materializes_once_and_then_reads_its_array():
+def test_an_index_built_map_reads_a_read_only_array_it_does_not_keep():
     so = Superoperator.from_index(4, [2, 0, 3], [1, 3, 0], [1j, -1.0, 0.0])
     # stored canonically: the zero value dropped, entries in row order
-    rows, cols, values = so.monomial
+    form = so.monomial
+    rows, cols, values = form
     assert rows.tolist() == [0, 2] and cols.tolist() == [3, 1]
     assert values.tolist() == [-1.0, 1j]
     assert not (rows.flags.writeable or cols.flags.writeable or values.flags.writeable)
@@ -481,13 +493,31 @@ def test_index_built_map_materializes_once_and_then_reads_its_array():
     expected[0, 3], expected[2, 1] = -1.0, 1j
     m = so.matrix
     assert m.dtype == np.complex128 and np.array_equal(m, expected)
-    assert so.matrix is m
-    # from now on the array is the truth: a write in place is seen
-    m[1, 0] = 0.5
-    rows, cols, values = so.monomial
-    assert rows.tolist() == [0, 1, 2] and values.tolist() == [-1.0, 0.5, 1j]
-    m[1, 2] = 0.5
-    assert so.monomial is None
+    # read-only, shared while a reader holds it, never kept by the map; the
+    # map stays index-built
+    assert so.matrix is m and so.kraus[0] is m
+    assert so.monomial is form and so._dense is None
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[1, 0] = 0.5
+    held = weakref.ref(m)
+    del m
+    assert held() is None
+    assert so.monomial is form and np.array_equal(so.matrix, expected)
+    assert not so.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("so", [
+    Superoperator.from_index(4, [2, 0, 3], [1, 3, 0], [1j, -1.0, 1.0]),
+    Superoperator(np.diag([1.0, 1j])),
+], ids=["index-built", "dense"])
+def test_a_read_map_pickles_and_copies_to_the_same_kind(so):
+    # a read leaves a weak reference to the formed array behind, which
+    # must not stop the map from being pickled or copied
+    m = so.matrix
+    for again in (pickle.loads(pickle.dumps(so)), copy.deepcopy(so), copy.copy(so)):
+        assert (again._dense is None) == (so._dense is None)
+        assert np.array_equal(again.matrix, m)
 
 
 def test_indexed_puts_a_form_in_row_order_and_marks_it_read_only():
@@ -554,6 +584,18 @@ def test_build_qmc_builds_one_map_per_distinct_step_array():
 def test_write_into_a_reparsed_index_built_branch_is_caught():
     q = reparse_model(emit_qpmc(_single_h_chain()))
     branch = q.branches[1]
+    form = branch.monomial
+    assert form is not None and verify_row_stochasticity(q) == []
+    with pytest.raises(ValueError):
+        branch.matrix[0, 1] = 0.5
+    assert branch.monomial is form and branch._dense is None
+    assert verify_row_stochasticity(q) == []
+
+
+def test_write_into_a_branch_built_from_an_array_is_caught():
+    q = reparse_model(emit_qpmc(_single_h_chain()))
+    branch = Superoperator(q.branches[1].matrix.copy())
+    q = dataclasses.replace(q, branches=(q.branches[0], branch))
     assert branch.monomial is not None and verify_row_stochasticity(q) == []
     branch.matrix[0, 1] = 0.5
     assert [(v.state, v.deviation) for v in verify_row_stochasticity(q)] == [("s2", 0.25)]
@@ -680,3 +722,19 @@ def test_transitions_share_an_index_built_identity_loop():
     assert loop._dense is None
     assert np.array_equal(rows, np.arange(2 ** k)) and np.array_equal(cols, rows)
     assert np.array_equal(values, np.ones(2 ** k))
+
+
+@pytest.mark.parametrize("k, h", [(0, 0), (1, 1), (3, 0), (3, 2), (4, 4)])
+def test_projectors_and_self_loop_are_views_of_one_identity_form(k, h):
+    d = 2 ** k
+    index, ones = _identity_form(d)
+    again = _identity_form(d)
+    assert again[0] is index and again[1] is ones
+    assert not (index.flags.writeable or ones.flags.writeable)
+    assert index.tolist() == list(range(d)) and ones.tolist() == [1] * d
+    q = build_qmc(SnfCircuit(k, (), h, tuple(range(1, k + 1))))
+    loops = {id(so): so for (source, target), so in q.transitions.items() if source == target}
+    for so in (*q.branches, *loops.values()):
+        rows, cols, values = so.monomial
+        assert all(np.shares_memory(a, b) for a, b in zip((rows, cols, values),
+                                                          (index, index, ones)))

@@ -26,18 +26,22 @@ inside its brackets. Any other literal (phases, -1, dense H steps) is joined
 from the zero literal's slices between the nonzeros and their words, each
 distinct value formatted once. No writer forms a word per zero.
 
-Reparse reads one dialect: the lines :func:`emit_qpmc` writes, each
-spelled as it writes them, in its order. Only ``"\\n"`` ends a line; each
-line is found by ``str.find("\\n")`` and dropped once the next is read, so
-no list of every line is held. A line may end in ``"\\r\\n"``, a trailing
-``//`` comment and trailing spaces or tabs, and blank and comment-only lines
-may stand anywhere; nothing else is cut or skipped. What is left of a line
-is then the ``qmc`` header, a constant line, ``module NAME``, the indented
-state variable, an indented command or ``endmodule``, matched whole: names
-are ASCII identifiers, state numbers ASCII digits with no leading zero.
-The commands stand in state order: the i-th one read is guarded by
-``s = i``. Any other line, and a command out of that order, is a
-ReparseError naming it.
+Reparse reads one dialect: the lines :func:`emit_qpmc` writes, in its
+order. Only ``"\\n"`` ends a line; each line is found by
+``str.find("\\n")`` and dropped once the next is read, so no list of every
+line before the module is held. A line may end in ``"\\r\\n"``, a trailing
+``//`` comment and trailing spaces or tabs, and blank and comment-only
+lines may stand anywhere; nothing else is cut or skipped. What is left of
+a line before the module is the ``qmc`` header, a constant line or
+``module NAME``, matched whole. The module block is defined once, by
+:func:`_module_lines`, which the writer writes: reparse reads the constant
+names its lines apply (the last line applying any names the branches, the
+first name on each line before it a step), has :func:`_module_lines` write
+the block for them and compares it with the text line by line, the
+commands and ``endmodule`` before the state variable, whose bound counts
+them. No state number is parsed. A line that differs is a ReparseError
+``line N: expected '<the writer's line>', got '<the line>'``, and so is any
+line after ``endmodule``.
 
 A literal of exactly the 0/1 layout and a square entry count, which holds
 exactly when the text inside its brackets, with every ``1`` replaced by
@@ -176,6 +180,26 @@ def _constant_pool(q: Qmc) -> tuple[list[tuple[str, str]], list[str], list[str]]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _module_lines(name: str, steps: list[str], branches: list[str]) -> Iterator[str]:
+    """The module block's lines, without their ends, for a chain whose
+    steps and branches apply the named constants: ``module NAME``, the state
+    variable, a blank line, one command per step, the measurement fan-out,
+    the terminal self-loops and ``endmodule``. :func:`emit_qpmc` writes
+    them, and :func:`reparse_model` reads a model's module block by
+    comparing it with them."""
+    n, count = len(steps), len(branches)
+    yield f"module {name}"
+    yield f"  s: [0..{n + count}] init 0;"
+    yield ""
+    for i, cname in enumerate(steps):
+        yield f"  [] (s = {i}) -> <<{cname}>> : (s' = {i + 1});"
+    yield f"  [] (s = {n}) -> " + " + ".join(
+        f"<<{cname}>> : (s' = {n + 1 + i})" for i, cname in enumerate(branches)) + ";"
+    for i in range(count):
+        yield f"  [] (s = {n + 1 + i}) -> true;"
+    yield "endmodule"
+
+
 def emit_qpmc(q: Qmc, name: str = "model") -> str:
     """Render a chain as QPMC model text. Deterministic byte-for-byte.
 
@@ -183,42 +207,30 @@ def emit_qpmc(q: Qmc, name: str = "model") -> str:
     """
     if not _NAME_RE.fullmatch(name):
         raise QmcForgeError(f"module name must be an identifier, got {name!r}")
-    n, count = q.n, len(q.branches)
+    n, count, h = q.n, len(q.branches), q.h
     decls, step_names, branch_names = _constant_pool(q)
-    top = n + count
 
     # one piece per literal, not a line holding a copy of it, and one join:
     # the model text is copied once
     parts = ["qmc\n\n",
              f"// {name}: {q.k}-wire register, {n} chain step(s), "
-             f"{count} measurement branch(es) (h={q.h})\n"]
+             f"{count} measurement branch(es) (h={h})\n"]
     for cname, literal in decls:
         parts += ("const matrix ", cname, " = [", literal, "];\n")
-    parts.append(f"\nmodule {name}\n  s: [0..{top}] init 0;\n\n")
-    parts += (f"  [] (s = {i}) -> <<{cname}>> : (s' = {i + 1});\n"
-              for i, cname in enumerate(step_names))
-    branch_terms = [f"<<{cname}>> : (s' = {n + 1 + i})"
-                    for i, cname in enumerate(branch_names)]
-    parts.append(f"  [] (s = {n}) -> " + " + ".join(branch_terms) + ";\n")
-    parts += (f"  [] (s = {n + 1 + i}) -> true;\n" for i in range(count))
-    parts.append("endmodule\n\n// Property sketches (reachability of measurement outcomes):\n")
+    parts.append("\n")
+    parts += (f"{line}\n" for line in _module_lines(name, step_names, branch_names))
+    parts.append("\n// Property sketches (reachability of measurement outcomes):\n")
     for i in range(count):
-        props = sorted(q.labeling[f"t{i}"])
-        parts.append(f"//   qprob(Q=? [ F (s = {n + 1 + i}) ], rho0)   // {', '.join(props)}\n")
+        # terminal t{i}'s labels, sorted: "outcome=<bits>" (when h > 0), "terminal"
+        label = f"outcome={i:0{h}b}, terminal" if h else "terminal"
+        parts.append(f"//   qprob(Q=? [ F (s = {n + 1 + i}) ], rho0)   // {label}\n")
     return "".join(parts)
 
 
 # --- reparse ---------------------------------------------------------------
 
-# the lines emit_qpmc writes: names are ASCII identifiers, state numbers
-# ASCII digits with no leading zero
-_NUMBER = r"0|[1-9][0-9]*"
 _MODULE_RE = re.compile(rf"module ({_NAME_RE.pattern})")
 _CONST_HEAD_RE = re.compile(rf"const matrix ({_NAME_RE.pattern}) = \[")
-_VAR_RE = re.compile(rf"  s: \[0\.\.({_NUMBER})\] init 0;")
-_ACTION = rf"<<({_NAME_RE.pattern})>> : \(s' = ({_NUMBER})\)"
-_ACTION_RE = re.compile(_ACTION)
-_COMMAND_RE = re.compile(rf"  \[\] \(s = ({_NUMBER})\) -> (true|{_ACTION}(?: \+ {_ACTION})*);")
 
 
 def _parse_entry(token: str, where: str) -> complex:
@@ -353,36 +365,10 @@ def _lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
-def _state_number(digits: str, lineno: int) -> int:
-    """A state number of the model text; int() refuses one of over 4,300
-    digits, which numbers no state of a chain the emitter can write."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ReparseError(f"line {lineno}: state number of {len(digits)} digits") from None
-
-
-def reparse_model(text: str) -> Qmc:
-    """Parse emitter-produced model text back into a chain.
-
-    Reads the lines :func:`emit_qpmc` writes, each spelled as it writes
-    them and in its order (the ``qmc`` header once, before anything else;
-    constants before the module, each one used; one module holding the
-    state variable once, before its commands; the commands in state
-    order, guarded by ``s = 0``, ``s = 1``, ...; a linear chain, one
-    measurement fan-out, terminal self-loops). Only ``"\\n"`` ends a line;
-    a line may end in ``"\\r\\n"``, a ``//`` comment and spaces or tabs, and
-    blank and comment-only lines may stand anywhere. Any other line raises
-    ReparseError naming it. A missing or unused part, a chain of the wrong
-    shape and the first state :func:`verify_row_stochasticity` reports
-    raise it too.
-    """
-    consts: dict[str, Superoperator] = {}
-    # commands[i] is the command guarded by s = i: the actions, or None for a self-loop
-    commands: list[list[tuple[str, int]] | None] = []
-    top = None
-    in_module = seen_module = seen_header = False
-
+def _content(text: str) -> Iterator[tuple[int, str]]:
+    """The number and content of each line of ``text`` that is not blank
+    once a ``"\\r"`` end, a trailing ``//`` comment and trailing spaces and
+    tabs are cut."""
     for lineno, line in enumerate(_lines(text), start=1):
         if line.endswith("\r"):
             line = line[:-1]
@@ -390,31 +376,46 @@ def reparse_model(text: str) -> Qmc:
         if "/" in line:
             line = line.split("//", 1)[0]
         line = line.rstrip(" \t")
-        if not line:
-            continue
-        m = _COMMAND_RE.fullmatch(line) if in_module else None
-        if m:
-            guard = _state_number(m.group(1), lineno)
-            if guard != len(commands):
-                raise ReparseError(f"line {lineno}: guard s = {guard} out of order, "
-                                   f"expected s = {len(commands)}")
-            if m.group(2) == "true":
-                commands.append(None)
-                continue
-            actions = []
-            for cname, digits in _ACTION_RE.findall(m.group(2)):
-                target = _state_number(digits, lineno)
-                if cname not in consts:
-                    raise ReparseError(f"line {lineno}: unknown constant {echo(cname, str)}")
-                actions.append((cname, target))
-            commands.append(actions)
-            continue
+        if line:
+            yield lineno, line
+
+
+def _differs(lineno: int, want: str, got: str) -> ReparseError:
+    """The refusal of a module line that is not the writer's: both lines
+    quoted, from 20 characters before the first column where they differ,
+    so that a long fan-out line shows where it differs."""
+    at = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b), min(len(want), len(got)))
+    at = max(0, at - 20)
+    cut = "..." if at else ""
+    return ReparseError(f"line {lineno}: expected {cut}{echo(want[at:])}, got {cut}{echo(got[at:])}")
+
+
+def reparse_model(text: str) -> Qmc:
+    """Parse emitter-produced model text back into a chain.
+
+    Reads the lines :func:`emit_qpmc` writes, in its order. Only ``"\\n"``
+    ends a line; a line may end in ``"\\r\\n"``, a ``//`` comment and spaces
+    or tabs, and blank and comment-only lines may stand anywhere. The
+    ``qmc`` header comes first, then the constants, each spelled as written
+    and each used, then ``module NAME``. The module block is not parsed: the
+    last of its lines that applies a constant names the branches, the first
+    constant applied on each line before it names a step, and
+    :func:`_module_lines` writes the block for those names. Each line of
+    the text must be that line, the commands and ``endmodule`` compared
+    before the state variable, whose bound counts them, and no line may
+    follow ``endmodule``. Any other line raises ReparseError naming it; a
+    block that stops early, an unknown or unused constant, a chain
+    :class:`Qmc` refuses and the first state :func:`verify_row_stochasticity`
+    reports raise it too.
+    """
+    lines = _content(text)
+    lineno, line = next(lines, (None, None))
+    if line != "qmc":
+        raise ReparseError("missing qmc header" if lineno is None else
+                           f"line {lineno}: missing qmc header")
+    consts: dict[str, Superoperator] = {}
+    for lineno, line in lines:
         where = f"line {lineno}"
-        if not seen_header:
-            if line != "qmc":
-                raise ReparseError(f"{where}: missing qmc header")
-            seen_header = True
-            continue
         if line == "qmc":
             raise ReparseError(f"{where}: repeated qmc header")
         # a constant line is "const matrix NAME = [" + literal + "];": the
@@ -422,70 +423,51 @@ def reparse_model(text: str) -> Qmc:
         m = _CONST_HEAD_RE.match(line) if line.endswith("];") else None
         if m:
             name = m.group(1)
-            if seen_module:
-                raise ReparseError(f"{where}: constant {echo(name, str)} after the module line")
             if name in consts:
                 raise ReparseError(f"{where}: duplicate constant {echo(name, str)}")
             consts[name] = _parse_matrix(line[m.end():-2], where)
             continue
-        m = _MODULE_RE.fullmatch(line)
-        if m:
-            if seen_module:
-                raise ReparseError(f"{where}: second module {echo(m.group(1), str)}")
-            in_module = seen_module = True
-            continue
-        if line == "endmodule":
-            if not in_module:
-                raise ReparseError(f"{where}: endmodule without an open module")
-            in_module = False
-            continue
-        m = _VAR_RE.fullmatch(line)
-        if m:
-            if not in_module:
-                raise ReparseError(f"{where}: state variable outside the module")
-            if top is not None:
-                raise ReparseError(f"{where}: second state variable declaration")
-            if commands:
-                raise ReparseError(f"{where}: state variable after a command")
-            top = _state_number(m.group(1), lineno)
-            continue
-        raise ReparseError(f"{where}: unrecognized line {echo(line)}")
+        module = _MODULE_RE.fullmatch(line)
+        if not module:
+            raise ReparseError(f"{where}: unrecognized line {echo(line)}")
+        break
+    else:
+        raise ReparseError("missing module line")
 
-    if not seen_header:
-        raise ReparseError("missing qmc header")
-    if in_module:
+    block: list[tuple[int, str]] = []
+    for lineno, line in lines:
+        if block and block[-1][1] == "endmodule":
+            raise ReparseError(f"line {lineno}: expected no line after endmodule, got {echo(line)}")
+        block.append((lineno, line))
+    # the constants each line applies; the last line applying any is the fan-out
+    uses = [(lineno, [part.partition(">>")[0] for part in line.split("<<")[1:]])
+            for lineno, line in block]
+    uses = [use for use in uses if use[1]]
+    steps = [names[0] for _, names in uses[:-1]]
+    branches = uses[-1][1] if uses else []
+    # the writer's lines for those names: blank lines are skipped, and
+    # module NAME was read above
+    _, *want = filter(None, _module_lines(module.group(1), steps, branches))
+    pairs = list(zip(block, want))
+    # the state variable's bound counts the steps and branches, which the
+    # commands split: they are compared first, so an edited command is named
+    for (lineno, line), expected in pairs[1:] + pairs[:1]:
+        if line != expected:
+            raise _differs(lineno, expected, line)
+    if len(block) < len(want):
         raise ReparseError("module is never closed")
-    if top is None:
-        raise ReparseError("missing state variable declaration")
-    # the guards were read as 0, 1, 2, ...: they cover 0..top when there are top + 1
-    if len(commands) != top + 1:
-        raise ReparseError(f"guards do not cover 0..{top} exactly once")
-    used = {cname for acts in commands if acts for cname, _ in acts}
+    for lineno, names in uses:
+        for cname in names:
+            if cname not in consts:
+                raise ReparseError(f"line {lineno}: unknown constant {echo(cname, str)}")
+    used = {*steps, *branches}
     unused = [name for name in consts if name not in used]
     if unused:
         raise ReparseError(f"constant {echo(unused[0], str)} is never used")
 
-    terminals = [g for g, acts in enumerate(commands) if acts is None]
-    if not terminals or terminals != list(range(min(terminals), top + 1)):
-        raise ReparseError("terminal self-loops must occupy the trailing states")
-    n = min(terminals) - 1
-
-    steps: list[str] = []
-    for i in range(n):
-        acts = commands[i]
-        if acts is None or len(acts) != 1 or acts[0][1] != i + 1:
-            raise ReparseError(f"state {i} must step to {i + 1} with one superoperator")
-        steps.append(acts[0][0])
-    fan = commands[n]
-    if fan is None:
-        raise ReparseError(f"state {n} must carry the measurement fan-out")
-    expected_targets = list(range(n + 1, top + 1))
-    if [t for _, t in fan] != expected_targets:
-        raise ReparseError("measurement fan-out must hit the terminals in order")
-    branches = [cname for cname, _ in fan]
     # Qmc checks the branch count against h and every matrix against k
     h = len(branches).bit_length() - 1
-    k = consts[branches[0]].dim.bit_length() - 1
+    k = consts[branches[0]].dim.bit_length() - 1 if branches else 0
     try:
         # one map per constant, shared by every step using it
         q = Qmc(k, h, tuple(consts[c] for c in steps), tuple(consts[c] for c in branches))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,24 +271,46 @@ def test_validate_refuses_qubits_past_the_int_digit_limit(tmp_path, capsys):
 
 def test_verify_battery_shares_one_identity(tmp_path, capsys, monkeypatch):
     # each basis ket must be a row of one identity, not a column view that
-    # keeps its own 2^k square identity alive (dim^3 memory in all)
+    # keeps its own 2^k square identity alive (dim^3 memory in all); the
+    # basis battery alone is no list at all, but check_equivalence's default
     src = tmp_path / "cycle7.qc"
     src.write_text(emit_circuit_text(gen_test_circuit(7)))
     seen = []
 
     def capture(c, s, q, inputs, tol):
-        seen.extend(inputs)
+        seen.append(inputs)
         return check_equivalence(c, s, q, inputs, tol=tol)
 
     check_equivalence = cli.check_equivalence
     monkeypatch.setattr(cli, "check_equivalence", capture)
     assert main(["verify", str(src)]) == 0
-    assert np.array_equal(np.array(seen), np.eye(128))
+    assert main(["verify", str(src), "--random", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[::6] == ["checked 128 input states",
+                                                         "checked 129 input states"]
+    assert seen[0] is None
+    basis = seen[1][:128]
+    assert len(seen[1]) == 129 and np.array_equal(np.array(basis), np.eye(128))
     owners = {}
-    for v in seen:
+    for v in basis:
         owner = v if v.base is None else v.base
         owners[id(owner)] = owner.nbytes
     assert sum(owners.values()) <= 128 * 128 * 16
+
+
+def test_verify_holds_no_copy_of_the_basis_battery(tmp_path, capsys):
+    # the battery was once a list of the identity's rows, which
+    # check_equivalence stacked into a second 2^k x 2^k copy: 16 MiB at
+    # k = 10, and a traced peak of 96.9 MiB against 80.8 MiB without it
+    src = tmp_path / "cycle10.qc"
+    src.write_text(emit_circuit_text(gen_test_circuit(10)))
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(src)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("checked 1024 input states\n")
+    assert peak < 88 * 2 ** 20
 
 
 def test_gen_test_circuit_deterministic():

@@ -202,12 +202,11 @@ def cmd_verify(args) -> int:
         clauses = {"state": "state", "chain": "chain", "probability": "prob",
                    "support": "support"}
         deviations = {label: getattr(rep, name) for label, name in clauses.items()}
-        worst = {label: rep.worst_at.get(name) for label, name in clauses.items()}
         payload = {"passed": rep.passed, "inputs": count,
                    "deviations": {name: v if math.isfinite(v) else str(v)
                                   for name, v in deviations.items()},
-                   "worst": {name: None if at is None else {"input": at[0], "outcome": at[1]}
-                             for name, at in worst.items()},
+                   "worst": {label: dict(zip(("input", "outcome"), rep.worst_at[name]))
+                             for label, name in clauses.items()},
                    "failures": list(rep.failures)}
         _write_or_print(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
     else:

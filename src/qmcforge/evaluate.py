@@ -11,17 +11,18 @@ DAG; ``simulate_circuit`` and ``outcome_probability`` are that walk on a
 block of one.
 
 The chain side carries a block of kets through the step maps
-(:func:`_chain_run`): each distinct map's index form (see
-:mod:`qmcforge.qmc`) is read once and applied as a gather, a run of
-permutation steps is folded into one index, and a map without a form, or
-any step once a ket is not finite, takes the dense matmul, so NaN and inf
-spread. Every chain map is one matrix, so the density of a propagated ket
-is its outer product. ``check_equivalence`` compares the two semantics
-along every clause that the translation promises to preserve, a NaN
-deviation counting as a failure, and forms no density; it reads all 2^h
-branches in one gather when their forms allow it. ``run_qmc`` carries the
-identity through the walk to get the chain's product A and forms one
-density, A rho0 A†.
+(:func:`_chain_run`), reading each map by the kind it was built as (see
+:mod:`qmcforge.qmc`): a run of permutation steps is folded into one index,
+an index-built map is applied as a gather and a map built from an array
+as a matmul. Every column is read on its own, so an input's result does
+not depend on the inputs beside it: a ket that stops being finite is set
+to NaN at the end, whole, and no other ket is touched. Every chain map is
+one matrix, so the density of a propagated ket is its outer product.
+``check_equivalence`` compares the two semantics along every clause that
+the translation promises to preserve, a NaN deviation counting as a
+failure, and forms no density; it reads all 2^h branches in one gather
+when their forms allow it. ``run_qmc`` carries the identity through the
+walk to get the chain's product A and forms one density, A rho0 A†.
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ class EvalReport:
 # a non-finite density's NaNs are returned, not warned about
 @np.errstate(invalid="ignore", over="ignore")
 def _branch_density(so: Superoperator, rho: np.ndarray) -> np.ndarray:
-    """M rho M†: a gather into a zero matrix when M has an index form and
-    rho is finite, else the dense product (M formed, not kept)."""
-    form = so.monomial if np.isfinite(rho).all() else None
+    """M rho M†: a gather into a zero matrix when M is index-built, whatever
+    rho holds, else the dense product of M's array."""
+    form = so.monomial
     if form is None:
         m = so.matrix
         return m @ rho @ m.conj().T
@@ -168,10 +169,10 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
             tol: float = DEFAULT_TOL.pipeline) -> EvalReport:
     """Run a density matrix through the chain: rho0 ends as A rho0 A†, A the
     product of the steps (last leftmost), the identity carried through
-    :func:`_chain_run`. A branch's probability is read from its index form,
-    sum |values|^2 rho[cols, cols]; without a form, or for a non-finite
-    density, it is the dense trace, so NaN stays NaN. ``tol`` must be
-    finite and >= 0."""
+    :func:`_chain_run`. An index-built branch's probability is read from its
+    form, sum |values|^2 rho[cols, cols], whatever rho holds, so a NaN on
+    the diagonal reaches it; a branch built from an array gives the dense
+    trace. ``tol`` must be finite and >= 0."""
     check_tolerance(tol, "tol")
     dim = 2 ** q.k
     rho = np.asarray(rho0, dtype=np.complex128)
@@ -184,10 +185,9 @@ def run_qmc(q: Qmc, rho0: np.ndarray,
     accumulated, _ = _chain_run(q, np.eye(dim, dtype=np.complex128))
     rho = accumulated @ rho @ accumulated.conj().T
     rho.setflags(write=False)  # shared by every outcome record
-    finite = np.isfinite(rho).all()
     outcomes = []
     for i, so in enumerate(q.branches):
-        form = so.monomial if finite else None
+        form = so.monomial
         p = np.trace(_branch_density(so, rho)).real if form is None else \
             (form[2].conj() * form[2]).real @ rho.diagonal().real[form[1]]
         outcomes.append(OutcomeRecord(i, format(i, f"0{q.h}b") if q.h else "",
@@ -236,10 +236,11 @@ class EquivalenceReport:
     ``prob``    Born-rule vs terminal-trace probabilities;
     ``support`` post-measurement mass outside the outcome's block.
 
+    Each input is read on its own: one whose ket went non-finite deviates
+    by NaN in every clause, and the others report as they would alone.
     ``worst_at`` maps each of those clause names to the (input index,
     outcome bits) of its worst deviation, a NaN first; the bits are None
-    for ``state`` and ``chain``, and the entry is None when no input was
-    checked.
+    for ``state`` and ``chain``.
     """
 
     passed: bool
@@ -248,18 +249,17 @@ class EquivalenceReport:
     prob: float
     support: float
     failures: tuple[str, ...]
-    worst_at: dict[str, tuple[int, str | None] | None] = field(default_factory=dict, hash=False)
+    worst_at: dict[str, tuple[int, str | None]] = field(default_factory=dict, hash=False)
 
 
 def _product_rows(so: Superoperator, v: np.ndarray,
                   form) -> tuple[np.ndarray | None, np.ndarray]:
     """M v for a block of kets, as (rows, P): the rows of M v that can be
-    nonzero and their values. ``form`` is the map's index form as the
-    caller read it (``so.monomial``), or None; the callers pass None once a
-    ket of ``v`` is not finite. With a form that is a gather,
-    ``P = values[:, None] * v[cols]`` at the form's rows, all other rows
-    zero. With None it is ``(None, M v)`` by the dense matmul, whose
-    0 * NaN spreads a non-finite entry as the clauses expect."""
+    nonzero and their values. ``form`` is ``so.monomial`` as the caller
+    read it: for an index-built map a gather, ``P = values[:, None] *
+    v[cols]`` at the form's rows, all other rows zero; for a map built from
+    an array, None, and ``(None, M v)`` by the matmul. Either way column j
+    of P depends on no other column of v."""
     if form is None:
         return None, so.matrix @ v
     rows, cols, values = form
@@ -273,37 +273,39 @@ def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     j, the index of the first step t whose ket (column j of V_t) has a
     non-finite entry, or n if there is none (see check_equivalence).
 
-    Each distinct map's index form is read once per call. While every ket
-    is finite, a step whose form covers every row with every value exactly
-    1 is a permutation, V_t = V_{t-1}[cols]. A run of them is folded into
-    one integer index, ``pending = pending[cols]``, and applied to the block
-    once, before the next other step or at the end. A permutation maps
-    finite kets to finite kets, so it needs no finiteness scan and the
-    first non-finite step is the one a step-by-step run finds. Every other
-    step goes through :func:`_product_rows`. A form that covers every row
-    has the rows 0..d-1 in order, so its gather is the next block as it
-    stands; only a form missing rows is scattered into a zero block. Once a
-    ket is not finite, every step takes the dense matmul, so NaN spreads
-    through 0 * NaN as the chain clause expects.
+    Each distinct map's index form is read once per call, and every step is
+    read by the kind its map was built as. An index-built step whose form
+    covers every row with every value exactly 1 is a permutation,
+    V_t = V_{t-1}[cols]. A run of them is folded into one integer index,
+    ``pending = pending[cols]``, and applied to the block once, before the
+    next other step or at the end. A permutation moves entries without
+    changing them, so it needs no finiteness scan and the first non-finite
+    step is the one a step-by-step run finds. Every other step goes through
+    :func:`_product_rows`: a gather for an index-built map, a matmul for a
+    map built from an array. A form that covers every row has the rows
+    0..d-1 in order, so its gather is the next block as it stands; only a
+    form missing rows is scattered into a zero block. No step mixes the
+    columns, so a non-finite ket leaves the others as they would be alone;
+    its column is set to NaN, whole, once at the end, where a gather may
+    have kept its inf on one row or dropped it. With no steps the block is
+    the caller's, returned as it is.
     """
     v = taus
     n, dim = len(q.steps), len(taus)
     first = np.full(taus.shape[1], n)
-    finite, pending = True, None
+    pending = None
     read: dict[int, tuple] = {}
     for t, so in enumerate(q.steps):
-        form = None
-        if finite:
-            if id(so) not in read:
-                form = so.monomial
-                read[id(so)] = form, (form is not None and form[0].size == dim
-                                      and bool((form[2] == 1).all()))
-            form, permutation = read[id(so)]
-            if permutation:
-                pending = form[1] if pending is None else pending[form[1]]
-                continue
-            if pending is not None:
-                v, pending = v[pending], None
+        if id(so) not in read:
+            form = so.monomial
+            read[id(so)] = form, (form is not None and form[0].size == dim
+                                  and bool((form[2] == 1).all()))
+        form, permutation = read[id(so)]
+        if permutation:
+            pending = form[1] if pending is None else pending[form[1]]
+            continue
+        if pending is not None:
+            v, pending = v[pending], None
         rows, mv = _product_rows(so, v, form)
         if rows is None or rows.size == dim:
             v = mv
@@ -313,19 +315,23 @@ def _chain_run(q: Qmc, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bad = ~np.isfinite(v).all(axis=0)
         if bad.any():
             first[(first == n) & bad] = t
-            finite = False
-    return (v if pending is None else v[pending]), first
+    if pending is not None:
+        v = v[pending]
+    lost = first < n
+    if lost.any():
+        v[:, lost] = np.nan
+    return v, first
 
 
 def _branch_deviations(branches: tuple[Superoperator, ...], kets: np.ndarray,
-                       born: np.ndarray, finite: bool) -> tuple[np.ndarray, np.ndarray]:
+                       born: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The probability and support deviations of every branch and input,
     (2^h x N) each, from W_b = M_b V: |born_b - squared column norms of
     W_b|, and the largest |w_i| outside the outcome's block times the
     largest |w_j|.
 
-    When every ket is finite and every branch has an index form, all of one
-    length or empty, the forms are concatenated and read in one gather,
+    When every branch is index-built and the forms are all of one length or
+    empty, they are concatenated and read in one gather,
     ``|values[:, None] * kets[cols]|``, and reduced per branch over a
     (branches, rows, N) view. Its sums add the same rows in the same order
     as one branch's read does, so the bits do not depend on the path; forms
@@ -335,8 +341,8 @@ def _branch_deviations(branches: tuple[Superoperator, ...], kets: np.ndarray,
     dim, count = kets.shape
     block = dim // len(branches)
     sums, support = np.zeros((len(branches), count)), np.zeros((len(branches), count))
-    forms = [so.monomial for so in branches] if finite else None
-    if forms and all(form is not None for form in forms) and \
+    forms = [so.monomial for so in branches]
+    if all(form is not None for form in forms) and \
             len({form[0].size for form in forms} - {0}) <= 1:
         # an empty form is a zero matrix: its sums and maxima stay 0
         full = [b for b, form in enumerate(forms) if form[0].size]
@@ -354,7 +360,7 @@ def _branch_deviations(branches: tuple[Superoperator, ...], kets: np.ndarray,
     for b, so in enumerate(branches):
         # |W_b| on the rows it can be nonzero on; a zero row adds nothing
         # to a column's sum or maximum
-        rows, w = _product_rows(so, kets, forms[b] if finite else None)
+        rows, w = _product_rows(so, kets, forms[b])
         rows, w = everywhere if rows is None else rows, np.abs(w)
         sums[b] = np.sum(w ** 2, axis=0)
         if block < dim:
@@ -363,11 +369,9 @@ def _branch_deviations(branches: tuple[Superoperator, ...], kets: np.ndarray,
     return np.abs(born - sums), support
 
 
-def _worst(devs: np.ndarray) -> tuple[float, int | None]:
-    """The worst of a flat array of deviations and its index: the first NaN
-    if there is one, else the first maximum; 0.0 and None when empty."""
-    if not devs.size:
-        return 0.0, None
+def _worst(devs: np.ndarray) -> tuple[float, int]:
+    """The worst of a non-empty flat array of deviations and its index: the
+    first NaN if there is one, else the first maximum."""
     at = int(np.argmax(devs))
     return float(devs[at]), at
 
@@ -385,7 +389,8 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
             against the oracle's own wire order; None when there is no
             compiler claim (a reparsed model).
         q: the chain under test; may come from reparse_model.
-        inputs: kets to try; defaults to every computational basis state.
+        inputs: kets to try, at least one; defaults to every computational
+            basis state.
 
     Only rank-1 inputs make the clause-1 comparison meaningful, so inputs
     are kets, not densities, and each must have unit norm within ``tol``.
@@ -413,6 +418,8 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
     if taus is None:
         taus = np.array([_as_ket(psi, k) for psi in inputs],
                         dtype=np.complex128).reshape(-1, dim).T
+    if not taus.shape[1]:
+        raise BadInitialState("no input to check: the battery is empty")
     # written as "not <= tol" so that a NaN amplitude fails the check
     mass = np.sum(taus.real ** 2 + taus.imag ** 2, axis=0)
     bad = np.flatnonzero(~(np.abs(mass - 1.0) <= tol))
@@ -429,10 +436,16 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
     # clause: the chain preserves rank-1 states step by step, so it fails
     # exactly where a propagated ket stops being finite
     steps = len(q.steps)
-    chain = np.where(first < steps, np.nan, 0.0)
+    lost = first < steps
+    chain = np.where(lost, np.nan, 0.0)
 
     # clause: Born probabilities match terminal traces; mass stays in block
-    prob, support = _branch_deviations(q.branches, kets, born, (first == steps).all())
+    prob, support = _branch_deviations(q.branches, kets, born)
+    if lost.any():
+        # a lost ket reads NaN through every branch, the zero map's
+        # included; with h = 0 nothing lies outside the one block
+        prob[:, lost] = np.nan
+        support[:, lost] = np.nan if q.h else 0.0
 
     def bits(b: int) -> str:
         return format(b, f"0{q.h}b") if q.h else ""
@@ -447,11 +460,11 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
     if s is not None and s.wire_map != wire_map:
         failures.append(f"state clause: wire map {s.wire_map} is not the "
                         f"measured-first order {wire_map}")
-    for idx in np.flatnonzero(state_bad | (first < steps) | prob_bad.any(axis=0)
+    for idx in np.flatnonzero(state_bad | lost | prob_bad.any(axis=0)
                               | support_bad.any(axis=0)):
         if state_bad[idx]:
             failures.append(f"state clause: input {idx} deviates by {state[idx]:.3e}")
-        if first[idx] < steps:
+        if lost[idx]:
             failures.append(f"chain clause: input {idx} step {first[idx] + 1} "
                             f"deviates by {chain[idx]:.3e}")
         for b in np.flatnonzero(prob_bad[:, idx] | support_bad[:, idx]):
@@ -463,14 +476,13 @@ def check_equivalence(c: Circuit, s: SnfCircuit | None, q: Qmc, inputs=None,
                                 f"leaks {support[b, idx]:.3e} outside its block")
 
     worst: dict[str, float] = {}
-    worst_at: dict[str, tuple[int, str | None] | None] = {}
+    worst_at: dict[str, tuple[int, str | None]] = {}
     for name, devs in (("state", state), ("chain", chain)):
         worst[name], at = _worst(devs)
-        worst_at[name] = None if at is None else (at, None)
+        worst_at[name] = at, None
     for name, devs in (("prob", prob), ("support", support)):
         # input-major, as the inputs are checked
         worst[name], at = _worst(devs.T.reshape(-1))
-        worst_at[name] = None if at is None else (at // len(q.branches),
-                                                  bits(at % len(q.branches)))
+        worst_at[name] = at // len(q.branches), bits(at % len(q.branches))
     return EquivalenceReport(passed=not failures, failures=tuple(failures),
                              worst_at=worst_at, **worst)

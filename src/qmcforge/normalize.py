@@ -33,8 +33,8 @@ Only a run holding a gate with two nonzeros in a row or column (H, RX, RY)
 is formed dense, as ``tensor``, and its step is one ``np.ix_`` gather of
 it by permuted basis indices.
 
-A gate matrix's index form comes from the same scan
-``Superoperator.monomial`` makes of a dense array. The constant pool keys a
+A gate matrix's index form comes from ``qmc._monomial_form``, the scan
+reparse also reads a token-read literal with. The constant pool keys a
 step on its nonzeros, which an index-built step reads from its form (see
 :mod:`qmcforge.qmc`). Within one call each distinct run, step and undo is
 built once and shared, so every map built is a step of the chain.

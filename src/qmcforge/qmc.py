@@ -7,8 +7,8 @@ measurement superoperators, and an identity self-loop on every terminal.
 The defining soundness condition is that the superoperators leaving any
 state sum to a trace-preserving map; :func:`verify_row_stochasticity` is
 the one check of it, and construction checks only the shape of the maps.
-Permutation, phase and projector rows are read from their diagonal
-without forming a gram; only the other rows form d^3 grams.
+Rows of index-built maps (permutations, phases, projectors) are read from
+their diagonal without forming a gram; only the other rows form d^3 grams.
 
 The chain is stored as that shape: a ``steps`` tuple and a ``branches``
 tuple of one-matrix superoperators. The state names, the transition table
@@ -29,10 +29,11 @@ marks it read-only. A map keeps the form it was built with for life:
 ``matrix`` of an index-built map is a read-only array formed from the
 form, which the map never keeps (it holds only a weak reference, so
 readers that overlap share one array), and no read converts a map. A map
-built from an array keeps the caller's array, and ``monomial`` scans it
-on every read (``_monomial_form``, the scan ``translate`` also reads gate
-matrices with), so a write into it in place reaches every reader, the
-row check included.
+built from an array keeps the caller's array and is read densely: its
+``monomial`` is None, whatever the array holds, so a reader picks its path
+from the kind the map was built as and never scans. A write into that
+array in place still reaches every reader; the row check sees it through
+the map's gram.
 
 The constant pool keys a map on its nonzero entries, ``_nonzeros``: their
 row-major positions and values, from the index form of an index-built map
@@ -67,8 +68,10 @@ log = logging.getLogger(__name__)
 
 def _monomial_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The index form (rows, cols, values), rows ascending, of a square
-    matrix with at most one nonzero per row and per column, all of them
-    finite; otherwise None."""
+    matrix with at most one nonzero per row and per column; otherwise None.
+    The callers pass finite matrices (gate matrices, checked when a
+    ``Circuit`` is built, and literals read by reparse, which refuses
+    non-finite tokens)."""
     d = m.shape[0]
     flat = np.flatnonzero(m)
     if flat.size > d:
@@ -76,10 +79,7 @@ def _monomial_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
     rows, cols = np.divmod(flat, d)
     if np.bincount(rows, minlength=d).max() > 1 or np.bincount(cols, minlength=d).max() > 1:
         return None
-    values = m[rows, cols]
-    if not np.isfinite(values).all():
-        return None
-    return rows, cols, values
+    return rows, cols, m[rows, cols]
 
 
 # bounded: reparse asks for widths read from model text
@@ -101,8 +101,9 @@ class Superoperator:
     ``Superoperator(m)`` stores the dense matrix ``m`` as complex128 (no
     copy for complex128 input). :meth:`from_index` builds the map of a
     monomial matrix (a permutation times phases, a diagonal projector) from
-    its index form alone; either keeps its form for life (see the module
-    docstring for how ``matrix`` and ``monomial`` read each).
+    its index form alone; either keeps its form for life, and ``monomial``
+    is the index form it was built with or None (see the module docstring
+    for how ``matrix`` reads each).
 
     Construction rejects input that is not a non-empty square 2-D matrix of
     finite entries; whether the map is physical is left to
@@ -199,14 +200,10 @@ class Superoperator:
 
     @property
     def monomial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The index form (rows, cols, values), entries in row order, when
-        the matrix has at most one nonzero per row and per column and all
-        its nonzeros are finite; otherwise None. The stored form of an
-        index-built map; one scan of the array of a map built from one, on
-        every read, so a write into that array is never missed."""
-        if self._dense is None:
-            return self._index
-        return _monomial_form(self._dense)
+        """The index form (rows, cols, values), entries in row order, that
+        the map was built with; None for a map built from an array, even a
+        monomial one, which every reader reads densely."""
+        return self._index
 
     def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat, values): the ascending row-major positions and the values
@@ -348,16 +345,13 @@ class RowViolation:
 
 def _diagonal_mass(maps) -> np.ndarray | None:
     """diag(sum of M^dagger M) over ``maps``, each matrix's column norms
-    squared, when every map has an index form (``Superoperator.monomial``);
+    squared, when every map is index-built (``Superoperator.monomial``);
     the sum is then exactly diagonal. Otherwise None, and the caller forms
     the grams. One ``bincount`` over all the forms' columns adds each
     column's weights in map order, as a loop over the maps would."""
-    forms = []
-    for so in maps:
-        form = so.monomial
-        if form is None:
-            return None
-        forms.append(form)
+    forms = [so.monomial for so in maps]
+    if any(form is None for form in forms):
+        return None
     values = np.concatenate([values for _, _, values in forms])
     return np.bincount(np.concatenate([cols for _, cols, _ in forms]),
                        weights=(values.conj() * values).real, minlength=maps[0].dim)
@@ -371,9 +365,9 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
 
     The rows are s1..sn, one step each, and s{n+1}, the sum over the
     measurement branches; the terminals' identity self-loops need no check.
-    A row whose maps all have an index form (permutations, phases,
-    diagonal projectors, with finite nonzeros) has a diagonal sum, read from
-    the column norms of the forms. A row of one map whose form covers every
+    A row whose maps are all index-built (permutations, phases, diagonal
+    projectors) has a diagonal sum, read from the column norms of the
+    forms. A row of one map whose form covers every
     row holds each column once, so it reads them from its values alone.
     Every other row forms its grams, and only such a row forms the
     identity. A step object shared by several positions is checked once.
@@ -383,18 +377,15 @@ def verify_row_stochasticity(q: Qmc, tol: float = DEFAULT_TOL.qmc_rows) -> list[
     check_tolerance(tol, "tol")
 
     def deviation(maps) -> float:
-        if len(maps) == 1:
-            form = maps[0].monomial
-            if form is not None and form[0].size == maps[0].dim:
-                # every column once, so each column's mass is one value's;
-                # a value of exactly 1 has mass exactly 1
-                values = form[2]
-                if (values == 1).all():
-                    return 0.0
-                return float(np.max(np.abs((values.conj() * values).real - 1)))
-            mass = None if form is None else _diagonal_mass(maps)
-        else:
-            mass = _diagonal_mass(maps)
+        form = maps[0].monomial
+        if len(maps) == 1 and form is not None and form[0].size == maps[0].dim:
+            # every column once, so each column's mass is one value's; a
+            # value of exactly 1 has mass exactly 1
+            values = form[2]
+            if (values == 1).all():
+                return 0.0
+            return float(np.max(np.abs((values.conj() * values).real - 1)))
+        mass = _diagonal_mass(maps)
         if mass is None:
             eye = np.eye(maps[0].dim, dtype=np.complex128)
             return float(np.max(np.abs(sum(so.gram() for so in maps) - eye)))

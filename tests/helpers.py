@@ -98,15 +98,16 @@ def nan_step_chain(q, value=np.nan, at=(0, 0)):
 
 def chain_run_per_step(q, taus):
     """The reference for ``evaluate._chain_run``: each step applied on its
-    own, a finiteness scan after every step. While every ket is finite, a
-    map with an index form is read as a gather ``values[:, None] * v[cols]``
-    (scattered into a zero block when the form misses rows); otherwise the
-    dense matmul spreads a non-finite entry. Returns the final kets and,
-    for each input, the first step whose ket is not finite (n if none)."""
+    own, a finiteness scan after every step. An index-built map is read as
+    a gather ``values[:, None] * v[cols]`` (scattered into a zero block
+    when the form misses rows), a map built from an array by the dense
+    matmul. Returns the final kets, each ket that was not finite after some
+    step set to NaN whole, and, for each input, the first step whose ket is
+    not finite (n if none)."""
     v, n = taus, len(q.steps)
     first = np.full(taus.shape[1], n)
     for t, so in enumerate(q.steps):
-        form = so.monomial if (first == n).all() else None
+        form = so.monomial
         if form is None:
             v = so.matrix @ v
         else:
@@ -118,23 +119,47 @@ def chain_run_per_step(q, taus):
                 v = np.zeros_like(v)
                 v[rows] = mv
         first[(first == n) & ~np.isfinite(v).all(axis=0)] = t
+    if (first < n).any():
+        v = v.copy()
+        v[:, first < n] = np.nan
     return v, first
+
+
+def sparse_density(m, rho):
+    """M rho M† summed over the nonzero entries of M alone, so a zero of M
+    times a NaN of rho adds nothing: the reference for an index-built
+    map's gathered density."""
+    i, r = np.nonzero(m)
+    out = np.zeros_like(rho)
+    np.add.at(out, (i[:, None], i[None, :]),
+              m[i, r][:, None] * rho[np.ix_(r, r)] * m[i, r].conj()[None, :])
+    return out
 
 
 def run_qmc_per_step(q, rho0):
     """The reference for ``evaluate.run_qmc``: the density run step by
-    step, rho -> M rho M† with every map dense, the product of the dense
-    steps, and each branch's post-measurement density and its trace.
-    Returns (probabilities, accumulated product, branch densities)."""
+    step, rho -> M rho M† with every map dense, and the product of the dense
+    steps. A column of the product that was not finite after some step ends
+    NaN, whole, and the density with it. Each branch's post-measurement
+    density is M rho M† over the nonzeros of M for an index-built branch
+    (:func:`sparse_density`) and the dense product for one built from an
+    array; its trace is the probability. Returns (probabilities,
+    accumulated product, branch densities)."""
     dim = 2 ** q.k
     rho = np.asarray(rho0, dtype=np.complex128)
     accumulated = np.eye(dim, dtype=np.complex128)
+    lost = np.zeros(dim, dtype=bool)
     with np.errstate(invalid="ignore", over="ignore"):
         for so in q.steps:
             m = so.matrix
             rho = m @ rho @ m.conj().T
             accumulated = m @ accumulated
-        posts = [m @ rho @ m.conj().T for m in (so.matrix for so in q.branches)]
+            lost |= ~np.isfinite(accumulated).all(axis=0)
+        if lost.any():
+            accumulated[:, lost] = np.nan
+            rho = np.full_like(rho, np.nan)
+        posts = [m @ rho @ m.conj().T if so.monomial is None else sparse_density(m, rho)
+                 for so, m in ((so, so.matrix) for so in q.branches)]
     return [float(np.trace(p).real) + 0.0 for p in posts], accumulated, posts
 
 

@@ -351,7 +351,6 @@ def test_worst_deviation_keeps_nan():
     assert _worst(np.array([1e-3, 0.0, 1e-3])) == (1e-3, 0)
     value, at = _worst(np.array([0.0, nan, 1.0, nan]))
     assert math.isnan(value) and at == 1
-    assert _worst(np.array([])) == (0.0, None)
 
 
 def test_check_equivalence_refuses_infinite_tolerances():
@@ -518,8 +517,8 @@ def test_oracle_walk_is_bit_identical_to_the_tensordot_walk(text, count, seed):
 
 def test_a_non_finite_step_densifies_no_index_built_map():
     # the 5-wire cycle with swaps as gates compiles to index-built maps only;
-    # a dense step holding a NaN in front of them sends every later map of
-    # both runs down the dense path, which forms each map without keeping it
+    # a dense step holding a NaN in front of them loses every ket, and both
+    # runs still read every later map by its kind, converting none
     c = gen_test_circuit(5)
     q = build_qmc(translate(c, strategy="naive-adjacent", emit_swaps_as_gates=True)[0])
     indexed = {id(so): so for so in q.steps + q.branches}.values()
@@ -680,13 +679,174 @@ def test_worst_location_per_clause():
     rep = check_equivalence(c, s, q)
     assert set(rep.worst_at) == {"state", "chain", "prob", "support"}
     assert rep.worst_at["state"][1] is None and rep.worst_at["chain"][1] is None
-    assert check_equivalence(c, s, q, []).worst_at == dict.fromkeys(rep.worst_at)
+    # no input is no check: an empty battery is refused, not passed
+    for empty in ([], np.zeros((0, 4))):
+        with pytest.raises(BadInitialState, match="^no input to check: the battery is empty$"):
+            check_equivalence(c, s, q, empty)
     # every input deviates by NaN: the first NaN is the one named
     one = parse_circuit("qubits 1\ngate H 1\nmeasure 1\n")
     s1, _ = translate(one)
     nan = check_equivalence(one, s1, nan_step_chain(build_qmc(s1)))
     assert nan.worst_at == {"state": (0, None), "chain": (0, None),
                             "prob": (0, "0"), "support": (0, "0")}
+
+
+# --- each input read on its own -----------------------------------------------
+
+def _overflow_case():
+    """A 5-wire chain: two index-built steps scaling |0> by 1e300 (their
+    product overflows), then two permutations with phases; index-built
+    projectors measuring wire 1. A = |0> overflows; B, a random ket with
+    B[0] = 0, does not."""
+    k, dim = 5, 32
+    rng = np.random.default_rng(1)
+    index, big = np.arange(dim), np.ones(dim)
+    big[0] = 1e300
+    steps = [Superoperator.from_index(dim, index, index, big)] * 2
+    for _ in range(2):
+        perm, phases = rng.permutation(dim), np.exp(2j * np.pi * rng.random(dim))
+        steps.append(Superoperator.from_index(dim, perm, index, phases))
+    c = parse_circuit("qubits 5\nmeasure 1\n")
+    q = Qmc(k, 1, tuple(steps), build_qmc(translate(c)[0]).branches)
+    a, b = basis_state(k, 0), random_kets(k, 1, rng)[0]
+    b[0] = 0
+    return c, q, a, b / np.linalg.norm(b)
+
+
+def test_an_overflowing_input_leaves_its_neighbour_as_it_runs_alone():
+    # the whole block once went through dense matmuls as soon as A
+    # overflowed, so B's ket depended on the ket checked beside it (here
+    # in the sign of a zero)
+    c, q, a, b = _overflow_case()
+    with np.errstate(invalid="ignore", over="ignore"):
+        both, first = _chain_run(q, np.array([a, b]).T)
+        alone, first_alone = _chain_run(q, b[:, None])
+    assert first.tolist() == [1, 4] and first_alone.tolist() == [4]
+    assert both[:, 1].tobytes() == alone[:, 0].tobytes()
+    # A's ket is NaN, whole, though the gathers kept its inf on one row
+    assert np.isnan(both[:, 0]).all()
+    rep = check_equivalence(c, None, q, [a, b])
+    lines = tuple(f.replace("input 0 ", "input 1 ") for f in check_equivalence(c, None, q, [b]).failures)
+    assert rep.failures == (
+        "state clause: input 0 deviates by nan",
+        "chain clause: input 0 step 2 deviates by nan",
+        "probability clause: input 0 outcome 0 deviates by nan",
+        "support clause: input 0 outcome 0 leaks nan outside its block",
+        "probability clause: input 0 outcome 1 deviates by nan",
+        "support clause: input 0 outcome 1 leaks nan outside its block") + lines
+    # the zero map reads no row of A's ket, and still deviates by NaN
+    empty = np.arange(0)
+    zero = Superoperator.from_index(32, empty, empty, empty)
+    q = Qmc(q.k, q.h, q.steps, (q.branches[0], zero))
+    assert check_equivalence(c, None, q, [a]).failures[-2:] == (
+        "probability clause: input 0 outcome 1 deviates by nan",
+        "support clause: input 0 outcome 1 leaks nan outside its block")
+
+
+def test_an_overflowing_input_forms_no_index_built_map_dense(monkeypatch):
+    c, q, a, b = _overflow_case()
+    formed, matrix = [], Superoperator.matrix
+    monkeypatch.setattr(Superoperator, "matrix", property(
+        lambda so: (so._dense is None and formed.append(so)) or matrix.fget(so)))
+    assert not check_equivalence(c, None, q, [a, b]).passed
+    report = run_qmc(q, np.outer(a, a.conj()))
+    assert all(math.isnan(p) for p in report.probabilities)
+    assert formed == []
+
+
+@st.composite
+def _neighbour_case(draw):
+    """A circuit on k <= 3 wires measuring its first h, and its compiled
+    chain with steps mixed in: permutations (folded), permutations times
+    phases, partial forms, and maps built from arrays (a step's dense copy
+    or a random contraction); perhaps one value of 1e300 on basis row r,
+    index-built or in an array, at the front twice, so that exactly the
+    inputs with amplitude on |r> overflow; branches index-built or built
+    from arrays. The inputs: at least two, basis kets and random kets,
+    some of them with no amplitude on |r>."""
+    k = draw(st.integers(1, 3))
+    h = draw(st.integers(0, k))
+    dim = 2 ** k
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lines = [f"qubits {k}"]
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from([g for g in ("H", "X", "T", "CNOT", "SWAP", "CCNOT")
+                                     if gate_arity(g) <= k]))
+        wires = draw(st.permutations(range(1, k + 1)))[:gate_arity(name)]
+        lines.append(f"gate {name} " + " ".join(map(str, wires)))
+    c = parse_circuit("\n".join(lines + [f"measure {w}" for w in range(1, h + 1)]) + "\n")
+    q = build_qmc(translate(c)[0])
+    index = np.arange(dim)
+    steps = list(q.steps)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["perm", "phases", "partial", "copy", "contraction"]))
+        perm = rng.permutation(dim)
+        if kind == "perm":
+            so = Superoperator.from_index(dim, perm, index, np.ones(dim))
+        elif kind == "phases":
+            so = Superoperator.from_index(dim, perm, index, np.exp(2j * np.pi * rng.random(dim)))
+        elif kind == "partial":
+            keep = rng.random(dim) < 0.5
+            so = Superoperator.from_index(dim, perm[keep], index[keep], np.ones(dim)[keep])
+        elif kind == "copy" and steps:
+            so = Superoperator(steps[draw(st.integers(0, len(steps) - 1))].matrix.copy())
+        else:
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            so = Superoperator(a * (rng.uniform(0.2, 0.99) / np.linalg.norm(a, 2)))
+        steps.insert(draw(st.integers(0, len(steps))), so)
+    row = draw(st.integers(0, dim - 1))
+    overflow = draw(st.sampled_from([None, "index", "array"]))
+    if overflow:
+        big = np.ones(dim)
+        big[row] = 1e300
+        so = Superoperator.from_index(dim, index, index, big)
+        so = Superoperator(so.matrix.copy()) if overflow == "array" else so
+        steps[:0] = [so, so]
+    branches = tuple(Superoperator(so.matrix.copy()) if draw(st.booleans()) else so
+                     for so in q.branches)
+    kets = [basis_state(k, draw(st.integers(0, dim - 1))) for _ in range(draw(st.integers(1, 2)))]
+    for ket in random_kets(k, draw(st.integers(1, 3)), rng):
+        if draw(st.booleans()):
+            ket[row] = 0
+            ket /= np.linalg.norm(ket)
+        kets.append(ket)
+    return c, Qmc(k, h, tuple(steps), branches), draw(st.permutations(kets))
+
+
+def _same_deviation(a: float, b: float) -> bool:
+    """Both NaN, or both finite and within 1e-12."""
+    return math.isnan(b) if math.isnan(a) else abs(a - b) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_neighbour_case())
+def test_each_input_reports_as_it_does_checked_alone(case):
+    c, q, kets = case
+    block = check_equivalence(c, None, q, kets)
+    alone = [check_equivalence(c, None, q, [ket]) for ket in kets]
+    for j, rep in enumerate(alone):
+        own = tuple(f.replace(f"input {j} ", "input 0 ", 1) for f in block.failures
+                    if f" input {j} " in f)
+        assert own == rep.failures
+    assert block.passed == all(rep.passed for rep in alone)
+    for clause in ("state", "chain", "prob", "support"):
+        # the block's worst is the worst of the inputs alone, a NaN first,
+        # and the input it names deviates by that much alone
+        devs = [getattr(rep, clause) for rep in alone]
+        worst = math.nan if any(map(math.isnan, devs)) else max(devs)
+        assert _same_deviation(getattr(block, clause), worst), clause
+        assert _same_deviation(getattr(alone[block.worst_at[clause][0]], clause), worst), clause
+    # a ket is the ket it is alone: to the bit through gathers and folded
+    # permutations; a matmul of one column and of a block may round apart
+    with np.errstate(invalid="ignore", over="ignore"):
+        v, first = _chain_run(q, np.array(kets).T)
+        for j, ket in enumerate(kets):
+            w, first_alone = _chain_run(q, ket[:, None])
+            assert first[j] == first_alone[0]
+            if all(so.monomial is not None for so in q.steps):
+                assert v[:, j].tobytes() == w[:, 0].tobytes()
+            else:
+                assert np.allclose(v[:, j], w[:, 0], rtol=0, atol=1e-12, equal_nan=True)
 
 
 def test_check_equivalence_memory_is_bounded():
@@ -763,18 +923,22 @@ def test_gather_readers_equal_the_matmul(case):
 
 
 def _chain_run_scattered(q, taus):
-    """The reference for _chain_run: every gathered step scattered into a
-    zero block, whether or not its form covers every row."""
+    """The reference for _chain_run: every step read by its kind, every
+    gathered step scattered into a zero block, whether or not its form
+    covers every row, and each ket that was not finite after some step set
+    to NaN at the end."""
     v, n = taus, len(q.steps)
     first = np.full(taus.shape[1], n)
     for t, so in enumerate(q.steps):
-        rows, mv = _product_rows(so, v, so.monomial if (first == n).all() else None)
+        rows, mv = _product_rows(so, v, so.monomial)
         if rows is None:
             v = mv
         else:
             v = np.zeros_like(v)
             v[rows] = mv
         first[(first == n) & ~np.isfinite(v).all(axis=0)] = t
+    if (first < n).any():
+        v[:, first < n] = np.nan
     return v, first
 
 
@@ -949,16 +1113,17 @@ def test_check_equivalence_reports_the_same_through_the_index_forms(pair, seed):
 
 # --- the gathered branch read against one branch at a time ----------------------
 
-def _per_branch_deviations(branches, kets, born, finite):
+def _per_branch_deviations(branches, kets, born):
     """The probability and support deviations read one branch at a time by
-    ``_product_rows``: the reference for the gathered read."""
+    ``_product_rows``, each by its kind: the reference for the gathered
+    read."""
     dim, count = kets.shape
     block = dim // len(branches)
     prob = np.empty((len(branches), count))
     support = np.zeros((len(branches), count))
     everywhere = np.arange(dim)
     for b, so in enumerate(branches):
-        rows, w = _product_rows(so, kets, so.monomial if finite else None)
+        rows, w = _product_rows(so, kets, so.monomial)
         rows, w = everywhere if rows is None else rows, np.abs(w)
         prob[b] = np.abs(born[b] - np.sum(w ** 2, axis=0))
         lo, hi = b * block, (b + 1) * block
@@ -1034,10 +1199,9 @@ def test_gathered_branch_read_equals_one_branch_at_a_time(case):
     c, q, kets = case
     block = np.array(kets).T
     _, born = _walk(c.k, c.gates, c.measured, block)
-    v, first = _chain_run(q, block)
-    finite = bool((first == q.n).all())
-    got = evaluate._branch_deviations(q.branches, v, born, finite)
-    want = _per_branch_deviations(q.branches, v, born, finite)
+    v, _ = _chain_run(q, block)
+    got = evaluate._branch_deviations(q.branches, v, born)
+    want = _per_branch_deviations(q.branches, v, born)
     for a, b in zip(got, want):
         assert np.array_equal(a, b, equal_nan=True)
     fast = check_equivalence(c, None, q, kets)

@@ -19,8 +19,8 @@ from qmcforge.errors import DimensionMismatch, QmcForgeError, ReparseError
 from qmcforge.gates import gate_matrix
 from qmcforge.normalize import SnfCircuit, translate
 from qmcforge.parser import parse_circuit
-from qmcforge.qmc import (Qmc, Superoperator, _diagonal_mass, _identity_form, build_qmc,
-                          verify_row_stochasticity)
+from qmcforge.qmc import (Qmc, Superoperator, _diagonal_mass, _identity_form, _monomial_form,
+                          build_qmc, verify_row_stochasticity)
 
 H = gate_matrix("H")
 
@@ -596,7 +596,8 @@ def test_write_into_a_branch_built_from_an_array_is_caught():
     q = reparse_model(emit_qpmc(_single_h_chain()))
     branch = Superoperator(q.branches[1].matrix.copy())
     q = dataclasses.replace(q, branches=(q.branches[0], branch))
-    assert branch.monomial is not None and verify_row_stochasticity(q) == []
+    # built from an array, so read densely: the row check forms its gram
+    assert branch.monomial is None and verify_row_stochasticity(q) == []
     branch.matrix[0, 1] = 0.5
     assert [(v.state, v.deviation) for v in verify_row_stochasticity(q)] == [("s2", 0.25)]
 
@@ -605,7 +606,9 @@ def test_write_into_a_branch_built_from_an_array_is_caught():
 def _index_row(draw):
     """The maps of one row on k <= 4 wires: a permutation times phases or
     0/1 values, or the diagonal projectors of a random split of the
-    diagonal, each index-built; and the same maps built dense."""
+    diagonal, each index-built; the same maps built dense; and those
+    rebuilt index-built from the forms a scan of their arrays finds
+    (``_monomial_form``)."""
     k = draw(st.integers(0, 4))
     dim = 2 ** k
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -624,15 +627,18 @@ def _index_row(draw):
         m = np.zeros((dim, dim), dtype=np.complex128)
         m[rows, cols] = vals
         dense.append(Superoperator(m))
-    return maps, dense
+    scanned = [Superoperator.from_index(so.dim, *_monomial_form(so.matrix)) for so in dense]
+    return maps, dense, scanned
 
 
 @settings(max_examples=150, deadline=None)
 @given(row=_index_row())
 def test_diagonal_mass_of_index_forms_equals_the_gram(row):
-    maps, dense = row
+    maps, dense, scanned = row
     mass = _diagonal_mass(maps)
-    assert np.array_equal(mass, _diagonal_mass(dense))
+    assert np.array_equal(mass, _diagonal_mass(scanned))
+    # maps built from arrays are read densely: the row check forms grams
+    assert _diagonal_mass(dense) is None
     gram = sum(so.matrix.conj().T @ so.matrix for so in dense)
     assert np.allclose(np.diag(mass), gram, rtol=0, atol=8 * np.finfo(float).eps)
     # reading the index form materialized nothing
@@ -651,7 +657,7 @@ def _diagonal_mass_by_map(maps) -> np.ndarray:
 @settings(max_examples=150, deadline=None)
 @given(row=_index_row())
 def test_diagonal_mass_equals_a_per_map_loop_bit_for_bit(row):
-    for maps in row:
+    for maps in (row[0], row[2]):
         assert _diagonal_mass(maps).tobytes() == _diagonal_mass_by_map(maps).tobytes()
 
 
